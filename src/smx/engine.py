@@ -3,9 +3,19 @@ impact scoring: the core ranking loop.
 
 Per bag, every predicate with enough support inside the bag has its
 zone replaced by full-training-set column medians for the satisfying
-samples; the change in model output, divided by the zone width, is the
-predicate's normalized impact. Bags are pure functions of
-(seed, bag_index, inputs), so any parallel schedule yields identical
+samples; the mean change in model output over those samples, divided by
+the zone width, is the predicate's normalized impact.
+
+Because the replacement values are full-training medians, a sample's
+perturbed output depends only on the zone, not on the bag or the
+predicate. ``run_bags`` therefore evaluates the model once on the
+training matrix and once per zone with that zone median-replaced for
+every sample, and keeps the per-sample impacts ``D[i, m]`` (absolute
+output shift, or class-averaged absolute probability shift). A
+predicate's impact in a bag is the mean of ``D`` over its satisfying
+samples in its zone's column: (zones + 1) model calls per seed, however
+many bags and predicates there are. Bags are pure functions of
+(seed, bag_index, D), so any parallel schedule yields identical
 results.
 """
 
@@ -93,18 +103,27 @@ def perturb_zone(X: np.ndarray, zone_indices: np.ndarray, medians: np.ndarray) -
     return out
 
 
+def row_impacts(kind: str, orig: np.ndarray, pert: np.ndarray) -> np.ndarray:
+    """Per-sample output shift: the absolute difference of continuous
+    outputs, or the class-averaged absolute probability shift."""
+    diff = np.abs(np.asarray(orig) - np.asarray(pert))
+    if kind == CONTINUOUS:
+        return diff
+    return diff.sum(axis=1) / diff.shape[1]
+
+
 def impact_continuous(y_orig: np.ndarray, y_pert: np.ndarray) -> float:
     """Mean absolute difference of continuous outputs."""
-    return float(np.mean(np.abs(np.asarray(y_orig) - np.asarray(y_pert))))
+    return float(np.mean(row_impacts(CONTINUOUS, y_orig, y_pert)))
 
 
 def impact_probabilistic(p_orig: np.ndarray, p_pert: np.ndarray) -> float:
     """Mean over samples of the class-averaged absolute probability shift."""
-    diff = np.abs(np.asarray(p_orig) - np.asarray(p_pert))
-    return float(np.mean(diff.sum(axis=1) / diff.shape[1]))
+    return float(np.mean(row_impacts(PROBABILISTIC, p_orig, p_pert)))
 
 
-def _model_outputs(model, X: np.ndarray) -> np.ndarray:
+def model_outputs(model, X: np.ndarray) -> np.ndarray:
+    """``predict`` of a continuous model, ``predict_proba`` of a probabilistic one."""
     if model.kind == CONTINUOUS:
         return model.predict(X)
     if model.kind == PROBABILISTIC:
@@ -137,6 +156,9 @@ def run_bags(
 ) -> list[BagResult]:
     """Run all bags for one seed and return results in bag order.
 
+    The model sees the full training matrix ``len(zone_models) + 1``
+    times: once intact and once per zone median-replaced.
+
     The terminal class of a bag is the majority predicted class (from
     the original, unperturbed predictions) among the samples satisfying
     the last-ranked predicate; ties go to class 0.
@@ -148,10 +170,16 @@ def run_bags(
     n_b = bag_size(n, cfg.bag_fraction)
     n_min = min_support(n, cfg.min_support_fraction)
     medians = np.median(X, axis=0)
-    outputs = _model_outputs(model, X)
+    outputs = model_outputs(model, X)
     classes = _predicted_classes(model.kind, outputs)
-    zone_idx = [zone_models[p.zone_index].indices for p in pset.predicates]
-    zone_width = [zone_models[p.zone_index].width for p in pset.predicates]
+    D = np.column_stack(
+        [
+            row_impacts(model.kind, outputs, model_outputs(model, perturb_zone(X, zm.indices, medians)))
+            for zm in zone_models
+        ]
+    )
+    zone_of = [p.zone_index for p in pset.predicates]
+    zone_width = [zone_models[m].width for m in zone_of]
 
     def one_bag(b: int) -> BagResult:
         subset = draw_bag(seed, b, n, n_b)
@@ -160,12 +188,7 @@ def run_bags(
             sat = pset.support(j, subset)
             if sat.size < n_min:
                 continue
-            perturbed = perturb_zone(X[sat], zone_idx[j], medians)
-            pert_out = _model_outputs(model, perturbed)
-            if model.kind == CONTINUOUS:
-                raw = impact_continuous(outputs[sat], pert_out)
-            else:
-                raw = impact_probabilistic(outputs[sat], pert_out)
+            raw = float(np.mean(D[sat, zone_of[j]]))
             scored.append(BagEntry(predicate=j, impact=raw / zone_width[j], raw_impact=raw, support=int(sat.size)))
         scored.sort(key=lambda e: (-e.impact, e.predicate))
         result = BagResult(bag_index=b, entries=scored)

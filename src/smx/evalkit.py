@@ -15,9 +15,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .engine import impact_continuous, impact_probabilistic
+from .engine import model_outputs, row_impacts
 from .errors import ConfigError, PipelineError
-from .models import CONTINUOUS
 
 
 @dataclass
@@ -63,19 +62,12 @@ def faithfulness_curve(
             raise ConfigError(f"ranked zone '{name}' is not in the zone config")
     X = np.asarray(X_test, dtype=float)
     depth = len(zone_order) if k_max is None else min(int(k_max), len(zone_order))
-    if model.kind == CONTINUOUS:
-        base = model.predict(X)
-        impact = impact_continuous
-        query = model.predict
-    else:
-        base = model.predict_proba(X)
-        impact = impact_probabilistic
-        query = model.predict_proba
+    base = model_outputs(model, X)
     masked = X.copy()
     ys = []
     for k in range(depth):
         masked[:, np.asarray(zone_sets[zone_order[k]], dtype=int)] = 0.0
-        ys.append(impact(base, query(masked)))
+        ys.append(float(np.mean(row_impacts(model.kind, base, model_outputs(model, masked)))))
     return make_curve(ys)
 
 
@@ -211,14 +203,7 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
     """
     X = np.asarray(X_test, dtype=float)
     m, p = X.shape
-    if model.kind == CONTINUOUS:
-        base = model.predict(X)
-        impact = impact_continuous
-        query = model.predict
-    else:
-        base = model.predict_proba(X)
-        impact = impact_probabilistic
-        query = model.predict_proba
+    base = model_outputs(model, X)
     out = np.zeros(p)
     work = X.copy()
     for j in range(p):
@@ -227,7 +212,7 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
         for r in range(repeats):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), r, j)))
             work[:, j] = column[rng.permutation(m)]
-            acc += impact(base, query(work))
+            acc += float(np.mean(row_impacts(model.kind, base, model_outputs(model, work))))
         work[:, j] = column
         out[j] = acc / repeats
     return out

@@ -6,6 +6,7 @@ import pytest
 from smx import synthgen
 from smx.dataio import kennard_stone_split
 from smx.engine import (
+    BagEntry,
     BagResult,
     EngineConfig,
     bag_size,
@@ -18,7 +19,7 @@ from smx.engine import (
     trace_lines,
 )
 from smx.errors import ConfigError
-from smx.models import RidgeModel, fit_logistic
+from smx.models import CONTINUOUS, RidgeModel, fit_logistic
 from smx.predicates import build_predicates
 from smx.zonecore import fit_zone_models
 
@@ -144,6 +145,18 @@ def _toy_problem(seed=0, n=40, signal=2.0):
     return ds, zones
 
 
+@pytest.fixture(scope="module")
+def benchmark_problem():
+    """The paper benchmark: mean-centred Kennard-Stone training part and
+    the reference logistic fitted at its defaults."""
+    from smx.dataio import apply_preprocess, fit_preprocess
+
+    ds = synthgen.generate(synthgen.benchmark_config())
+    train, _ = kennard_stone_split(ds, 0.7)
+    train = apply_preprocess(fit_preprocess(train, "mean_center"), train)
+    return train, synthgen.benchmark_zones(), fit_logistic(train)
+
+
 class TestRunBags:
     def test_low_support_predicates_filtered(self):
         ds, zones = _toy_problem()
@@ -212,17 +225,10 @@ class TestRunBags:
         threaded = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=4)
         assert serial == threaded
 
-    def test_benchmark_feature1_leads_most_bags(self):
-        ds = synthgen.generate(synthgen.benchmark_config())
-        train, _ = kennard_stone_split(ds, 0.7)
-        from smx.dataio import apply_preprocess, fit_preprocess
-
-        state = fit_preprocess(train, "mean_center")
-        train = apply_preprocess(state, train)
-        zones = synthgen.benchmark_zones()
+    def test_benchmark_feature1_leads_most_bags(self, benchmark_problem):
+        train, zones, model = benchmark_problem
         zone_models, scores = fit_zone_models(train, zones)
         pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
-        model = fit_logistic(train)
         cfg = EngineConfig()
         results = run_bags(model, train.intensities, zone_models, pset, cfg, seed=1)
         leading = sum(
@@ -295,3 +301,99 @@ class TestRunBags:
             "impact_raw",
             "impact_norm",
         }
+
+
+def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
+    """The per-predicate scorer the per-zone cache replaced: one model
+    call per (bag, retained predicate) on the median-replaced
+    satisfying rows of the bag."""
+    X = np.asarray(X_train, dtype=float)
+    n = X.shape[0]
+    n_b = bag_size(n, cfg.bag_fraction)
+    n_min = min_support(n, cfg.min_support_fraction)
+    medians = np.median(X, axis=0)
+    query = model.predict if model.kind == CONTINUOUS else model.predict_proba
+    impact = impact_continuous if model.kind == CONTINUOUS else impact_probabilistic
+    outputs = query(X)
+    if model.kind == CONTINUOUS:
+        classes = (outputs > 0.5).astype(int)
+    else:
+        classes = np.where(outputs[:, 1] > outputs[:, 0], 1, 0)
+    results = []
+    for b in range(cfg.bags):
+        subset = draw_bag(seed, b, n, n_b)
+        scored = []
+        for j, pred in enumerate(pset.predicates):
+            sat = pset.support(j, subset)
+            if sat.size < n_min:
+                continue
+            zm = zone_models[pred.zone_index]
+            raw = impact(outputs[sat], query(perturb_zone(X[sat], zm.indices, medians)))
+            scored.append(BagEntry(predicate=j, impact=raw / zm.width, raw_impact=raw, support=int(sat.size)))
+        scored.sort(key=lambda e: (-e.impact, e.predicate))
+        result = BagResult(bag_index=b, entries=scored)
+        if scored:
+            sat = pset.support(scored[-1].predicate, subset)
+            ones = int(np.count_nonzero(classes[sat] == 1))
+            result.terminal_class = 1 if ones > sat.size - ones else 0
+        results.append(result)
+    return results
+
+
+@pytest.fixture
+def toy_ridge():
+    ds, zones = _toy_problem(seed=4)
+    weights = np.random.default_rng(21).normal(size=6)
+    return ds, zones, RidgeModel(weights=weights, intercept=0.1)
+
+
+@pytest.fixture
+def toy_logistic():
+    ds, zones = _toy_problem()
+    return ds, zones, fit_logistic(ds, l2=0.1, max_iters=200)
+
+
+class TestPerZoneCache:
+    @pytest.mark.parametrize("problem", ["toy_ridge", "toy_logistic", "benchmark_problem"])
+    def test_matches_per_predicate_reference(self, problem, request):
+        ds, zones, model = request.getfixturevalue(problem)
+        zone_models, scores = fit_zone_models(ds, zones)
+        pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
+        cfg = EngineConfig(min_support_fraction=0.1)
+        for seed in (1, 2):
+            got = run_bags(model, ds.intensities, zone_models, pset, cfg, seed)
+            want = _reference_run_bags(model, ds.intensities, zone_models, pset, cfg, seed)
+            assert len(got) == len(want) == cfg.bags
+            for g, w in zip(got, want):
+                assert g.bag_index == w.bag_index
+                assert g.terminal_class == w.terminal_class
+                assert [(e.predicate, e.support) for e in g.entries] == [
+                    (e.predicate, e.support) for e in w.entries
+                ]
+                # Outputs are of order one and the cache evaluates full
+                # rows where the reference evaluated bag subsets, so an
+                # output may move by one ULP; on a small shift that is
+                # more than 1e-12 relative, hence the absolute floor.
+                np.testing.assert_allclose(
+                    [e.raw_impact for e in g.entries], [e.raw_impact for e in w.entries], rtol=1e-12, atol=1e-15
+                )
+
+    @pytest.mark.parametrize("bags", [1, 10])
+    @pytest.mark.parametrize("quantiles", [[0.5], [k / 10 for k in range(1, 10)]])
+    def test_one_call_per_zone_plus_one(self, bags, quantiles, toy_logistic):
+        ds, zones, model = toy_logistic
+        zone_models, scores = fit_zone_models(ds, zones)
+        pset = build_predicates(scores, zone_models, quantiles)
+        rows = []
+
+        class Counting:
+            kind = model.kind
+
+            def predict_proba(self, X):
+                rows.append(len(X))
+                return model.predict_proba(X)
+
+        cfg = EngineConfig(bags=bags, seeds=(1,), min_support_fraction=0.05)
+        results = run_bags(Counting(), ds.intensities, zone_models, pset, cfg, seed=1)
+        assert sum(len(bag.entries) for bag in results) > bags
+        assert rows == [ds.n_samples] * (len(zone_models) + 1)
