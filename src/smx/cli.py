@@ -9,6 +9,7 @@ computation succeeds, so failed runs leave no partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import dataio, evalkit, graphx, models, pipeline, synthgen, zonecore
 from .dataio import _fmt
-from .engine import DEFAULT_QUANTILES, DEFAULT_SEEDS, EngineConfig, trace_lines
-from .errors import ConfigError, FormatError, ModelError, PipelineError, SmxError
+from .engine import EngineConfig, trace_lines
+from .errors import ConfigError, FormatError, PipelineError, SmxError
 
 
 def _write_atomic(path: Path, text: str, written: list[Path]) -> None:
@@ -104,14 +105,20 @@ def _load_manifest(args) -> dict:
     return manifest
 
 
+_ENGINE_KEYS = {
+    "bags": int,
+    "bag_fraction": float,
+    "min_support_fraction": float,
+    "quantiles": lambda qs: tuple(float(q) for q in qs),
+    "seeds": lambda seeds: tuple(int(s) for s in seeds),
+}
+
+
 def _manifest_engine(manifest: dict) -> EngineConfig:
+    """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
     engine = manifest.get("engine", {})
     return EngineConfig(
-        bags=int(engine.get("bags", 10)),
-        bag_fraction=float(engine.get("bag_fraction", 0.8)),
-        min_support_fraction=float(engine.get("min_support_fraction", 0.2)),
-        quantiles=tuple(float(q) for q in engine.get("quantiles", DEFAULT_QUANTILES)),
-        seeds=tuple(int(s) for s in engine.get("seeds", DEFAULT_SEEDS)),
+        **{key: cast(engine[key]) for key, cast in _ENGINE_KEYS.items() if key in engine}
     )
 
 
@@ -186,19 +193,21 @@ def cmd_split(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.test and not args.out_test:
+        raise ConfigError("--out-test is required when --test is given")
     train = dataio.load_csv(args.train)
     state = dataio.fit_preprocess(
         train, args.method, savgol_window=args.window, savgol_order=args.order
     )
-    written: list[Path] = []
-    _write_atomic(Path(args.out_train), dataio.dataset_csv_text(dataio.apply_preprocess(state, train)), written)
+    outputs = [(args.out_train, dataio.dataset_csv_text(dataio.apply_preprocess(state, train)))]
     if args.test:
-        if not args.out_test:
-            raise ConfigError("--out-test is required when --test is given")
         test = dataio.load_csv(args.test)
-        _write_atomic(Path(args.out_test), dataio.dataset_csv_text(dataio.apply_preprocess(state, test)), written)
+        outputs.append((args.out_test, dataio.dataset_csv_text(dataio.apply_preprocess(state, test))))
     if args.state:
-        _write_atomic(Path(args.state), json.dumps(state.to_dict(), indent=2) + "\n", written)
+        outputs.append((args.state, json.dumps(state.to_dict(), indent=2) + "\n"))
+    written: list[Path] = []
+    for path, text in outputs:
+        _write_atomic(Path(path), text, written)
     return 0
 
 
@@ -339,13 +348,7 @@ def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
         seeds = list(range(args.stability_runs))
         if "smx" in methods:
             def smx_runner(seed: int):
-                reruns = EngineConfig(
-                    bags=cfg.bags,
-                    bag_fraction=cfg.bag_fraction,
-                    min_support_fraction=cfg.min_support_fraction,
-                    quantiles=cfg.quantiles,
-                    seeds=pipeline.derive_seeds(seed, len(cfg.seeds)),
-                )
+                reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
                 return pipeline.explain(train, zones, model, reruns).predicate_labels()
 
             res = evalkit.stability_study(smx_runner, seeds, rho=args.rho, depth=args.depth)
@@ -542,9 +545,6 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SmxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,12 @@ threshold back-projection.
 
 A zone model summarises one spectral zone by its column means, the unit
 loading of the dominant covariance eigenvector (divisor n-1) and the
-fraction of variance that direction explains. Loading signs follow a
-fixed convention so every fit is bit-reproducible.
+fraction of variance that direction explains. Every zone is solved
+exactly by one symmetric eigen-decomposition (``numpy.linalg.eigh``) of
+the smaller Gram form of the centred zone: the d x d covariance when
+d <= n, otherwise the n x n sample Gram matrix, whose top eigenvector u
+gives the loading Xc.T @ u / ||Xc.T @ u||. Loading signs follow a fixed
+convention so every fit is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,12 +21,6 @@ import numpy as np
 
 from .dataio import SpectralDataset, ZoneConfig, resolve_zones, _fmt
 from .errors import ConfigError, PipelineError
-
-# Zones at or below this width are solved by direct eigen-decomposition;
-# wider ones fall back to power iteration on the implicit covariance.
-_EIGH_MAX_DIM = 64
-_POWER_TOL = 1e-10
-_POWER_MAX_ITERS = 1000
 
 
 @dataclass
@@ -59,29 +57,6 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return -w if s < 0 else w
 
 
-def _power_iteration(Xc: np.ndarray, divisor: float) -> tuple[np.ndarray, float]:
-    d = Xc.shape[1]
-    rng = np.random.default_rng(0x5A0E)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    residual = np.inf
-    for _ in range(_POWER_MAX_ITERS):
-        u = Xc.T @ (Xc @ v) / divisor
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            raise PipelineError("power iteration hit a zero vector")
-        u /= norm
-        residual = min(np.linalg.norm(u - v), np.linalg.norm(u + v))
-        v = u
-        if residual < _POWER_TOL:
-            lam = float(np.linalg.norm(Xc @ v) ** 2 / divisor)
-            return v, lam
-    raise PipelineError(
-        f"power iteration did not converge (residual {residual:.3e} after "
-        f"{_POWER_MAX_ITERS} iterations)"
-    )
-
-
 def fit_zone(
     X_zone: np.ndarray, zone_name: str = "", zone_index: int = 0, indices: np.ndarray | None = None
 ) -> ZoneModel:
@@ -103,15 +78,14 @@ def fit_zone(
     if total_var == 0.0:
         raise PipelineError(f"degenerate zone '{zone_name}': all samples identical")
 
-    if d <= _EIGH_MAX_DIM:
-        cov = Xc.T @ Xc / divisor
-        evals, evecs = np.linalg.eigh(cov)
-        lam = float(evals[-1])
+    if d <= n:
+        evals, evecs = np.linalg.eigh(Xc.T @ Xc / divisor)
         loading = np.array(evecs[:, -1])
-        ve = lam / float(evals.sum())
     else:
-        loading, lam = _power_iteration(Xc, divisor)
-        ve = lam / total_var
+        evals, evecs = np.linalg.eigh(Xc @ Xc.T / divisor)
+        loading = Xc.T @ evecs[:, -1]
+        loading /= np.linalg.norm(loading)
+    ve = float(evals[-1]) / float(evals.sum())
 
     loading = _fix_sign(loading)
     ve = min(max(ve, 0.0), 1.0)

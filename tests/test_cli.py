@@ -182,6 +182,34 @@ class TestPipelineCommands:
         spec = json.loads((tmp_path / "model.json").read_text())
         assert spec["kind"] == "logistic" and len(spec["weights"]) == 60
 
+    @pytest.mark.parametrize(
+        "test_args, message",
+        [
+            (["--test", "raw.csv"], "--out-test"),
+            (["--test", "bad.csv", "--out-test", "te.csv"], "bad.csv"),
+        ],
+    )
+    def test_preprocess_failure_exit_2_no_outputs(self, tmp_path, capsys, test_args, message):
+        dataio.save_csv(synthgen.generate(small_config()), tmp_path / "raw.csv")
+        (tmp_path / "bad.csv").write_text("not,a,dataset\n")
+        code = main(
+            [
+                "preprocess",
+                "--method",
+                "mean_center",
+                "--train",
+                str(tmp_path / "raw.csv"),
+                "--out-train",
+                str(tmp_path / "tr.csv"),
+                "--state",
+                str(tmp_path / "state.json"),
+                *(str(tmp_path / a) if a.endswith(".csv") else a for a in test_args),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "raw.csv"]
+
 
 @pytest.fixture(scope="module")
 def explain_case(tmp_path_factory):

@@ -6,6 +6,7 @@ import pytest
 from smx.errors import ConfigError, PipelineError
 from smx.zonecore import (
     ZoneModel,
+    _fix_sign,
     fit_zone,
     fit_zone_models,
     score_zone,
@@ -89,15 +90,123 @@ class TestFitZone:
             u /= np.linalg.norm(u)
             assert np.var(Xc @ u, ddof=1) <= best + 1e-8
 
-    def test_power_iteration_branch_matches_svd(self):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(40, 70)) * np.linspace(3.0, 0.1, 70)
+
+def _assert_matches_svd(model, X):
+    _, _, vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    assert abs(np.linalg.norm(model.loading) - 1.0) < 1e-10
+    assert abs(abs(vt[0] @ model.loading) - 1.0) < 1e-10
+    assert abs(model.variance_explained - _svd_ve_oracle(X)) < 1e-10
+    s = model.loading.sum()
+    assert s > 0 or (abs(s) <= 1e-12 and model.loading[np.flatnonzero(model.loading)[0]] > 0)
+
+
+# (n, d) on both sides of n = d, across the old 64-point eigh/power-iteration
+# boundary and up to realistic spectrum widths.
+_WIDTH_SWEEP = [
+    (3, 2), (50, 2),
+    (30, 64), (64, 64), (100, 64),
+    (30, 65), (65, 65), (100, 65),
+    (100, 342), (400, 342),
+    (50, 4096),
+]
+
+
+class TestExactSolver:
+    @pytest.mark.parametrize("n,d", _WIDTH_SWEEP)
+    def test_width_sweep_matches_svd(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        X = rng.normal(size=(n, d)) * np.linspace(3.0, 0.1, d)
+        _assert_matches_svd(fit_zone(X), X)
+
+    @pytest.mark.parametrize("n,d", [(20, 300), (300, 20)])
+    def test_rank_one_plus_tiny_noise(self, n, d):
+        rng = np.random.default_rng(n + d)
+        direction = rng.normal(size=d)
+        X = np.outer(rng.normal(size=n), direction) + 1e-9 * rng.normal(size=(n, d))
         model = fit_zone(X)
-        assert abs(np.linalg.norm(model.loading) - 1.0) < 1e-10
-        assert abs(model.variance_explained - _svd_ve_oracle(X)) < 1e-8
-        Xc = X - X.mean(axis=0)
-        _, _, vt = np.linalg.svd(Xc, full_matrices=False)
-        assert abs(abs(vt[0] @ model.loading) - 1.0) < 1e-8
+        _assert_matches_svd(model, X)
+        assert abs(abs(model.loading @ direction) / np.linalg.norm(direction) - 1.0) < 1e-10
+        assert model.variance_explained > 1.0 - 1e-10
+
+    @pytest.mark.parametrize("n,k", [(40, 8), (10, 50)])
+    def test_duplicated_columns(self, n, k):
+        rng = np.random.default_rng(3 * n + k)
+        A = rng.normal(size=(n, k)) * np.linspace(2.0, 0.2, k)
+        X = np.hstack([A, A])
+        model = fit_zone(X)
+        _assert_matches_svd(model, X)
+        np.testing.assert_allclose(model.loading[:k], model.loading[k:], atol=1e-12)
+
+    def test_isotropic_wide_background_zone(self):
+        # noise-dominated 342-point zone: tiny eigengap, where the former
+        # power iteration raised "did not converge"
+        X = np.random.default_rng(0).normal(size=(2000, 342))
+        _assert_matches_svd(fit_zone(X), X)
+
+
+# Reference copies of the solver this module replaced: direct eigh for
+# zones of at most 64 points, seeded power iteration above that.
+def _reference_eigh(Xc, divisor):
+    cov = Xc.T @ Xc / divisor
+    evals, evecs = np.linalg.eigh(cov)
+    lam = float(evals[-1])
+    loading = np.array(evecs[:, -1])
+    ve = lam / float(evals.sum())
+    return loading, ve
+
+
+def _reference_power_iteration(Xc, divisor):
+    d = Xc.shape[1]
+    rng = np.random.default_rng(0x5A0E)
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    residual = np.inf
+    for _ in range(1000):
+        u = Xc.T @ (Xc @ v) / divisor
+        norm = np.linalg.norm(u)
+        if norm == 0.0:
+            raise PipelineError("power iteration hit a zero vector")
+        u /= norm
+        residual = min(np.linalg.norm(u - v), np.linalg.norm(u + v))
+        v = u
+        if residual < 1e-10:
+            lam = float(np.linalg.norm(Xc @ v) ** 2 / divisor)
+            return v, lam
+    raise PipelineError(f"power iteration did not converge (residual {residual:.3e})")
+
+
+def _reference_fit(X, solver):
+    X = np.asarray(X, dtype=float)
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    divisor = float(X.shape[0] - 1)
+    if solver == "eigh":
+        loading, ve = _reference_eigh(Xc, divisor)
+    else:
+        loading, lam = _reference_power_iteration(Xc, divisor)
+        ve = lam / float(np.sum(Xc * Xc) / divisor)
+    return _fix_sign(loading), min(max(ve, 0.0), 1.0)
+
+
+class TestAgainstReplacedSolver:
+    @pytest.mark.parametrize("n,d", [(3, 2), (50, 7), (64, 64), (169, 44), (100, 64), (100, 65), (300, 120)])
+    def test_d_at_most_n_bit_identical_to_eigh_branch(self, n, d):
+        rng = np.random.default_rng(7 * n + d)
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d) + rng.normal(size=d)
+        model = fit_zone(X)
+        loading, ve = _reference_fit(X, "eigh")
+        assert np.array_equal(model.loading, loading)
+        assert model.variance_explained == ve
+
+    @pytest.mark.parametrize("n,d", [(100, 65), (200, 120), (400, 342)])
+    def test_wide_d_at_most_n_agrees_with_power_iteration(self, n, d):
+        rng = np.random.default_rng(11 * n + d)
+        X = rng.normal(size=(n, d)) * np.linspace(3.0, 0.1, d)
+        X[:, 0] *= 2.0  # a clear eigengap so the power iteration converges
+        model = fit_zone(X)
+        loading, ve = _reference_fit(X, "power")
+        np.testing.assert_allclose(model.loading, loading, rtol=0, atol=1e-8)
+        assert abs(model.variance_explained - ve) < 1e-8
 
 
 class TestScore:
