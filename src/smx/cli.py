@@ -87,7 +87,10 @@ def _load_manifest(args) -> dict:
             "window": args.window,
             "order": args.order,
         }
-    engine = dict(manifest.get("engine", {}))
+    engine = manifest.get("engine", {})
+    if not isinstance(engine, dict):
+        raise ConfigError(f"manifest engine must be a JSON object, got {engine!r}")
+    engine = dict(engine)
     for flag, key in (
         ("bags", "bags"),
         ("bag_fraction", "bag_fraction"),
@@ -105,21 +108,35 @@ def _load_manifest(args) -> dict:
     return manifest
 
 
+def _list_of(cast):
+    def parse(values):
+        if not isinstance(values, list):
+            raise TypeError("expected a JSON list")
+        return tuple(cast(v) for v in values)
+
+    return parse
+
+
 _ENGINE_KEYS = {
     "bags": int,
     "bag_fraction": float,
     "min_support_fraction": float,
-    "quantiles": lambda qs: tuple(float(q) for q in qs),
-    "seeds": lambda seeds: tuple(int(s) for s in seeds),
+    "quantiles": _list_of(float),
+    "seeds": _list_of(int),
 }
 
 
 def _manifest_engine(manifest: dict) -> EngineConfig:
     """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
     engine = manifest.get("engine", {})
-    return EngineConfig(
-        **{key: cast(engine[key]) for key, cast in _ENGINE_KEYS.items() if key in engine}
-    )
+    values = {}
+    for key, cast in _ENGINE_KEYS.items():
+        if key in engine:
+            try:
+                values[key] = cast(engine[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid engine value {key}={engine[key]!r}: {exc}") from exc
+    return EngineConfig(**values)
 
 
 def _manifest_path(manifest: dict, key: str, required: bool = True) -> Path | None:

@@ -112,16 +112,6 @@ def row_impacts(kind: str, orig: np.ndarray, pert: np.ndarray) -> np.ndarray:
     return diff.sum(axis=1) / diff.shape[1]
 
 
-def impact_continuous(y_orig: np.ndarray, y_pert: np.ndarray) -> float:
-    """Mean absolute difference of continuous outputs."""
-    return float(np.mean(row_impacts(CONTINUOUS, y_orig, y_pert)))
-
-
-def impact_probabilistic(p_orig: np.ndarray, p_pert: np.ndarray) -> float:
-    """Mean over samples of the class-averaged absolute probability shift."""
-    return float(np.mean(row_impacts(PROBABILISTIC, p_orig, p_pert)))
-
-
 def model_outputs(model, X: np.ndarray) -> np.ndarray:
     """``predict`` of a continuous model, ``predict_proba`` of a probabilistic one."""
     if model.kind == CONTINUOUS:

@@ -5,7 +5,10 @@ Nodes are the full predicate set plus two class terminals. Each bag's
 ranked list becomes a directed path whose edge weights are the source
 predicate's normalized impact scaled by its zone's explained variance;
 same-direction edges accumulate across bags and bidirectional pairs
-keep only the heavier direction.
+keep only the heavier direction. Cycles that survive are pruned in one
+depth-first pass, roots and successors in ascending node order: each
+cycle the search meets loses its lightest edge, ties going to the
+smaller (source, target) pair.
 """
 
 from __future__ import annotations
@@ -90,56 +93,44 @@ def _resolve_bidirectional(edges: dict[tuple[int, int], float]) -> None:
             del edges[(v, u)]
 
 
-def _find_cycle(edges: dict[tuple[int, int], float]) -> list[tuple[int, int]] | None:
-    adjacency: dict[int, list[int]] = {}
-    for u, v in sorted(edges):
-        adjacency.setdefault(u, []).append(v)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    stack_edges: list[tuple[int, int]] = []
-
-    def dfs(start: int) -> list[tuple[int, int]] | None:
-        stack = [(start, iter(adjacency.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, WHITE) == GRAY:
-                    stack_edges.append((node, nxt))
-                    i = next(i for i, e in enumerate(stack_edges) if e[0] == nxt)
-                    return stack_edges[i:]
-                if color.get(nxt, WHITE) == WHITE:
-                    stack_edges.append((node, nxt))
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                if stack_edges:
-                    stack_edges.pop()
-        return None
-
-    for node in sorted(adjacency):
-        if color.get(node, WHITE) == WHITE:
-            found = dfs(node)
-            if found:
-                return found
-    return None
-
-
 def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
+    successors: dict[int, list[int]] = {}
+    for u, v in sorted(edges):
+        successors.setdefault(u, []).append(v)
+    finished: set[int] = set()
     dropped = 0
-    while True:
-        cycle = _find_cycle(edges)
-        if cycle is None:
-            break
-        victim = min(cycle, key=lambda e: (edges[e], e))
-        logger.debug("seed %s: dropping edge %s (weight %g)", seed, victim, edges[victim])
-        del edges[victim]
-        dropped += 1
+    for root in sorted(successors):
+        if root in finished:
+            continue
+        # path[k] is on the current DFS path at depth k; iters[k] walks its successors
+        path, iters, depth = [root], [iter(successors[root])], {root: 0}
+        while path:
+            node = path[-1]
+            for nxt in iters[-1]:
+                if nxt in finished or (node, nxt) not in edges:
+                    continue
+                if nxt not in depth:
+                    depth[nxt] = len(path)
+                    path.append(nxt)
+                    iters.append(iter(successors.get(nxt, ())))
+                    break
+                cycle = list(zip(path[depth[nxt] :], path[depth[nxt] + 1 :] + [nxt]))
+                victim = min(cycle, key=lambda e: (edges[e], e))
+                logger.debug("seed %s: dropping edge %s (weight %g)", seed, victim, edges[victim])
+                del edges[victim]
+                dropped += 1
+                # resume at the victim's source: the nodes above it are unvisited
+                # again, while finished nodes reach only finished nodes and stay acyclic
+                keep = depth[victim[0]] + 1
+                for gone in path[keep:]:
+                    del depth[gone]
+                del path[keep:], iters[keep:]
+                break
+            else:
+                finished.add(node)
+                del depth[node]
+                path.pop()
+                iters.pop()
     if dropped:
         logger.warning(
             "seed %s: %d lightest edge(s) removed to break directed cycles that "

@@ -288,51 +288,40 @@ class ExternalModel:
 
     def _chunks(self, X: np.ndarray):
         rows = X.shape[0]
-        if rows == 0:
-            yield X
-            return
         sample = json.dumps({"op": "predict", "x": [list(map(float, X[0]))]})
         per_row = max(len(sample), 1)
         rows_per_chunk = max(1, _MAX_REQUEST_BYTES // per_row)
         for start in range(0, rows, rows_per_chunk):
             yield X[start : start + rows_per_chunk]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.kind != CONTINUOUS:
-            raise ModelError("predict is only available on continuous models")
+    def _query(self, op: str, key: str, kind: str, X: np.ndarray):
+        """Send ``X`` under ``op`` in row chunks, yielding each reply's
+        ``key`` field as an array with one entry per chunk row."""
+        if self.kind != kind:
+            raise ModelError(f"{op} is only available on {kind} models")
         X = _check_width(X, self.n_features)
         if X.shape[0] == 0:
-            return np.zeros(0)
-        parts = []
+            return
         for chunk in self._chunks(X):
-            reply = self._request({"op": "predict", "x": [list(map(float, r)) for r in chunk]})
-            y = reply.get("y")
-            if not isinstance(y, list) or len(y) != chunk.shape[0]:
-                raise ModelError("external model 'predict' reply has a wrong-sized 'y'")
-            parts.append(np.asarray(y, dtype=float))
-        return np.concatenate(parts)
+            reply = self._request({"op": op, "x": [list(map(float, r)) for r in chunk]})
+            values = reply.get(key)
+            if not isinstance(values, list) or len(values) != chunk.shape[0]:
+                raise ModelError(f"external model '{op}' reply has a wrong-sized '{key}'")
+            yield np.asarray(values, dtype=float)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        parts = list(self._query("predict", "y", CONTINUOUS, X))
+        return np.concatenate(parts) if parts else np.zeros(0)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.kind != PROBABILISTIC:
-            raise ModelError("predict_proba is only available on probabilistic models")
-        X = _check_width(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.zeros((0, 2))
         parts = []
-        for chunk in self._chunks(X):
-            reply = self._request(
-                {"op": "predict_proba", "x": [list(map(float, r)) for r in chunk]}
-            )
-            p = reply.get("p")
-            if not isinstance(p, list) or len(p) != chunk.shape[0]:
-                raise ModelError("external model 'predict_proba' reply has a wrong-sized 'p'")
-            arr = np.asarray(p, dtype=float)
+        for arr in self._query("predict_proba", "p", PROBABILISTIC, X):
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ModelError("external model probabilities must be m-by-2")
             if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
                 raise ModelError("external model probability rows must sum to 1")
             parts.append(arr)
-        return np.concatenate(parts)
+        return np.concatenate(parts) if parts else np.zeros((0, 2))
 
     def close(self) -> None:
         if self._proc.poll() is None:

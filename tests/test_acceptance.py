@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+import smx
 from smx import dataio, models, pipeline, synthgen, zonecore
 from smx.engine import EngineConfig
 from smx.evalkit import pfi, rbo, stability_study, wilcoxon_signed_rank
@@ -235,6 +236,9 @@ def test_criterion_8_thread_count_determinism(bench, tmp_path):
     for threads in ("1", "8"):
         out = tmp_path / f"out_{threads}"
         env = dict(os.environ, SMX_THREADS=threads)
+        # the child imports this process's smx, also when only pytest's pythonpath found it
+        package_root = os.path.dirname(os.path.dirname(smx.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,

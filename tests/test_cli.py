@@ -264,6 +264,35 @@ class TestExplain:
         assert code == 2
         assert "zones" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "engine, key",
+        [
+            ({"bags": "ten"}, "bags"),
+            ({"bag_fraction": [0.8]}, "bag_fraction"),
+            ({"seeds": 3}, "seeds"),
+            ({"seeds": "12"}, "seeds"),
+            ({"seeds": [1, "two"]}, "seeds"),
+            ({"quantiles": "0.5"}, "quantiles"),
+            ({"quantiles": [0.5, None]}, "quantiles"),
+            ([5], "engine"),
+        ],
+    )
+    def test_malformed_engine_value_exit_2_no_outputs(self, explain_case, tmp_path, capsys, engine, key):
+        case = explain_case
+        manifest = {
+            "train": str(case / "train.csv"),
+            "zones": str(case / "zones.json"),
+            "model": str(case / "model.json"),
+            "engine": engine,
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["explain", "--manifest", str(mpath), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_width_mismatch_exit_1_no_partial_outputs(self, explain_case, tmp_path, capsys):
         case = explain_case
         narrow = models.RidgeModel(weights=np.zeros(3), intercept=0.0)

@@ -11,15 +11,14 @@ from smx.engine import (
     EngineConfig,
     bag_size,
     draw_bag,
-    impact_continuous,
-    impact_probabilistic,
     min_support,
     perturb_zone,
+    row_impacts,
     run_bags,
     trace_lines,
 )
 from smx.errors import ConfigError
-from smx.models import CONTINUOUS, RidgeModel, fit_logistic
+from smx.models import CONTINUOUS, PROBABILISTIC, RidgeModel, fit_logistic
 from smx.predicates import build_predicates
 from smx.zonecore import fit_zone_models
 
@@ -97,24 +96,28 @@ class TestPerturb:
             perturb_zone(np.zeros((2, 3)), np.array([3]), np.zeros(3))
 
 
+def _mean_impact(kind, orig, pert):
+    return float(np.mean(row_impacts(kind, orig, pert)))
+
+
 class TestImpacts:
     def test_identical_vectors_zero(self):
-        assert impact_continuous(np.ones(4), np.ones(4)) == 0.0
-        assert impact_probabilistic(np.full((3, 2), 0.5), np.full((3, 2), 0.5)) == 0.0
+        assert _mean_impact(CONTINUOUS, np.ones(4), np.ones(4)) == 0.0
+        assert _mean_impact(PROBABILISTIC, np.full((3, 2), 0.5), np.full((3, 2), 0.5)) == 0.0
 
     def test_continuous_direct_value(self):
-        assert impact_continuous(np.array([1.0, 0.0]), np.zeros(2)) == 0.5
+        assert _mean_impact(CONTINUOUS, np.array([1.0, 0.0]), np.zeros(2)) == 0.5
 
     def test_continuous_absolute_homogeneity(self):
         a, b = np.array([1.0, -2.0, 0.5]), np.array([0.0, 1.0, 2.0])
-        assert impact_continuous(3 * a, 3 * b) == pytest.approx(3 * impact_continuous(a, b))
+        assert _mean_impact(CONTINUOUS, 3 * a, 3 * b) == pytest.approx(3 * _mean_impact(CONTINUOUS, a, b))
 
     def test_probabilistic_single_row(self):
-        got = impact_probabilistic(np.array([[0.9, 0.1]]), np.array([[0.6, 0.4]]))
+        got = _mean_impact(PROBABILISTIC, np.array([[0.9, 0.1]]), np.array([[0.6, 0.4]]))
         assert got == pytest.approx(0.3, abs=1e-15)
 
     def test_probabilistic_bound_attained(self):
-        assert impact_probabilistic(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == 1.0
+        assert _mean_impact(PROBABILISTIC, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == 1.0
 
 
 class TestSizing:
@@ -313,7 +316,6 @@ def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
     n_min = min_support(n, cfg.min_support_fraction)
     medians = np.median(X, axis=0)
     query = model.predict if model.kind == CONTINUOUS else model.predict_proba
-    impact = impact_continuous if model.kind == CONTINUOUS else impact_probabilistic
     outputs = query(X)
     if model.kind == CONTINUOUS:
         classes = (outputs > 0.5).astype(int)
@@ -328,7 +330,8 @@ def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
             if sat.size < n_min:
                 continue
             zm = zone_models[pred.zone_index]
-            raw = impact(outputs[sat], query(perturb_zone(X[sat], zm.indices, medians)))
+            pert = query(perturb_zone(X[sat], zm.indices, medians))
+            raw = _mean_impact(model.kind, outputs[sat], pert)
             scored.append(BagEntry(predicate=j, impact=raw / zm.width, raw_impact=raw, support=int(sat.size)))
         scored.sort(key=lambda e: (-e.impact, e.predicate))
         result = BagResult(bag_index=b, entries=scored)

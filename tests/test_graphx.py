@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from smx import graphx
 from smx.engine import BagEntry, BagResult
 from smx.graphx import (
     ExplanationGraph,
@@ -167,6 +170,120 @@ class TestBuildGraph:
         graph = build_graph(bags, _zone_models(5), pset, seed=0)
         for u, v in graph.edges:
             assert (v, u) not in graph.edges
+
+
+# Reference for the single-pass pruning in ``graphx._break_cycles``: the
+# implementation it replaced, copied verbatim. It restarts a fresh,
+# re-sorted DFS after every deleted edge.
+logger = logging.getLogger("reference_break_cycles")
+
+
+def _find_cycle(edges: dict[tuple[int, int], float]) -> list[tuple[int, int]] | None:
+    adjacency: dict[int, list[int]] = {}
+    for u, v in sorted(edges):
+        adjacency.setdefault(u, []).append(v)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[int, int] = {}
+    stack_edges: list[tuple[int, int]] = []
+
+    def dfs(start: int) -> list[tuple[int, int]] | None:
+        stack = [(start, iter(adjacency.get(start, ())))]
+        color[start] = GRAY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color.get(nxt, WHITE) == GRAY:
+                    stack_edges.append((node, nxt))
+                    i = next(i for i, e in enumerate(stack_edges) if e[0] == nxt)
+                    return stack_edges[i:]
+                if color.get(nxt, WHITE) == WHITE:
+                    stack_edges.append((node, nxt))
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+                if stack_edges:
+                    stack_edges.pop()
+        return None
+
+    for node in sorted(adjacency):
+        if color.get(node, WHITE) == WHITE:
+            found = dfs(node)
+            if found:
+                return found
+    return None
+
+
+def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
+    dropped = 0
+    while True:
+        cycle = _find_cycle(edges)
+        if cycle is None:
+            break
+        victim = min(cycle, key=lambda e: (edges[e], e))
+        logger.debug("seed %s: dropping edge %s (weight %g)", seed, victim, edges[victim])
+        del edges[victim]
+        dropped += 1
+    if dropped:
+        logger.warning(
+            "seed %s: %d lightest edge(s) removed to break directed cycles that "
+            "survived pair resolution",
+            seed,
+            dropped,
+        )
+
+
+def _pruned(caplog, prune, logger_name, edges):
+    """Prune a copy of ``edges``; return what is left and the (victim, weight)
+    arguments of the DEBUG records, in the order they were logged."""
+    edges = dict(edges)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG):
+        prune(edges, 0)
+    dropped = [
+        rec.args[1:] for rec in caplog.records if rec.name == logger_name and rec.levelno == logging.DEBUG
+    ]
+    return list(edges.items()), dropped
+
+
+def _random_digraph(rng, n, m):
+    """Up to m edges on n nodes, self-loops included; weights at one decimal tie often."""
+    edges = {}
+    for _ in range(m):
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        edges[(u, v)] = round(float(rng.uniform(0.1, 2.0)), 1)
+    return edges
+
+
+def _assert_same_pruning(caplog, edges, trial):
+    got = _pruned(caplog, graphx._break_cycles, "smx.graphx", edges)
+    want = _pruned(caplog, _break_cycles, logger.name, edges)
+    assert got == want, f"trial {trial}"
+    return len(want[1])
+
+
+class TestCyclePruningAgainstRestart:
+    @pytest.mark.parametrize("block", range(20))
+    def test_random_digraphs(self, caplog, block):
+        dropped = 0
+        for trial in range(100 * block, 100 * (block + 1)):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(2, 16))
+            edges = _random_digraph(rng, n, int(rng.integers(1, 4 * n)))
+            if trial % 2:
+                graphx._resolve_bidirectional(edges)
+            dropped += _assert_same_pruning(caplog, edges, trial)
+        assert dropped > 0
+
+    def test_large_resolved_graph(self, caplog):
+        edges = _random_digraph(np.random.default_rng(2026), 200, 3300)
+        graphx._resolve_bidirectional(edges)
+        assert len(edges) > 2900
+        assert _assert_same_pruning(caplog, edges, 2026) > 1000
 
 
 class TestLrc:
