@@ -108,6 +108,14 @@ def _load_manifest(args) -> dict:
     return manifest
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing what it would round or reinterpret: JSON
+    booleans and non-integral numbers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _list_of(cast):
     def parse(values):
         if not isinstance(values, list):
@@ -118,25 +126,27 @@ def _list_of(cast):
 
 
 _ENGINE_KEYS = {
-    "bags": int,
+    "bags": _integer,
     "bag_fraction": float,
     "min_support_fraction": float,
     "quantiles": _list_of(float),
-    "seeds": _list_of(int),
+    "seeds": _list_of(_integer),
 }
+
+
+def _cast(section: str, key: str, cast, value):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {section} value {key}={value!r}: {exc}") from exc
 
 
 def _manifest_engine(manifest: dict) -> EngineConfig:
     """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
     engine = manifest.get("engine", {})
-    values = {}
-    for key, cast in _ENGINE_KEYS.items():
-        if key in engine:
-            try:
-                values[key] = cast(engine[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid engine value {key}={engine[key]!r}: {exc}") from exc
-    return EngineConfig(**values)
+    return EngineConfig(
+        **{key: _cast("engine", key, cast, engine[key]) for key, cast in _ENGINE_KEYS.items() if key in engine}
+    )
 
 
 def _manifest_path(manifest: dict, key: str, required: bool = True) -> Path | None:
@@ -173,8 +183,8 @@ def _load_data(manifest: dict, need_test: bool):
         state = dataio.fit_preprocess(
             train,
             pre["method"],
-            savgol_window=int(pre.get("window", 15)),
-            savgol_order=int(pre.get("order", 2)),
+            savgol_window=_cast("preprocess", "window", _integer, pre.get("window", 15)),
+            savgol_order=_cast("preprocess", "order", _integer, pre.get("order", 2)),
         )
         train = dataio.apply_preprocess(state, train)
         if test is not None:
@@ -329,7 +339,8 @@ def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
     importances: dict[str, np.ndarray] = {}
 
     if "smx" in methods:
-        result = pipeline.explain(train, zones, model, cfg)
+        prepared = pipeline.prepare(train, zones, model, cfg)
+        result = pipeline.rank(prepared, cfg)
         rankings["smx"] = result.ranked_zone_names()
         importances["smx"] = result.ranking.mean_lrc
         per_method["smx"] = {
@@ -366,7 +377,7 @@ def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
         if "smx" in methods:
             def smx_runner(seed: int):
                 reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
-                return pipeline.explain(train, zones, model, reruns).predicate_labels()
+                return pipeline.rank(prepared, reruns).predicate_labels()
 
             res = evalkit.stability_study(smx_runner, seeds, rho=args.rho, depth=args.depth)
             per_method["smx"]["stability"] = {

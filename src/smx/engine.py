@@ -7,16 +7,17 @@ samples; the mean change in model output over those samples, divided by
 the zone width, is the predicate's normalized impact.
 
 Because the replacement values are full-training medians, a sample's
-perturbed output depends only on the zone, not on the bag or the
-predicate. ``run_bags`` therefore evaluates the model once on the
+perturbed output depends only on the zone, not on the seed, the bag or
+the predicate. ``responses`` therefore evaluates the model once on the
 training matrix and once per zone with that zone median-replaced for
 every sample, and keeps the per-sample impacts ``D[i, m]`` (absolute
-output shift, or class-averaged absolute probability shift). A
-predicate's impact in a bag is the mean of ``D`` over its satisfying
-samples in its zone's column: (zones + 1) model calls per seed, however
-many bags and predicates there are. Bags are pure functions of
-(seed, bag_index, D), so any parallel schedule yields identical
-results.
+output shift, or class-averaged absolute probability shift) with the
+predicted classes: zones + 1 model calls per training set, however
+many seeds, bags and predicates are ranked from it. ``run_bags`` scores
+one bag as one masked reduction over ``D``: a predicate's impact is the
+mean of its zone's column over its satisfying bag samples. Bags are
+pure functions of (seed, bag_index, D), so any parallel schedule yields
+identical results.
 """
 
 from __future__ import annotations
@@ -81,15 +82,18 @@ class BagResult:
 
 def draw_bag(seed: int, bag_index: int, n: int, n_b: int) -> np.ndarray:
     """Uniform n_b-subset of range(n) via partial Fisher-Yates, keyed on
-    (seed, bag_index); reproducible across runs and thread schedules."""
+    (seed, bag_index); reproducible across runs and thread schedules.
+    Swap i exchanges positions i and ``targets[i]``, all targets drawn
+    in one call."""
     if not (1 <= n_b <= n):
         raise ConfigError(f"bag size {n_b} outside [1, {n}]")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(bag_index))))
-    idx = np.arange(n)
-    for i in range(n_b):
-        j = i + int(rng.integers(0, n - i))
+    steps = np.arange(n_b)
+    targets = steps + rng.integers(0, n - steps)
+    idx = list(range(n))
+    for i, j in enumerate(targets.tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:n_b]
+    return np.array(idx[:n_b])
 
 
 def perturb_zone(X: np.ndarray, zone_indices: np.ndarray, medians: np.ndarray) -> np.ndarray:
@@ -135,58 +139,81 @@ def min_support(n: int, min_support_fraction: float) -> int:
     return int(math.ceil(min_support_fraction * n))
 
 
+@dataclass(frozen=True)
+class Responses:
+    """How the model responds on one training set: ``shifts[i, m]`` is
+    sample i's output shift when zone m is median-replaced, and
+    ``classes[i]`` its predicted class on the unperturbed row."""
+
+    shifts: np.ndarray  # n x zones
+    classes: np.ndarray  # n
+
+
+def responses(model, X_train: np.ndarray, zone_models: Sequence[ZoneModel]) -> Responses:
+    """Query the model on the full training matrix ``len(zone_models) + 1``
+    times: once intact and once per zone median-replaced."""
+    X = np.asarray(X_train, dtype=float)
+    medians = np.median(X, axis=0)
+    outputs = model_outputs(model, X)
+    shifts = np.column_stack(
+        [
+            row_impacts(model.kind, outputs, model_outputs(model, perturb_zone(X, zm.indices, medians)))
+            for zm in zone_models
+        ]
+    )
+    return Responses(shifts=shifts, classes=_predicted_classes(model.kind, outputs))
+
+
 def run_bags(
-    model,
-    X_train: np.ndarray,
+    shifts: np.ndarray,
+    classes: np.ndarray,
     zone_models: Sequence[ZoneModel],
     pset: PredicateSet,
     cfg: EngineConfig,
     seed: int,
     workers: int = 1,
 ) -> list[BagResult]:
-    """Run all bags for one seed and return results in bag order.
-
-    The model sees the full training matrix ``len(zone_models) + 1``
-    times: once intact and once per zone median-replaced.
+    """Run all bags for one seed from a training set's ``Responses`` and
+    return results in bag order.
 
     The terminal class of a bag is the majority predicted class (from
     the original, unperturbed predictions) among the samples satisfying
     the last-ranked predicate; ties go to class 0.
     """
-    X = np.asarray(X_train, dtype=float)
-    n = X.shape[0]
-    if pset.indicator.shape[0] != n:
-        raise ConfigError("predicate indicator rows must match the training matrix")
+    D = np.asarray(shifts, dtype=float)
+    classes = np.asarray(classes)
+    n = D.shape[0]
+    if pset.indicator.shape[0] != n or classes.shape[0] != n:
+        raise ConfigError("predicate indicator and class rows must match the response rows")
     n_b = bag_size(n, cfg.bag_fraction)
     n_min = min_support(n, cfg.min_support_fraction)
-    medians = np.median(X, axis=0)
-    outputs = model_outputs(model, X)
-    classes = _predicted_classes(model.kind, outputs)
-    D = np.column_stack(
-        [
-            row_impacts(model.kind, outputs, model_outputs(model, perturb_zone(X, zm.indices, medians)))
-            for zm in zone_models
-        ]
-    )
-    zone_of = [p.zone_index for p in pset.predicates]
-    zone_width = [zone_models[m].width for m in zone_of]
+    zone_of = np.array([p.zone_index for p in pset.predicates], dtype=int)
+    zone_width = np.array([zone_models[m].width for m in zone_of], dtype=float)
 
     def one_bag(b: int) -> BagResult:
         subset = draw_bag(seed, b, n, n_b)
-        scored = []
-        for j in range(len(pset)):
-            sat = pset.support(j, subset)
-            if sat.size < n_min:
-                continue
-            raw = float(np.mean(D[sat, zone_of[j]]))
-            scored.append(BagEntry(predicate=j, impact=raw / zone_width[j], raw_impact=raw, support=int(sat.size)))
-        scored.sort(key=lambda e: (-e.impact, e.predicate))
-        result = BagResult(bag_index=b, entries=scored)
-        if scored:
-            last = scored[-1]
-            sat = pset.support(last.predicate, subset)
-            ones = int(np.count_nonzero(classes[sat] == 1))
-            result.terminal_class = 1 if ones > sat.size - ones else 0
+        I = pset.indicator[subset]
+        supports = I.sum(axis=0)
+        kept = np.flatnonzero(supports >= n_min)
+        raw = np.where(I[:, kept], D[np.ix_(subset, zone_of[kept])], 0.0).sum(axis=0) / supports[kept]
+        impact = raw / zone_width[kept]
+        order = np.lexsort((kept, -impact))
+        result = BagResult(
+            bag_index=b,
+            entries=[
+                BagEntry(
+                    predicate=int(kept[k]),
+                    impact=float(impact[k]),
+                    raw_impact=float(raw[k]),
+                    support=int(supports[kept[k]]),
+                )
+                for k in order
+            ],
+        )
+        if kept.size:
+            last = kept[order[-1]]
+            ones = int(np.count_nonzero(classes[subset][I[:, last]] == 1))
+            result.terminal_class = 1 if ones > supports[last] - ones else 0
         return result
 
     return run_ordered(one_bag, list(range(cfg.bags)), workers)

@@ -28,6 +28,10 @@ from .zonecore import ZoneModel
 
 logger = logging.getLogger(__name__)
 
+# Share of a seed's edge weight that cycle pruning may drop before the
+# pruning summary is logged as a WARNING rather than at INFO.
+PRUNED_WEIGHT_WARNING = 0.05
+
 
 @dataclass
 class ExplanationGraph:
@@ -98,7 +102,8 @@ def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
     for u, v in sorted(edges):
         successors.setdefault(u, []).append(v)
     finished: set[int] = set()
-    dropped = 0
+    total_weight = sum(edges.values())
+    dropped, dropped_weight = 0, 0.0
     for root in sorted(successors):
         if root in finished:
             continue
@@ -117,8 +122,8 @@ def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
                 cycle = list(zip(path[depth[nxt] :], path[depth[nxt] + 1 :] + [nxt]))
                 victim = min(cycle, key=lambda e: (edges[e], e))
                 logger.debug("seed %s: dropping edge %s (weight %g)", seed, victim, edges[victim])
-                del edges[victim]
                 dropped += 1
+                dropped_weight += edges.pop(victim)
                 # resume at the victim's source: the nodes above it are unvisited
                 # again, while finished nodes reach only finished nodes and stay acyclic
                 keep = depth[victim[0]] + 1
@@ -132,11 +137,14 @@ def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
                 path.pop()
                 iters.pop()
     if dropped:
-        logger.warning(
-            "seed %s: %d lightest edge(s) removed to break directed cycles that "
-            "survived pair resolution",
+        share = dropped_weight / total_weight
+        logger.log(
+            logging.WARNING if share > PRUNED_WEIGHT_WARNING else logging.INFO,
+            "seed %s: %d lightest edge(s), %.2g%% of the edge weight, removed to "
+            "break directed cycles that survived pair resolution",
             seed,
             dropped,
+            100.0 * share,
         )
 
 

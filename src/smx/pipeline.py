@@ -1,9 +1,14 @@
-"""End-to-end wiring of the explanation pipeline.
+"""End-to-end wiring of the explanation pipeline, in two stages.
 
-Given preprocessed training data, a zone config, a model handle and an
-engine config: fit zone summaries, build predicates, score them across
-bags for every seed, assemble per-seed graphs and aggregate the final
-predicate and zone rankings.
+``prepare`` is the seed-free stage. Given preprocessed training data, a
+zone config, a model handle and the engine's quantile levels, it fits
+the zone summaries, builds the predicates and asks the model for its
+``Responses`` (zones + 1 calls on the training matrix). ``rank`` is the
+per-seed stage. It scores the bags of every seed from those responses,
+assembles the per-seed graphs and aggregates the final predicate and
+zone rankings, without calling the model. ``explain`` is
+``rank(prepare(...))``; reruns on the same training set, zones and model
+(a stability study, say) prepare once and rank many times.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import SpectralDataset, ZoneConfig
-from .engine import BagResult, EngineConfig, run_bags
+from .engine import BagResult, EngineConfig, Responses, responses, run_bags
+from .errors import ConfigError
 from .graphx import (
     ExplanationGraph,
     PredicateRanking,
@@ -44,6 +50,71 @@ class ExplainResult:
         return [self.predicate_set.predicates[j].key for j in self.ranking.order]
 
 
+@dataclass
+class Prepared:
+    """Everything the per-seed stage needs that no seed changes."""
+
+    zone_names: list[str]
+    quantiles: tuple[float, ...]
+    zone_models: list[ZoneModel]
+    scores: np.ndarray
+    predicate_set: PredicateSet
+    responses: Responses
+
+
+def prepare(
+    train: SpectralDataset,
+    zones: ZoneConfig,
+    model,
+    cfg: EngineConfig | None = None,
+) -> Prepared:
+    """The seed-free stage: zone models, predicates and model responses."""
+    cfg = cfg or EngineConfig()
+    zone_models, scores = fit_zone_models(train, zones)
+    pset = build_predicates(scores, zone_models, cfg.quantiles)
+    return Prepared(
+        zone_names=zones.names(),
+        quantiles=cfg.quantiles,
+        zone_models=zone_models,
+        scores=scores,
+        predicate_set=pset,
+        responses=responses(model, train.intensities, zone_models),
+    )
+
+
+def rank(prepared: Prepared, cfg: EngineConfig | None = None, workers: int | None = None) -> ExplainResult:
+    """The per-seed stage: bags, graph and LRC for every seed of ``cfg``."""
+    cfg = cfg or EngineConfig()
+    if tuple(cfg.quantiles) != tuple(prepared.quantiles):
+        raise ConfigError("the engine quantiles differ from the ones the predicates were built with")
+    workers = thread_count(workers)
+    pset = prepared.predicate_set
+    bag_results: dict[int, list[BagResult]] = {}
+    graphs: list[ExplanationGraph] = []
+    for seed in cfg.seeds:
+        bags = run_bags(
+            prepared.responses.shifts,
+            prepared.responses.classes,
+            prepared.zone_models,
+            pset,
+            cfg,
+            seed,
+            workers=workers,
+        )
+        bag_results[seed] = bags
+        graphs.append(build_graph(bags, prepared.zone_models, pset, seed))
+    ranking = aggregate_seeds(graphs, pset)
+    return ExplainResult(
+        zone_models=prepared.zone_models,
+        scores=prepared.scores,
+        predicate_set=pset,
+        bag_results=bag_results,
+        graphs=graphs,
+        ranking=ranking,
+        zone_order=zone_ranking(ranking, pset, prepared.zone_names),
+    )
+
+
 def explain(
     train: SpectralDataset,
     zones: ZoneConfig,
@@ -53,28 +124,7 @@ def explain(
 ) -> ExplainResult:
     """Run the full explanation pipeline on one training set."""
     cfg = cfg or EngineConfig()
-    workers = thread_count(workers)
-    zone_models, scores = fit_zone_models(train, zones)
-    pset = build_predicates(scores, zone_models, cfg.quantiles)
-    bag_results: dict[int, list[BagResult]] = {}
-    graphs: list[ExplanationGraph] = []
-    for seed in cfg.seeds:
-        bags = run_bags(
-            model, train.intensities, zone_models, pset, cfg, seed, workers=workers
-        )
-        bag_results[seed] = bags
-        graphs.append(build_graph(bags, zone_models, pset, seed))
-    ranking = aggregate_seeds(graphs, pset)
-    zone_order = zone_ranking(ranking, pset, zones.names())
-    return ExplainResult(
-        zone_models=zone_models,
-        scores=scores,
-        predicate_set=pset,
-        bag_results=bag_results,
-        graphs=graphs,
-        ranking=ranking,
-        zone_order=zone_order,
-    )
+    return rank(prepare(train, zones, model, cfg), cfg, workers)
 
 
 def derive_seeds(base_seed: int, count: int = 4) -> tuple[int, ...]:

@@ -309,3 +309,17 @@ def test_criterion_10_stability(bench):
         ok,
         f"median instability smx={smx_res.median:.4f} (45 pairs), pfi={pfi_res.median:.4f}",
     )
+
+
+def test_prepared_reruns_match_fresh_explains(bench):
+    """``rank`` on one prepared training set ranks a rerun's seeds exactly
+    as a fresh ``explain`` does."""
+    cfg = EngineConfig()
+    prepared = pipeline.prepare(bench.train, bench.zones, bench.model, cfg)
+    for base in (0, 3, 9):
+        rerun = EngineConfig(seeds=pipeline.derive_seeds(base, len(cfg.seeds)))
+        ranked = pipeline.rank(prepared, rerun)
+        fresh = pipeline.explain(bench.train, bench.zones, bench.model, rerun)
+        assert ranked.predicate_labels() == fresh.predicate_labels()
+        assert ranked.zone_order == fresh.zone_order
+        assert [g.edges for g in ranked.graphs] == [g.edges for g in fresh.graphs]

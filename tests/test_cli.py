@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smx import dataio, models, synthgen
+from smx import dataio, evalkit, models, synthgen
 from smx.cli import main
 from smx.synthgen import ClassSpec, PeakSpec, SyntheticConfig
 
@@ -293,6 +293,52 @@ class TestExplain:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entries, key",
+        [
+            ({"engine": {"bags": 2.7}}, "bags"),
+            ({"engine": {"bags": True}}, "bags"),
+            ({"engine": {"seeds": [1.9, 3.2]}}, "seeds"),
+            ({"engine": {"seeds": [1, False]}}, "seeds"),
+            ({"engine": {"seeds": [1, float("inf")]}}, "seeds"),
+            ({"preprocess": {"method": "savgol_then_center", "window": 15.5}}, "window"),
+            ({"preprocess": {"method": "savgol_then_center", "order": True}}, "order"),
+            ({"preprocess": {"method": "savgol_then_center", "window": "wide"}}, "window"),
+        ],
+    )
+    def test_non_integral_manifest_integer_exit_2_no_outputs(self, explain_case, tmp_path, capsys, entries, key):
+        case = explain_case
+        manifest = {
+            "train": str(case / "train.csv"),
+            "zones": str(case / "zones.json"),
+            "model": str(case / "model.json"),
+            **entries,
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["explain", "--manifest", str(mpath), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_manifest_numbers_accepted(self, explain_case, tmp_path):
+        case = explain_case
+        manifest = {
+            "train": str(case / "train.csv"),
+            "zones": str(case / "zones.json"),
+            "model": str(case / "model.json"),
+            "engine": {"bags": 3.0, "seeds": [4, 7.0]},
+            "preprocess": {"method": "savgol_then_center", "window": 7.0, "order": 2},
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["explain", "--manifest", str(mpath), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("graph_seed_*.json")) == ["graph_seed_4.json", "graph_seed_7.json"]
+        bags = {json.loads(line)["bag"] for line in (out / "bag_trace.jsonl").read_text().splitlines()}
+        assert bags == {0, 1, 2}
+
     def test_model_width_mismatch_exit_1_no_partial_outputs(self, explain_case, tmp_path, capsys):
         case = explain_case
         narrow = models.RidgeModel(weights=np.zeros(3), intercept=0.0)
@@ -469,6 +515,40 @@ class TestEvaluate:
             assert "median_diff" in row
         metrics = {row["metric"] for row in report["comparisons"]}
         assert {"faithfulness_auc", "alignment_auc", "simplicity_auc"} <= metrics
+
+    def test_smx_stability_study_makes_no_model_calls(self, eval_case, tmp_path, monkeypatch):
+        """A default ``--methods smx`` evaluate queries the model only for
+        its first ranking (zones + 1 calls) and its faithfulness curve."""
+        calls = []
+        phase = ["other"]
+        load_model = models.load_model
+        faithfulness_curve = evalkit.faithfulness_curve
+
+        class Counting:
+            def __init__(self, model):
+                self.model = model
+                self.kind = model.kind
+
+            def predict_proba(self, X):
+                calls.append(phase[0])
+                return self.model.predict_proba(X)
+
+        def curve(*args, **kwargs):
+            phase[0] = "faithfulness"
+            try:
+                return faithfulness_curve(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+
+        monkeypatch.setattr(models, "load_model", lambda spec: Counting(load_model(spec)))
+        monkeypatch.setattr(evalkit, "faithfulness_curve", curve)
+        out = tmp_path / "report"
+        code = main(["evaluate", "--manifest", str(eval_case / "manifest.json"), "--methods", "smx", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())["datasets"][0]
+        assert len(report["methods"]["smx"]["stability"]["instabilities"]) == 45
+        assert calls.count("faithfulness") == report["depth"] + 1
+        assert calls.count("other") == len(SMALL_ZONES) + 1
 
     def test_unknown_method_exit_2(self, eval_case, tmp_path, capsys):
         case = eval_case

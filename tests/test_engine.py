@@ -3,22 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from smx import synthgen
+from smx import pipeline, synthgen
 from smx.dataio import kennard_stone_split
 from smx.engine import (
     BagEntry,
     BagResult,
     EngineConfig,
+    _predicted_classes,
     bag_size,
     draw_bag,
     min_support,
+    model_outputs,
     perturb_zone,
+    responses,
     row_impacts,
     run_bags,
     trace_lines,
 )
 from smx.errors import ConfigError
 from smx.models import CONTINUOUS, PROBABILISTIC, RidgeModel, fit_logistic
+from smx.parallel import run_ordered
 from smx.predicates import build_predicates
 from smx.zonecore import fit_zone_models
 
@@ -160,6 +164,12 @@ def benchmark_problem():
     return train, synthgen.benchmark_zones(), fit_logistic(train)
 
 
+def _run_bags(model, X_train, zone_models, pset, cfg, seed, workers=1):
+    """``run_bags`` from the model's responses on ``X_train``."""
+    resp = responses(model, X_train, zone_models)
+    return run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed, workers=workers)
+
+
 class TestRunBags:
     def test_low_support_predicates_filtered(self):
         ds, zones = _toy_problem()
@@ -167,7 +177,7 @@ class TestRunBags:
         pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=3, min_support_fraction=0.45, seeds=(1,))
-        results = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
+        results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
         n_min = min_support(ds.n_samples, 0.45)
         for bag in results:
             subset = draw_bag(1, bag.bag_index, ds.n_samples, bag_size(ds.n_samples, 0.8))
@@ -184,7 +194,7 @@ class TestRunBags:
         weights[0:3] = [1.0, -0.5, 2.0]  # the 'noise' zone columns carry no weight
         model = RidgeModel(weights=weights, intercept=0.3)
         cfg = EngineConfig(bags=4, seeds=(1,), min_support_fraction=0.05)
-        results = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
+        results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
         noise_preds = {j for j, p in enumerate(pset.predicates) if p.zone_name == "noise"}
         seen = 0
         for bag in results:
@@ -200,7 +210,7 @@ class TestRunBags:
         pset = build_predicates(scores, zone_models, [0.3, 0.7])
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=2, seeds=(1,))
-        for bag in run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
+        for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
             for entry in bag.entries:
                 width = zone_models[pset.predicates[entry.predicate].zone_index].width
                 assert abs(entry.impact * width - entry.raw_impact) < 1e-12
@@ -211,7 +221,7 @@ class TestRunBags:
         pset = build_predicates(scores, zone_models, [0.2, 0.5, 0.8])
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=3, seeds=(2,))
-        for bag in run_bags(model, ds.intensities, zone_models, pset, cfg, seed=2):
+        for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=2):
             impacts = [e.impact for e in bag.entries]
             assert impacts == sorted(impacts, reverse=True)
             for a, b in zip(bag.entries, bag.entries[1:]):
@@ -224,8 +234,8 @@ class TestRunBags:
         pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=6, seeds=(3,))
-        serial = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=1)
-        threaded = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=4)
+        serial = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=1)
+        threaded = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=4)
         assert serial == threaded
 
     def test_benchmark_feature1_leads_most_bags(self, benchmark_problem):
@@ -233,7 +243,7 @@ class TestRunBags:
         zone_models, scores = fit_zone_models(train, zones)
         pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
         cfg = EngineConfig()
-        results = run_bags(model, train.intensities, zone_models, pset, cfg, seed=1)
+        results = _run_bags(model, train.intensities, zone_models, pset, cfg, seed=1)
         leading = sum(
             1
             for bag in results
@@ -249,7 +259,7 @@ class TestRunBags:
         model = RidgeModel(weights=rng.normal(size=6), intercept=0.1)
         medians = np.median(ds.intensities, axis=0)
         cfg = EngineConfig(bags=3, seeds=(5,))
-        for bag in run_bags(model, ds.intensities, zone_models, pset, cfg, seed=5):
+        for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=5):
             for entry in bag.entries:
                 pred = pset.predicates[entry.predicate]
                 idx = zone_models[pred.zone_index].indices
@@ -265,7 +275,7 @@ class TestRunBags:
         pset = build_predicates(scores, zone_models, [0.5])
         model = fit_logistic(ds, l2=0.01, max_iters=500)
         cfg = EngineConfig(bags=4, seeds=(1,), min_support_fraction=0.1)
-        for bag in run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
+        for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
             if bag.entries:
                 assert bag.terminal_class in (0, 1)
             else:
@@ -278,7 +288,7 @@ class TestRunBags:
         model = fit_logistic(ds, l2=0.1, max_iters=100)
         # bag holds 32 of 40 samples but every predicate needs 36 supporters
         cfg = EngineConfig(bags=2, seeds=(1,), min_support_fraction=0.9)
-        results = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
+        results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
         assert all(bag.entries == [] and bag.terminal_class is None for bag in results)
         from smx.graphx import build_graph
 
@@ -291,7 +301,7 @@ class TestRunBags:
         pset = build_predicates(scores, zone_models, [0.5])
         model = fit_logistic(ds, l2=0.1, max_iters=100)
         cfg = EngineConfig(bags=2, seeds=(1,))
-        results = run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
+        results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
         lines = trace_lines(1, results, pset)
         assert lines
         record = json.loads(lines[0])
@@ -356,6 +366,64 @@ def toy_logistic():
     return ds, zones, fit_logistic(ds, l2=0.1, max_iters=200)
 
 
+def _parent_run_bags(model, X_train, zone_models, pset, cfg, seed, workers=1):
+    """The per-predicate ``np.mean`` scorer that the masked reduction
+    replaced, verbatim apart from the name: it recomputed the responses
+    for every seed and scored one predicate at a time."""
+    X = np.asarray(X_train, dtype=float)
+    n = X.shape[0]
+    if pset.indicator.shape[0] != n:
+        raise ConfigError("predicate indicator rows must match the training matrix")
+    n_b = bag_size(n, cfg.bag_fraction)
+    n_min = min_support(n, cfg.min_support_fraction)
+    medians = np.median(X, axis=0)
+    outputs = model_outputs(model, X)
+    classes = _predicted_classes(model.kind, outputs)
+    D = np.column_stack(
+        [
+            row_impacts(model.kind, outputs, model_outputs(model, perturb_zone(X, zm.indices, medians)))
+            for zm in zone_models
+        ]
+    )
+    zone_of = [p.zone_index for p in pset.predicates]
+    zone_width = [zone_models[m].width for m in zone_of]
+
+    def one_bag(b: int) -> BagResult:
+        subset = draw_bag(seed, b, n, n_b)
+        scored = []
+        for j in range(len(pset)):
+            sat = pset.support(j, subset)
+            if sat.size < n_min:
+                continue
+            raw = float(np.mean(D[sat, zone_of[j]]))
+            scored.append(BagEntry(predicate=j, impact=raw / zone_width[j], raw_impact=raw, support=int(sat.size)))
+        scored.sort(key=lambda e: (-e.impact, e.predicate))
+        result = BagResult(bag_index=b, entries=scored)
+        if scored:
+            last = scored[-1]
+            sat = pset.support(last.predicate, subset)
+            ones = int(np.count_nonzero(classes[sat] == 1))
+            result.terminal_class = 1 if ones > sat.size - ones else 0
+        return result
+
+    return run_ordered(one_bag, list(range(cfg.bags)), workers)
+
+
+def _assert_same_bags(got, want, cfg):
+    assert len(got) == len(want) == cfg.bags
+    for g, w in zip(got, want):
+        assert g.bag_index == w.bag_index
+        assert g.terminal_class == w.terminal_class
+        assert [(e.predicate, e.support) for e in g.entries] == [(e.predicate, e.support) for e in w.entries]
+        # Outputs are of order one and the cache evaluates full rows
+        # where the per-predicate reference evaluated bag subsets, so an
+        # output may move by one ULP; on a small shift that is more than
+        # 1e-12 relative, hence the absolute floor.
+        np.testing.assert_allclose(
+            [e.raw_impact for e in g.entries], [e.raw_impact for e in w.entries], rtol=1e-12, atol=1e-15
+        )
+
+
 class TestPerZoneCache:
     @pytest.mark.parametrize("problem", ["toy_ridge", "toy_logistic", "benchmark_problem"])
     def test_matches_per_predicate_reference(self, problem, request):
@@ -363,30 +431,16 @@ class TestPerZoneCache:
         zone_models, scores = fit_zone_models(ds, zones)
         pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
         cfg = EngineConfig(min_support_fraction=0.1)
+        resp = responses(model, ds.intensities, zone_models)
         for seed in (1, 2):
-            got = run_bags(model, ds.intensities, zone_models, pset, cfg, seed)
+            got = run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed)
             want = _reference_run_bags(model, ds.intensities, zone_models, pset, cfg, seed)
-            assert len(got) == len(want) == cfg.bags
-            for g, w in zip(got, want):
-                assert g.bag_index == w.bag_index
-                assert g.terminal_class == w.terminal_class
-                assert [(e.predicate, e.support) for e in g.entries] == [
-                    (e.predicate, e.support) for e in w.entries
-                ]
-                # Outputs are of order one and the cache evaluates full
-                # rows where the reference evaluated bag subsets, so an
-                # output may move by one ULP; on a small shift that is
-                # more than 1e-12 relative, hence the absolute floor.
-                np.testing.assert_allclose(
-                    [e.raw_impact for e in g.entries], [e.raw_impact for e in w.entries], rtol=1e-12, atol=1e-15
-                )
+            _assert_same_bags(got, want, cfg)
 
     @pytest.mark.parametrize("bags", [1, 10])
     @pytest.mark.parametrize("quantiles", [[0.5], [k / 10 for k in range(1, 10)]])
     def test_one_call_per_zone_plus_one(self, bags, quantiles, toy_logistic):
         ds, zones, model = toy_logistic
-        zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, quantiles)
         rows = []
 
         class Counting:
@@ -396,7 +450,72 @@ class TestPerZoneCache:
                 rows.append(len(X))
                 return model.predict_proba(X)
 
-        cfg = EngineConfig(bags=bags, seeds=(1,), min_support_fraction=0.05)
-        results = run_bags(Counting(), ds.intensities, zone_models, pset, cfg, seed=1)
-        assert sum(len(bag.entries) for bag in results) > bags
-        assert rows == [ds.n_samples] * (len(zone_models) + 1)
+        cfg = EngineConfig(bags=bags, quantiles=tuple(quantiles), seeds=(1, 2, 3, 4), min_support_fraction=0.05)
+        result = pipeline.explain(ds, zones, Counting(), cfg)
+        assert sum(len(bag.entries) for bags_ in result.bag_results.values() for bag in bags_) > bags
+        assert rows == [ds.n_samples] * (len(zones.zones) + 1)
+
+
+    def test_rank_refuses_other_quantiles(self, toy_logistic):
+        ds, zones, model = toy_logistic
+        prepared = pipeline.prepare(ds, zones, model, EngineConfig(quantiles=(0.5,)))
+        with pytest.raises(ConfigError, match="quantiles"):
+            pipeline.rank(prepared, EngineConfig(quantiles=(0.4, 0.6)))
+
+
+class TestMaskedReduction:
+    @pytest.mark.parametrize("problem", ["toy_ridge", "toy_logistic", "benchmark_problem"])
+    @pytest.mark.parametrize("min_support_fraction", [0.05, 0.2, 0.45])
+    def test_matches_parent_mean_loop(self, problem, min_support_fraction, request):
+        ds, zones, model = request.getfixturevalue(problem)
+        zone_models, scores = fit_zone_models(ds, zones)
+        pset = build_predicates(scores, zone_models, [k / 10 for k in range(1, 10)])
+        cfg = EngineConfig(min_support_fraction=min_support_fraction)
+        resp = responses(model, ds.intensities, zone_models)
+        for seed in (1, 2, 3):
+            got = run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed)
+            want = _parent_run_bags(model, ds.intensities, zone_models, pset, cfg, seed)
+            assert [[(e.predicate, e.support) for e in g.entries] for g in got] == [
+                [(e.predicate, e.support) for e in w.entries] for w in want
+            ]
+            assert [g.terminal_class for g in got] == [w.terminal_class for w in want]
+            # same shifts, summed in another order: a few ULPs at most
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(
+                    [e.raw_impact for e in g.entries], [e.raw_impact for e in w.entries], rtol=1e-12, atol=0
+                )
+                np.testing.assert_allclose(
+                    [e.impact for e in g.entries], [e.impact for e in w.entries], rtol=1e-12, atol=0
+                )
+
+    def test_responses_shape_checked(self, toy_logistic):
+        ds, zones, model = toy_logistic
+        zone_models, scores = fit_zone_models(ds, zones)
+        pset = build_predicates(scores, zone_models, [0.5])
+        resp = responses(model, ds.intensities, zone_models)
+        with pytest.raises(ConfigError):
+            run_bags(resp.shifts[1:], resp.classes[1:], zone_models, pset, EngineConfig(), 1)
+
+
+def _parent_draw_bag(seed, bag_index, n, n_b):
+    """The one-``integers``-call-per-swap loop that ``draw_bag`` replaced."""
+    if not (1 <= n_b <= n):
+        raise ConfigError(f"bag size {n_b} outside [1, {n}]")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(bag_index))))
+    idx = np.arange(n)
+    for i in range(n_b):
+        j = i + int(rng.integers(0, n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:n_b]
+
+
+class TestDrawBagAgainstParent:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 169, 1000, 2000, 4096])
+    def test_same_bags(self, n):
+        for seed in (0, 1, 7, 42, 2**31 + 5):
+            for bag in range(3):
+                for n_b in sorted({1, max(1, n // 2), bag_size(n, 0.8), n}):
+                    got = draw_bag(seed, bag, n, n_b)
+                    want = _parent_draw_bag(seed, bag, n, n_b)
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)

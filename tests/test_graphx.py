@@ -146,10 +146,25 @@ class TestBuildGraph:
             _bag(1, [(1, 4.0), (2, 1.0)], 0),
             _bag(2, [(2, 3.0), (0, 1.0)], 0),
         ]
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("INFO"):
             graph = build_graph(bags, _zone_models(3), pset, seed=0)
         assert (2, 0) not in graph.edges  # lightest edge in the 3-cycle
         assert any("cycle" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize(
+        "edges, level",
+        [
+            ({(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0}, logging.WARNING),  # a third of the weight
+            ({(0, 1): 10.0, (1, 2): 10.0, (2, 0): 0.5}, logging.INFO),  # 2.4% of the weight
+        ],
+    )
+    def test_pruning_summary_warns_above_weight_share(self, caplog, edges, level):
+        with caplog.at_level(logging.INFO):
+            graphx._break_cycles(dict(edges), seed=0)
+        summaries = [rec for rec in caplog.records if rec.name == "smx.graphx" and "cycles" in rec.getMessage()]
+        assert [rec.levelno for rec in summaries] == [level]
+        share = min(edges.values()) / sum(edges.values())
+        assert (share > graphx.PRUNED_WEIGHT_WARNING) == (level == logging.WARNING)
 
     def test_terminals_never_source_edges(self):
         pset = _pset(2)
