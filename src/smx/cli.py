@@ -87,6 +87,11 @@ def _load_manifest(args) -> dict:
             "window": args.window,
             "order": args.order,
         }
+    pre = manifest.get("preprocess")
+    if pre is not None and not isinstance(pre, dict):
+        raise ConfigError(f"manifest preprocess must be a JSON object, got {pre!r}")
+    if pre and "method" not in pre:
+        raise ConfigError("manifest preprocess lacks its 'method' key")
     engine = manifest.get("engine", {})
     if not isinstance(engine, dict):
         raise ConfigError(f"manifest engine must be a JSON object, got {engine!r}")

@@ -21,8 +21,16 @@ from .errors import ConfigError, ModelError
 CONTINUOUS = "continuous"
 PROBABILISTIC = "probabilistic"
 
-# Requests to external models are chunked below this serialized size.
+# Requests to external models are split by rows so that no request line,
+# newline included, is longer than this (a single longer row goes alone).
 _MAX_REQUEST_BYTES = 32 * 1024 * 1024
+# Distinct float values whose JSON texts one external model handle keeps.
+# 2^15 holds a 73x300 test matrix (21,900 values) in about 5 MB. A full
+# map still serves its hits but takes no new entries, unless the first
+# row of a request misses on most of its values: then the map holds
+# another matrix's values (the training matrix, before PFI sends the
+# test matrix) and is emptied to make room for this one's.
+_MAX_ENCODED_FLOATS = 1 << 15
 
 
 def _check_width(X: np.ndarray, expected: int) -> np.ndarray:
@@ -226,6 +234,10 @@ class ExternalModel:
 
     The handle is a serial channel: one in-flight request, guarded by a
     lock. Large matrices are split by rows to keep each request small.
+    Each distinct float is turned into its JSON text once per handle:
+    smx re-sends mostly the same values (a matrix with one column
+    permuted, or one zone replaced), and encoding floats is the
+    client's main cost.
     """
 
     def __init__(self, argv: list[str]):
@@ -241,23 +253,35 @@ class ExternalModel:
         except OSError as exc:
             raise ModelError(f"failed to start external model {self.argv}: {exc}") from exc
         self._lock = threading.Lock()
-        info = self._request({"op": "info"})
+        # 64-bit pattern of a float -> json.dumps of it, so -0.0, NaN and
+        # +-Infinity read exactly as json.dumps writes them.
+        self._texts: dict[int, str] = {}
+        try:
+            self.kind, self.n_features = self._handshake()
+        except BaseException:
+            self.close()
+            raise
+
+    def _handshake(self) -> tuple[str, int]:
+        info = self._request(json.dumps({"op": "info"}))
         kind = info.get("kind")
         if kind not in (CONTINUOUS, PROBABILISTIC):
-            self.close()
             raise ModelError(f"external model reported unknown kind {kind!r}")
-        self.kind = kind
         try:
-            self.n_features = int(info["n_features"])
+            n_features = int(info["n_features"])
         except (KeyError, TypeError, ValueError) as exc:
-            self.close()
             raise ModelError("external model info lacks a valid 'n_features'") from exc
-        if kind == PROBABILISTIC and int(info.get("n_classes", 0)) != 2:
-            self.close()
-            raise ModelError("probabilistic external models must report n_classes = 2")
+        if kind == PROBABILISTIC:
+            try:
+                n_classes = int(info.get("n_classes", 0))
+            except (TypeError, ValueError):
+                n_classes = 0
+            if n_classes != 2:
+                raise ModelError("probabilistic external models must report n_classes = 2")
+        return kind, n_features
 
-    def _request(self, obj: dict) -> dict:
-        line = json.dumps(obj)
+    def _request(self, line: str) -> dict:
+        """Send one JSON request line and return the reply object."""
         with self._lock:
             if self._proc.poll() is not None:
                 raise ModelError(
@@ -286,13 +310,52 @@ class ExternalModel:
             raise ModelError(f"external model sent a non-object reply: {reply!r}")
         return parsed
 
-    def _chunks(self, X: np.ndarray):
-        rows = X.shape[0]
-        sample = json.dumps({"op": "predict", "x": [list(map(float, X[0]))]})
-        per_row = max(len(sample), 1)
-        rows_per_chunk = max(1, _MAX_REQUEST_BYTES // per_row)
-        for start in range(0, rows, rows_per_chunk):
-            yield X[start : start + rows_per_chunk]
+    def _encode_row(self, bits: np.ndarray, values: np.ndarray, first: bool) -> str:
+        """The JSON list of one row, as ``json.dumps`` writes it;
+        ``first`` marks the first row of a request."""
+        keys = bits.tolist()
+        texts = list(map(self._texts.get, keys))
+        try:
+            return "[" + ", ".join(texts) + "]"
+        except TypeError:  # some values are not in the map yet
+            pass
+        missing = [i for i, text in enumerate(texts) if text is None]
+        mostly_new = 2 * len(missing) > len(texts)
+        if mostly_new:  # one json.dumps of the row beats filling it in
+            row = json.dumps(values.tolist())
+        else:
+            fresh = json.dumps(values[missing].tolist())[1:-1].split(", ")
+            for i, text in zip(missing, fresh):
+                texts[i] = text
+            row = "[" + ", ".join(texts) + "]"
+        with self._lock:
+            if first and mostly_new and len(self._texts) >= _MAX_ENCODED_FLOATS:
+                self._texts.clear()
+            room = _MAX_ENCODED_FLOATS - len(self._texts)
+            if room > 0:
+                if mostly_new:
+                    texts = row[1:-1].split(", ")
+                self._texts.update((keys[i], texts[i]) for i in missing[:room])
+        return row
+
+    def _lines(self, op: str, X: np.ndarray):
+        """Yield ``(rows, line)`` for consecutive row chunks of ``X``: the
+        request ``json.dumps({"op": op, "x": chunk})`` would write, with
+        as many rows as fit in ``_MAX_REQUEST_BYTES``."""
+        head = f'{{"op": {json.dumps(op)}, "x": ['
+        # size: length of the line holding ``rows``, newline included
+        empty = len(head) + len("]}\n") - len(", ")
+        bits = X.view(np.uint64)
+        rows: list[str] = []
+        size = empty
+        for i in range(X.shape[0]):
+            row = self._encode_row(bits[i], X[i], i == 0)
+            if rows and size + len(", ") + len(row) > _MAX_REQUEST_BYTES:
+                yield len(rows), head + ", ".join(rows) + "]}"
+                rows, size = [], empty
+            rows.append(row)
+            size += len(", ") + len(row)
+        yield len(rows), head + ", ".join(rows) + "]}"
 
     def _query(self, op: str, key: str, kind: str, X: np.ndarray):
         """Send ``X`` under ``op`` in row chunks, yielding each reply's
@@ -302,10 +365,9 @@ class ExternalModel:
         X = _check_width(X, self.n_features)
         if X.shape[0] == 0:
             return
-        for chunk in self._chunks(X):
-            reply = self._request({"op": op, "x": [list(map(float, r)) for r in chunk]})
-            values = reply.get(key)
-            if not isinstance(values, list) or len(values) != chunk.shape[0]:
+        for rows, line in self._lines(op, X):
+            values = self._request(line).get(key)
+            if not isinstance(values, list) or len(values) != rows:
                 raise ModelError(f"external model '{op}' reply has a wrong-sized '{key}'")
             yield np.asarray(values, dtype=float)
 
@@ -334,6 +396,11 @@ class ExternalModel:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        for stream in (self._proc.stdin, self._proc.stdout):
+            try:
+                stream.close()
+            except OSError:
+                pass
 
     def __enter__(self):
         return self

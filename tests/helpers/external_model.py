@@ -5,6 +5,7 @@ Usage: python external_model.py MODE N_FEATURES [ARGS...]
   sum N                 continuous; y is the row sum
   error N               continuous; predict replies with an error object
   die N                 continuous; exits on the first predict request
+  error-info N          answers every request, info included, with an error object
 """
 
 import json
@@ -18,7 +19,9 @@ def main() -> int:
     for line in sys.stdin:
         req = json.loads(line)
         op = req["op"]
-        if op == "info":
+        if mode == "error-info":
+            reply = {"error": "no info"}
+        elif op == "info":
             reply = {"kind": kind, "n_features": n_features, "n_classes": 2}
         elif op == "predict":
             if mode == "sum":

@@ -434,6 +434,31 @@ class TestThresholdSpectrum:
         assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "preprocess, key",
+    [
+        ({"window": 5}, "method"),
+        ("savgol_then_center", "preprocess"),
+        (["savgol_then_center"], "preprocess"),
+        (5, "preprocess"),
+    ],
+)
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_malformed_manifest_preprocess_exit_2_no_outputs(eval_case, tmp_path, capsys, command, preprocess, key):
+    manifest = json.loads((eval_case / "manifest.json").read_text())
+    manifest.update(
+        {name: str(eval_case / manifest[name]) for name in ("train", "test", "zones", "model")},
+        preprocess=preprocess,
+    )
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code = main([command, "--manifest", str(mpath), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_two_method_report_sections(self, eval_case, tmp_path):
         case = eval_case

@@ -1,5 +1,7 @@
 import json
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,48 @@ from smx.models import (
 )
 
 STUB = str(Path(__file__).parent / "helpers" / "external_model.py")
+
+
+def _capture_lines(model, monkeypatch) -> list[str]:
+    """Record every request line ``model`` sends from now on."""
+    lines: list[str] = []
+    request = model._request
+
+    def recording(line):
+        lines.append(line)
+        return request(line)
+
+    monkeypatch.setattr(model, "_request", recording)
+    return lines
+
+
+def _dumps_lines(op, X, lines) -> list[str]:
+    """The lines ``json.dumps({"op": op, "x": chunk})`` writes for the same
+    row chunks as ``lines``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    expected, start = [], 0
+    for line in lines:
+        rows = len(json.loads(line)["x"])
+        chunk = X[start : start + rows]
+        expected.append(json.dumps({"op": op, "x": [list(map(float, r)) for r in chunk]}))
+        start += rows
+    assert start == X.shape[0]
+    return expected
+
+
+def _special_values():
+    nan_bits = np.array([np.nan]).view(np.uint64)[0]
+    payload_nan = np.array([nan_bits | np.uint64(1)], dtype=np.uint64).view(np.float64)[0]
+    return np.array(
+        [
+            [np.nan, -np.nan, payload_nan, np.inf],
+            [-np.inf, 5e-324, -5e-324, 1.7976931348623157e308],
+            [-1.7976931348623157e308, 2.0**53, 1e16, -3.0],
+            [1.0, 0.0, 123456789.0, 0.1],
+        ]
+    )
 
 
 def _dataset(X, y):
@@ -231,6 +275,143 @@ class TestExternal:
             monkeypatch.setattr(models, "_MAX_REQUEST_BYTES", 256)
             chunked = model.predict(X)
         np.testing.assert_array_equal(whole, chunked)
+
+    def test_request_lines_byte_identical_to_json_dumps(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        zeros = np.zeros((2, 4))
+        cases = [
+            np.vstack([zeros, -zeros]),
+            np.vstack([-zeros, zeros]),
+            np.array([[0.0, -0.0, -0.0, 0.0]]),
+            np.array([-0.0, 0.0, 0.0, -0.0]),
+            _special_values(),
+            np.array([[1.0, 2.0, -7.0, 1e300], [4.0, 0.0, 65536.0, -1.0]]),
+            np.array([[1.0, 2.0, 0.5, 0.25], [4.0, 0.0, -2.5, 3.75]]),  # half seen
+            rng.normal(size=(5, 4)).astype(np.float32),
+            np.asfortranarray(rng.normal(size=(6, 4))),
+            rng.normal(size=(8, 9))[::2, 1::2],
+        ]
+        with ExternalModel([sys.executable, STUB, "sum", "4"]) as shared:
+            shared_lines = _capture_lines(shared, monkeypatch)
+            for X in cases:
+                with ExternalModel([sys.executable, STUB, "sum", "4"]) as fresh:
+                    lines = _capture_lines(fresh, monkeypatch)
+                    cold = fresh.predict(X)
+                    warm = fresh.predict(X)
+                assert len(lines) == 2
+                assert lines == _dumps_lines("predict", X, lines[:1]) * 2
+                np.testing.assert_array_equal(cold, warm)
+                shared_lines.clear()
+                shared.predict(X)
+                assert shared_lines == _dumps_lines("predict", X, shared_lines)
+
+    def test_probability_request_lines_byte_identical(self, monkeypatch):
+        X = np.vstack([_special_values(), -_special_values()])
+        with ExternalModel([sys.executable, STUB, "fixed-proba", "4", "0.25", "0.75"]) as model:
+            lines = _capture_lines(model, monkeypatch)
+            model.predict_proba(X)
+            model.predict_proba(X)
+        assert lines == _dumps_lines("predict_proba", X, lines[:1]) * 2
+
+    def test_encoded_floats_capped(self, monkeypatch):
+        width = 256
+        X = np.random.default_rng(11).normal(size=(models._MAX_ENCODED_FLOATS // width + 32, width))
+        assert np.unique(X).size > models._MAX_ENCODED_FLOATS
+        with ExternalModel([sys.executable, STUB, "sum", str(width)]) as model:
+            lines = _capture_lines(model, monkeypatch)
+            cold = model.predict(X)
+            assert len(model._texts) == models._MAX_ENCODED_FLOATS
+            warm = model.predict(X)
+            assert len(model._texts) == models._MAX_ENCODED_FLOATS
+        assert lines == _dumps_lines("predict", X, lines[:1]) * 2
+        np.testing.assert_array_equal(cold, warm)
+
+    def test_full_map_makes_room_for_another_matrix(self, monkeypatch):
+        monkeypatch.setattr(models, "_MAX_ENCODED_FLOATS", 500)
+        rng = np.random.default_rng(14)
+        train, test = rng.normal(size=(30, 20)), rng.normal(size=(20, 20))
+        replaced = train.copy()
+        replaced[:, :5] = np.median(train[:, :5], axis=0)
+        bits = lambda X: set(X.view(np.uint64).ravel().tolist())
+        with ExternalModel([sys.executable, STUB, "sum", "20"]) as model:
+            lines = _capture_lines(model, monkeypatch)
+            model.predict(train)
+            kept = dict(model._texts)
+            assert len(kept) == 500
+            # a first row that mostly hits leaves a full map as it is
+            model.predict(replaced)
+            assert model._texts == kept
+            # a first row that mostly misses empties it for the new matrix
+            model.predict(test)
+            assert bits(test) <= model._texts.keys()
+            assert len(model._texts) <= 500
+            model.predict(test)
+            model.predict(train)
+            assert len(model._texts) == 500
+        sent = [train, replaced, test, test, train]
+        assert lines == [_dumps_lines("predict", X, [line])[0] for X, line in zip(sent, lines)]
+
+    def test_concurrent_callers_share_capped_map(self, monkeypatch):
+        monkeypatch.setattr(models, "_MAX_ENCODED_FLOATS", 500)
+        rng = np.random.default_rng(13)
+        inputs = [rng.normal(size=(40, 6)) for _ in range(4)]
+        results: dict[int, list] = {k: [] for k in range(len(inputs))}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ExternalModel([sys.executable, STUB, "sum", "6"]) as model:
+
+                def work(k):
+                    for _ in range(5):
+                        results[k].append(model.predict(inputs[k]))
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert 0 < len(model._texts) <= 500
+        finally:
+            sys.setswitchinterval(interval)
+        for k, X in enumerate(inputs):
+            assert len(results[k]) == 5
+            for y in results[k]:
+                np.testing.assert_allclose(y, X.sum(axis=1), atol=1e-12)
+
+    @pytest.mark.parametrize("cap", [1024, 300, 64])
+    def test_request_lines_fit_byte_cap(self, monkeypatch, cap):
+        X = np.random.default_rng(12).normal(size=(64, 8))
+        X[0] = 0.0
+        with ExternalModel([sys.executable, STUB, "sum", "8"]) as model:
+            whole = model.predict(X)
+            monkeypatch.setattr(models, "_MAX_REQUEST_BYTES", cap)
+            lines = _capture_lines(model, monkeypatch)
+            chunked = model.predict(X)
+        np.testing.assert_array_equal(whole, chunked)
+        assert lines == _dumps_lines("predict", X, lines)
+        start = 0
+        for i, line in enumerate(lines):
+            rows = len(json.loads(line)["x"])
+            assert len(line) + 1 <= cap or rows == 1
+            if i + 1 < len(lines):  # the next row would not have fit
+                next_row = json.dumps(list(map(float, X[start + rows])))
+                assert len(line) + 1 + len(", ") + len(next_row) > cap
+            start += rows
+        assert len(lines) > 1
+
+    def test_failed_handshake_closes_child(self, monkeypatch):
+        started = []
+        popen = subprocess.Popen
+
+        def recording(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(models.subprocess, "Popen", recording)
+        with pytest.raises(ModelError, match="no info"):
+            ExternalModel([sys.executable, STUB, "error-info", "2"])
+        assert len(started) == 1 and started[0].poll() is not None
 
     def test_load_model_external_spec(self):
         spec = {"kind": "external", "argv": [sys.executable, STUB, "sum", "2"]}
