@@ -75,6 +75,8 @@ def _load_manifest(args) -> dict:
             manifest = json.loads(mpath.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{mpath}: invalid JSON ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{mpath}: manifest must be a JSON object, got {manifest!r}")
         base = mpath.parent
     for key in ("train", "test", "zones", "model", "out"):
         flag = getattr(args, key, None)
@@ -391,7 +393,10 @@ def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
             }
         if "pfi" in methods:
             def pfi_runner(seed: int):
-                imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
+                if seed == args.pfi_seed:
+                    imps = importances["pfi"]  # the main run above, same seed and repeats
+                else:
+                    imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
                 return list(np.argsort(-imps, kind="stable"))
 
             res = evalkit.stability_study(pfi_runner, seeds, rho=args.rho, depth=args.depth)
@@ -444,6 +449,19 @@ def _compare(datasets: list[dict], methods: list[str]) -> list[dict]:
     return comparisons
 
 
+def _check_evaluate_flags(args) -> None:
+    """Reject out-of-range evaluate flags before any data or model is loaded."""
+    for flag, value, ok, rule in (
+        ("--kmax", args.kmax, args.kmax >= 0, ">= 0 (0 = auto)"),
+        ("--pfi-repeats", args.pfi_repeats, args.pfi_repeats >= 1, ">= 1"),
+        ("--pfi-seed", args.pfi_seed, args.pfi_seed >= 0, ">= 0"),
+        ("--depth", args.depth, args.depth >= 1, ">= 1"),
+        ("--rho", args.rho, 0.0 < args.rho < 1.0, "in (0, 1)"),
+    ):
+        if not ok:
+            raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -451,6 +469,7 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"unknown method '{m}' (expected smx and/or pfi)")
     if not methods:
         raise ConfigError("at least one method is required")
+    _check_evaluate_flags(args)
     datasets = []
     for mpath in args.manifest:
         ns = argparse.Namespace(manifest=mpath)

@@ -200,20 +200,36 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
     with that column permuted, averaged over seeded repeats. Each
     (seed, repeat, variable) triple keys its own generator, so results
     are independent of evaluation order.
+
+    The repeats are stacked: a work buffer holds ``repeats`` copies of
+    the test matrix, and per variable block r gets the r-th permutation
+    of that column. The model is called once on the intact buffer and
+    then once per variable: 1 + p calls of ``repeats * m`` rows, and the
+    buffer costs ``repeats`` times the test matrix's memory. Intact and
+    permuted outputs of a row come from calls of one shape, so a row the
+    permutation leaves unchanged shifts by exactly zero, and a variable
+    the model ignores scores exactly zero.
     """
+    if repeats < 1:
+        raise ConfigError(f"pfi repeats must be >= 1, got {repeats}")
+    if seed < 0:
+        raise ConfigError(f"pfi seed must be >= 0, got {seed}")
     X = np.asarray(X_test, dtype=float)
     m, p = X.shape
-    base = model_outputs(model, X)
+    blocks = np.broadcast_to(X, (repeats, m, p)).copy()
+    work = blocks.reshape(repeats * m, p)
+    base = model_outputs(model, work)
     out = np.zeros(p)
-    work = X.copy()
     for j in range(p):
-        acc = 0.0
-        column = X[:, j].copy()
+        column = X[:, j]
         for r in range(repeats):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), r, j)))
-            work[:, j] = column[rng.permutation(m)]
-            acc += float(np.mean(row_impacts(model.kind, base, model_outputs(model, work))))
-        work[:, j] = column
+            blocks[r, :, j] = column[rng.permutation(m)]
+        impacts = row_impacts(model.kind, base, model_outputs(model, work))
+        acc = 0.0
+        for mean in impacts.reshape(repeats, m).mean(axis=1).tolist():
+            acc += mean  # sequential, in repeat order: a pairwise sum rounds differently
+        blocks[:, :, j] = column
         out[j] = acc / repeats
     return out
 

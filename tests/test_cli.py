@@ -459,6 +459,19 @@ def test_malformed_manifest_preprocess_exit_2_no_outputs(eval_case, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("top_level", ["[1, 2]", '"x"', "null", "3"])
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_non_object_manifest_exit_2_no_outputs(tmp_path, capsys, command, top_level):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(top_level)
+    out = tmp_path / "out"
+    code = main([command, "--manifest", str(mpath), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(mpath) in err and "JSON object" in err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_two_method_report_sections(self, eval_case, tmp_path):
         case = eval_case
@@ -574,6 +587,56 @@ class TestEvaluate:
         assert len(report["methods"]["smx"]["stability"]["instabilities"]) == 45
         assert calls.count("faithfulness") == report["depth"] + 1
         assert calls.count("other") == len(SMALL_ZONES) + 1
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--pfi-repeats", "0"], "--pfi-repeats"),
+            (["--pfi-repeats", "-2"], "--pfi-repeats"),
+            (["--pfi-seed", "-1"], "--pfi-seed"),
+            (["--kmax", "-1"], "--kmax"),
+            (["--depth", "0"], "--depth"),
+            (["--rho", "1.0"], "--rho"),
+        ],
+    )
+    def test_invalid_flag_exit_2_before_model_load(self, eval_case, tmp_path, capsys, monkeypatch, flags, flag):
+        def load_model(spec):
+            raise AssertionError("a model was loaded before the flags were checked")
+
+        monkeypatch.setattr(models, "load_model", load_model)
+        out = tmp_path / "report"
+        code = main(["evaluate", "--manifest", str(eval_case / "manifest.json"), "--out", str(out), *flags])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pfi_seed, pfi_runs", [(0, 10), (7, 10), (10, 11), (23, 11)])
+    def test_pfi_stability_reuses_main_run(self, eval_case, tmp_path, monkeypatch, pfi_seed, pfi_runs):
+        """The stability seed equal to ``--pfi-seed`` takes the main PFI run's
+        importances, and the instabilities match a study that recomputes them."""
+        pfi = evalkit.pfi
+        seeds = []
+
+        def counting(model, X_test, repeats=10, seed=0):
+            seeds.append(seed)
+            return pfi(model, X_test, repeats=repeats, seed=seed)
+
+        monkeypatch.setattr(evalkit, "pfi", counting)
+        out = tmp_path / "report"
+        code = main(
+            ["evaluate", "--manifest", str(eval_case / "manifest.json"), "--methods", "pfi",
+             "--pfi-seed", str(pfi_seed), "--out", str(out)]
+        )
+        assert code == 0
+        assert len(seeds) == pfi_runs
+        assert sorted(seeds) == sorted({pfi_seed, *range(10)})
+        model = models.load_model(eval_case / "model.json")
+        X = dataio.load_csv(eval_case / "test.csv").intensities
+        recomputed = evalkit.stability_study(
+            lambda seed: list(np.argsort(-pfi(model, X, repeats=10, seed=seed), kind="stable")), list(range(10))
+        )
+        stability = json.loads((out / "report.json").read_text())["datasets"][0]["methods"]["pfi"]["stability"]
+        assert stability == {"instabilities": recomputed.instabilities, "median": recomputed.median}
 
     def test_unknown_method_exit_2(self, eval_case, tmp_path, capsys):
         case = eval_case

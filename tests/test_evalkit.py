@@ -1,9 +1,14 @@
 import itertools
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smx import dataio, models, synthgen
+from smx.engine import model_outputs, row_impacts
 from smx.errors import ConfigError, PipelineError
 from smx.evalkit import (
     agreement_curve,
@@ -17,7 +22,9 @@ from smx.evalkit import (
     variable_zone_ranking,
     wilcoxon_signed_rank,
 )
-from smx.models import RidgeModel
+from smx.models import ExternalModel, LogisticModel, RidgeModel
+
+STUB = str(Path(__file__).parent / "helpers" / "external_model.py")
 
 
 def rbo_oracle(a, b, rho, depth):
@@ -254,6 +261,137 @@ class TestPfi:
         X = np.random.default_rng(10).normal(size=(12, 3))
         model = RidgeModel(weights=np.array([0.5, -1.0, 2.0]), intercept=0.0)
         assert np.all(pfi(model, X, repeats=2, seed=0) >= 0.0)
+
+
+def reference_pfi(model, X_test, repeats=10, seed=0):
+    """The per-copy PFI loop that the stacked ``pfi`` replaced, kept
+    verbatim as its reference: one model call per (variable, repeat)."""
+    X = np.asarray(X_test, dtype=float)
+    m, p = X.shape
+    base = model_outputs(model, X)
+    out = np.zeros(p)
+    work = X.copy()
+    for j in range(p):
+        acc = 0.0
+        column = X[:, j].copy()
+        for r in range(repeats):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), r, j)))
+            work[:, j] = column[rng.permutation(m)]
+            acc += float(np.mean(row_impacts(model.kind, base, model_outputs(model, work))))
+        work[:, j] = column
+        out[j] = acc / repeats
+    return out
+
+
+# Stacking runs each row's matvec inside a taller matrix, which can move
+# outputs by a few ULPs (up to 2.7e-15 seen on the benchmark logistic).
+# Relative to the smallest importances that is up to ~3e-10, so the
+# comparison has an absolute floor of 1e-14 besides its rtol of 1e-12.
+PFI_RTOL = 1e-12
+PFI_ATOL = 1e-14
+
+
+def _toy_matrix(seed, m=23, p=9):
+    """Random test rows with a constant column 4; variable 2 gets zero weight."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, p))
+    X[:, 4] = 1.5
+    weights = rng.normal(size=p)
+    weights[2] = 0.0
+    return X, weights
+
+
+@pytest.fixture(scope="module")
+def benchmark_logistic():
+    ds = synthgen.generate(synthgen.benchmark_config())
+    train, test = dataio.kennard_stone_split(ds, 0.7)
+    state = dataio.fit_preprocess(train, "mean_center")
+    model = models.fit_logistic(dataio.apply_preprocess(state, train))
+    return model, dataio.apply_preprocess(state, test).intensities
+
+
+@pytest.fixture(params=["ridge", "logistic", "benchmark"])
+def pfi_problem(request):
+    if request.param == "benchmark":
+        return request.getfixturevalue("benchmark_logistic")
+    X, weights = _toy_matrix(41)
+    if request.param == "ridge":
+        return RidgeModel(weights=weights, intercept=0.3), X
+    return LogisticModel(weights=weights, intercept=-0.2), X
+
+
+class TestStackedPfi:
+    @pytest.mark.parametrize("repeats", [1, 2, 10])
+    def test_matches_per_copy_loop(self, pfi_problem, repeats):
+        model, X = pfi_problem
+        for seed in (0, 1, 17):
+            stacked = pfi(model, X, repeats=repeats, seed=seed)
+            reference = reference_pfi(model, X, repeats=repeats, seed=seed)
+            if repeats == 1:
+                np.testing.assert_array_equal(stacked, reference)
+            else:
+                np.testing.assert_allclose(stacked, reference, rtol=PFI_RTOL, atol=PFI_ATOL)
+            np.testing.assert_array_equal(stacked == 0.0, reference == 0.0)
+
+    def test_ignored_variables_score_exactly_zero(self):
+        """Shapes where a taller matvec moves unchanged rows by ULPs; the
+        intact outputs come from the stacked buffer, so none leak in."""
+        for m, p in ((101, 300), (169, 12), (169, 300)):
+            X, weights = _toy_matrix(m + p, m=m, p=p)
+            for model in (RidgeModel(weights, 0.4), LogisticModel(0.1 * weights, 0.2)):
+                imps = pfi(model, X, repeats=10, seed=3)
+                assert imps[2] == 0.0 and imps[4] == 0.0
+                assert np.count_nonzero(imps) == p - 2
+
+    def test_one_call_per_variable_over_all_repeats(self):
+        X, weights = _toy_matrix(42)
+        m, p = X.shape
+        ridge = RidgeModel(weights=weights, intercept=0.0)
+        rows = []
+
+        class Counting:
+            kind = ridge.kind
+
+            def predict(self, X):
+                rows.append(X.shape[0])
+                return ridge.predict(X)
+
+        pfi(Counting(), X, repeats=4, seed=2)
+        assert rows == [4 * m] * (1 + p)
+
+    @pytest.mark.parametrize("repeats, seed", [(0, 0), (-2, 0), (1, -1)])
+    def test_invalid_repeats_or_seed_rejected(self, repeats, seed):
+        X, weights = _toy_matrix(43)
+        with pytest.raises(ConfigError, match="repeats" if repeats < 1 else "seed"):
+            pfi(RidgeModel(weights=weights, intercept=0.0), X, repeats=repeats, seed=seed)
+
+    def test_external_requests_match_per_copy_loop(self, monkeypatch):
+        """With one repeat an external model receives the very request
+        lines the per-copy loop sent; with more, each variable's request
+        holds the per-copy loop's requests for that variable, in order."""
+        X = np.random.default_rng(44).normal(size=(7, 5))
+
+        def requests(run):
+            with ExternalModel([sys.executable, STUB, "sum", "5"]) as model:
+                lines = []
+                send = model._request
+                monkeypatch.setattr(model, "_request", lambda line: lines.append(line) or send(line))
+                imps = run(model)
+            return lines, imps
+
+        stacked_lines, stacked = requests(lambda model: pfi(model, X, repeats=1, seed=4))
+        reference_lines, reference = requests(lambda model: reference_pfi(model, X, repeats=1, seed=4))
+        assert len(stacked_lines) == 1 + X.shape[1]
+        assert stacked_lines == reference_lines
+        np.testing.assert_array_equal(stacked, reference)
+
+        stacked_lines, stacked = requests(lambda model: pfi(model, X, repeats=3, seed=4))
+        reference_lines, reference = requests(lambda model: reference_pfi(model, X, repeats=3, seed=4))
+        rows = [json.loads(line)["x"] for line in stacked_lines]
+        reference_rows = [json.loads(line)["x"] for line in reference_lines]
+        assert rows[0] == reference_rows[0] * 3
+        assert rows[1:] == [sum(reference_rows[1 + 3 * j : 4 + 3 * j], []) for j in range(X.shape[1])]
+        np.testing.assert_allclose(stacked, reference, rtol=PFI_RTOL, atol=PFI_ATOL)
 
 
 class TestVariableZoneRanking:
