@@ -289,7 +289,7 @@ def cmd_explain(args) -> int:
             _write_atomic(out / f"graph_seed_{seed}.dot", graphx.to_dot(graph, result.predicate_set), written)
             _write_atomic(out / f"graph_seed_{seed}.json", graphx.to_json(graph, result.predicate_set), written)
             trace.extend(trace_lines(seed, result.bag_results[seed], result.predicate_set))
-        _write_atomic(out / "bag_trace.jsonl", "\n".join(trace) + "\n", written)
+        _write_atomic(out / "bag_trace.jsonl", "\n".join(trace + [""]), written)
         for j, pred in enumerate(result.predicate_set.predicates):
             zm = result.zone_models[pred.zone_index]
             spectrum = zonecore.threshold_spectrum(zm, pred.tau)
@@ -330,6 +330,25 @@ _METRIC_KEYS = ("faithfulness_auc", "alignment_auc", "simplicity_auc", "stabilit
 
 def _curve_dict(curve: evalkit.EvalCurve) -> dict:
     return {"x": curve.x, "y": curve.y, "auc": curve.auc}
+
+
+def _dataset_name(manifest: dict) -> str:
+    """The manifest's ``name``, or its train file's stem when it has none."""
+    name = manifest.get("name")
+    return str(Path(str(manifest.get("train"))).stem if name is None else name)
+
+
+def _check_dataset_names(manifests: list[dict]) -> None:
+    """Curve files are named after datasets: each name must be a distinct,
+    plain file-name part."""
+    seen: set[str] = set()
+    for manifest in manifests:
+        name = _dataset_name(manifest)
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"dataset name {name!r} cannot name curve files (empty, '.', '..', '/' or '\\')")
+        if name in seen:
+            raise ConfigError(f"dataset name {name!r} is used by more than one manifest")
+        seen.add(name)
 
 
 def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
@@ -405,8 +424,7 @@ def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
                 "median": res.median,
             }
 
-    name = manifest.get("name") or Path(str(manifest.get("train"))).stem
-    return {"name": str(name), "depth": depth, "methods": per_method}
+    return {"name": _dataset_name(manifest), "depth": depth, "methods": per_method}
 
 
 def _metric_value(section: dict, metric: str) -> float | None:
@@ -470,11 +488,9 @@ def cmd_evaluate(args) -> int:
     if not methods:
         raise ConfigError("at least one method is required")
     _check_evaluate_flags(args)
-    datasets = []
-    for mpath in args.manifest:
-        ns = argparse.Namespace(manifest=mpath)
-        manifest = _load_manifest(ns)
-        datasets.append(_evaluate_one(manifest, methods, args))
+    manifests = [_load_manifest(argparse.Namespace(manifest=mpath)) for mpath in args.manifest]
+    _check_dataset_names(manifests)
+    datasets = [_evaluate_one(manifest, methods, args) for manifest in manifests]
     report = {
         "methods": methods,
         "datasets": datasets,

@@ -219,24 +219,24 @@ def run_bags(
     return run_ordered(one_bag, list(range(cfg.bags)), workers)
 
 
+def _json_float(x: float) -> str:
+    """``json.dumps`` text of one float: its repr, or NaN / Infinity / -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
 def trace_lines(seed: int, results: Sequence[BagResult], pset: PredicateSet) -> list[str]:
-    """Bag-level audit trace, one JSON object per retained predicate."""
-    lines = []
-    for bag in results:
-        for entry in bag.entries:
-            pred = pset.predicates[entry.predicate]
-            lines.append(
-                json.dumps(
-                    {
-                        "seed": seed,
-                        "bag": bag.bag_index,
-                        "predicate": entry.predicate,
-                        "label": pred.key,
-                        "support": entry.support,
-                        "impact_raw": entry.raw_impact,
-                        "impact_norm": entry.impact,
-                    },
-                    sort_keys=True,
-                )
-            )
-    return lines
+    """Bag-level audit trace, one JSON object per retained predicate.
+
+    Each line is the text of ``json.dumps(record, sort_keys=True)``,
+    written directly: labels go through ``json.dumps`` once each and
+    floats through ``_json_float``."""
+    labels = [json.dumps(p.key) for p in pset.predicates]
+    return [
+        f'{{"bag": {bag.bag_index}, "impact_norm": {_json_float(e.impact)}, '
+        f'"impact_raw": {_json_float(e.raw_impact)}, "label": {labels[e.predicate]}, '
+        f'"predicate": {e.predicate}, "seed": {seed}, "support": {e.support}}}'
+        for bag in results
+        for e in bag.entries
+    ]

@@ -9,6 +9,14 @@ keep only the heavier direction. Cycles that survive are pruned in one
 depth-first pass, roots and successors in ascending node order: each
 cycle the search meets loses its lightest edge, ties going to the
 smaller (source, target) pair.
+
+Local Reaching Centrality is one level-synchronous breadth-first
+search over all sources at once (``lrc_scores``): each level is a few
+array operations over every (source, node) pair it reaches, with an
+N x N bool array of pairs already reached. Pairs are kept in the
+order a per-source search would discover them, so every source sums
+its contributions in that search's order and the scores are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import _fmt
-from .engine import BagResult
+from .engine import BagResult, _json_float
 from .errors import ConfigError
 from .predicates import PredicateSet
 from .zonecore import ZoneModel
@@ -154,37 +162,58 @@ def lrc_scores(node_count: int, edges: dict[tuple[int, int], float]) -> np.ndarr
     For each reachable node the contribution is the total weight of the
     hop-count-shortest path (ties broken by maximum total weight)
     divided by its edge count; the sum is normalized by node_count - 1.
+
+    One breadth-first search runs for all sources at once. The frontier
+    holds (source, node, best weight) triples, grouped by source and, per
+    source, in discovery order. A level expands every triple through the
+    edges in CSR layout (per source node, in the order ``edges`` yields
+    them), drops pairs already reached, and keeps one triple per new
+    (source, node) pair: one stable sort of ``source * node_count +
+    node`` puts each pair's first candidate at the head of its group,
+    which fixes the pair's discovery order, and ``np.maximum.reduceat``
+    gives its heaviest candidate. Each source's contributions are added
+    to its total in discovery order, level by level (``np.add.at`` adds
+    in index order), which is the left-to-right sum of a per-source
+    search, so scores are bit-identical to one. Memory: an N x N bool
+    array of reached pairs (N² bytes) plus arrays the size of one level.
     """
-    adjacency: dict[int, list[tuple[int, float]]] = {}
-    for (u, v), w in edges.items():
-        adjacency.setdefault(u, []).append((v, w))
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
+        raise ConfigError(f"edge endpoint outside the {node_count} graph nodes")
     out = np.zeros(node_count)
-    if node_count < 2:
+    if node_count < 2 or not pairs.size:
         return out
-    for source in range(node_count):
-        dist = {source: 0}
-        best = {source: 0.0}
-        frontier = [source]
-        total = 0.0
-        while frontier:
-            nxt: list[int] = []
-            layer_best: dict[int, float] = {}
-            for u in frontier:
-                for v, w in adjacency.get(u, ()):
-                    if v in dist:
-                        continue
-                    cand = best[u] + w
-                    if v not in layer_best or cand > layer_best[v]:
-                        layer_best[v] = cand
-            depth = dist[frontier[0]] + 1
-            for v, weight in layer_best.items():
-                dist[v] = depth
-                best[v] = weight
-                total += weight / depth
-                nxt.append(v)
-            frontier = nxt
-        out[source] = total / (node_count - 1)
-    return out
+    by_source = np.argsort(pairs[:, 0], kind="stable")
+    heads = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=node_count), out=heads[1:])
+    tails = pairs[by_source, 1]
+    weights = np.fromiter(edges.values(), dtype=float, count=len(pairs))[by_source]
+    reached = np.eye(node_count, dtype=bool).ravel()
+    src = np.arange(node_count)
+    node, best = src, np.zeros(node_count)
+    depth = 0
+    while src.size:
+        depth += 1
+        degree = heads[node + 1] - heads[node]
+        ends = np.cumsum(degree)
+        # candidates in frontier order, each node's edges in CSR order
+        parent = np.repeat(np.arange(src.size), degree)
+        edge = np.arange(ends[-1]) + np.repeat(heads[node] - (ends - degree), degree)
+        keys = src[parent] * node_count + tails[edge]
+        fresh = ~reached[keys]
+        keys, cand = keys[fresh], best[parent[fresh]] + weights[edge[fresh]]
+        if not keys.size:
+            break
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        first = order[starts]
+        found = np.argsort(first)
+        keys, best = keys[first[found]], np.maximum.reduceat(cand[order], starts)[found]
+        reached[keys] = True
+        src, node = np.divmod(keys, node_count)
+        np.add.at(out, src, best / depth)
+    return out / (node_count - 1)
 
 
 def lrc(graph: ExplanationGraph, node: int) -> float:
@@ -259,18 +288,27 @@ def to_dot(graph: ExplanationGraph, pset: PredicateSet) -> str:
 
 
 def to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
-    """Lossless JSON twin of the DOT export."""
-    payload = {
-        "seed": graph.seed,
-        "nodes": [
-            {"id": i, "label": node_label(i, pset)} for i in range(graph.node_count)
-        ],
-        "edges": [
-            {"source": u, "target": v, "weight": w}
-            for (u, v), w in sorted(graph.edges.items())
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Lossless JSON twin of the DOT export.
+
+    The text is that of ``json.dumps(payload, indent=2, sort_keys=True)``
+    with payload ``{"seed", "nodes": [{"id", "label"}], "edges":
+    [{"source", "target", "weight"}]}``, written directly: labels go
+    through ``json.dumps`` once each and weights through ``_json_float``."""
+    edges = [
+        f'    {{\n      "source": {u},\n      "target": {v},\n      "weight": {_json_float(w)}\n    }}'
+        for (u, v), w in sorted(graph.edges.items())
+    ]
+    nodes = [
+        f'    {{\n      "id": {i},\n      "label": {json.dumps(node_label(i, pset))}\n    }}'
+        for i in range(graph.node_count)
+    ]
+    return (
+        f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n  "seed": {graph.seed}\n}}\n'
+    )
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def ranking_csv(ranking: PredicateRanking, pset: PredicateSet) -> str:

@@ -251,6 +251,18 @@ class TestExplain:
         for rel in sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file()):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("min_support, retained", [("0.2", True), ("0.99", False)])
+    def test_every_bag_trace_line_parses(self, explain_case, tmp_path, min_support, retained):
+        """At 0.99 no bag of 28 samples reaches the 35-sample support floor,
+        so no predicate is retained and the trace is an empty file."""
+        out = tmp_path / "out"
+        manifest = write_manifest(explain_case, "small")
+        assert main(["explain", "--manifest", str(manifest), "--min-support", min_support, "--out", str(out)]) == 0
+        text = (out / "bag_trace.jsonl").read_text()
+        records = [json.loads(line) for line in text.splitlines()]
+        assert bool(records) == retained
+        assert text == "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
     def test_missing_zone_file_exit_2(self, explain_case, tmp_path, capsys):
         case = explain_case
         manifest = {
@@ -637,6 +649,49 @@ class TestEvaluate:
         )
         stability = json.loads((out / "report.json").read_text())["datasets"][0]["methods"]["pfi"]["stability"]
         assert stability == {"instabilities": recomputed.instabilities, "median": recomputed.median}
+
+    @pytest.mark.parametrize(
+        "names",
+        [[""], ["."], [".."], ["../../escaped"], ["sub/name"], ["a\\b"], ["small", "small"]],
+        ids=["empty", "dot", "dotdot", "escaping", "slash", "backslash", "repeated"],
+    )
+    def test_unusable_dataset_name_exit_2_before_loading(self, eval_case, tmp_path, capsys, monkeypatch, names):
+        """Curve files are named after datasets: a name that is no plain file
+        name, or that two manifests share, is refused before any load."""
+        manifests = []
+        for k, name in enumerate(names):
+            manifest = json.loads((eval_case / "manifest.json").read_text())
+            manifest.update({key: str(eval_case / manifest[key]) for key in ("train", "test", "zones", "model")})
+            manifest["name"] = name
+            path = tmp_path / f"m{k}.json"
+            path.write_text(json.dumps(manifest))
+            manifests.append(str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data or a model was loaded before the dataset names were checked")
+
+        monkeypatch.setattr(dataio, "load_csv", refuse)
+        monkeypatch.setattr(models, "load_model", refuse)
+        out = tmp_path / "deep" / "report"
+        code = main(["evaluate", "--manifest", *manifests, "--out", str(out)])
+        assert code == 2
+        assert repr(names[-1]) in capsys.readouterr().err
+        assert not (tmp_path / "deep").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"m{k}.json" for k in range(len(names))]
+
+    def test_unnamed_manifests_sharing_a_train_stem_exit_2(self, eval_case, tmp_path, capsys):
+        manifest = json.loads((eval_case / "manifest.json").read_text())
+        del manifest["name"]
+        manifest.update({key: str(eval_case / manifest[key]) for key in ("train", "test", "zones", "model")})
+        paths = []
+        for k in range(2):
+            paths.append(tmp_path / f"m{k}.json")
+            paths[-1].write_text(json.dumps(manifest))
+        out = tmp_path / "report"
+        code = main(["evaluate", "--manifest", *map(str, paths), "--methods", "smx", "--out", str(out)])
+        assert code == 2
+        assert "'train'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_exit_2(self, eval_case, tmp_path, capsys):
         case = eval_case

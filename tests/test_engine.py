@@ -23,7 +23,7 @@ from smx.engine import (
 from smx.errors import ConfigError
 from smx.models import CONTINUOUS, PROBABILISTIC, RidgeModel, fit_logistic
 from smx.parallel import run_ordered
-from smx.predicates import build_predicates
+from smx.predicates import Predicate, PredicateSet, build_predicates
 from smx.zonecore import fit_zone_models
 
 
@@ -519,3 +519,70 @@ class TestDrawBagAgainstParent:
                     want = _parent_draw_bag(seed, bag, n, n_b)
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
+
+
+# Reference for the directly written ``engine.trace_lines``: the
+# implementation it replaced, copied verbatim (one ``json.dumps`` a line).
+def _reference_trace_lines(seed, results, pset):
+    """Bag-level audit trace, one JSON object per retained predicate."""
+    lines = []
+    for bag in results:
+        for entry in bag.entries:
+            pred = pset.predicates[entry.predicate]
+            lines.append(
+                json.dumps(
+                    {
+                        "seed": seed,
+                        "bag": bag.bag_index,
+                        "predicate": entry.predicate,
+                        "label": pred.key,
+                        "support": entry.support,
+                        "impact_raw": entry.raw_impact,
+                        "impact_norm": entry.impact,
+                    },
+                    sort_keys=True,
+                )
+            )
+    return lines
+
+
+class TestTraceLinesAgainstJsonDumps:
+    NAMES = ['quote "q"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Ünïcödé λ", "日本 🙂", ""]
+    IMPACTS = [0.1, 1e-320, -0.0, float("nan"), float("inf"), float("-inf"), 1e16, 123456789.0, np.float64(1 / 3)]
+
+    def _pset(self):
+        preds = [
+            Predicate(zone_index=j, zone_name=name, direction="<=" if j % 2 else ">", tau=tau, quantile_level=0.2)
+            for j, (name, tau) in enumerate(zip(self.NAMES, [0.1, -2.5e-300, 1e22, float("nan"), -0.0, 2 / 3]))
+        ]
+        return PredicateSet(predicates=preds, indicator=np.ones((2, len(preds)), dtype=bool))
+
+    def test_special_labels_and_impacts(self):
+        pset = self._pset()
+        entries = [
+            BagEntry(predicate=j % len(self.NAMES), impact=imp, raw_impact=self.IMPACTS[-1 - j], support=j + 1)
+            for j, imp in enumerate(self.IMPACTS)
+        ]
+        results = [
+            BagResult(bag_index=0, entries=entries[:4], terminal_class=1),
+            BagResult(bag_index=1),
+            BagResult(bag_index=2, entries=entries[4:], terminal_class=0),
+        ]
+        got = trace_lines(3, results, pset)
+        assert len(got) == len(entries)
+        assert got == _reference_trace_lines(3, results, pset)
+
+    def test_empty_bags_and_no_bags(self):
+        pset = self._pset()
+        assert trace_lines(1, [BagResult(bag_index=0), BagResult(bag_index=1)], pset) == []
+        assert trace_lines(1, [], pset) == []
+
+    def test_engine_results(self):
+        ds, zones = _toy_problem()
+        zone_models, scores = fit_zone_models(ds, zones)
+        pset = build_predicates(scores, zone_models, [0.25, 0.5, 0.75])
+        model = fit_logistic(ds, l2=0.1, max_iters=100)
+        cfg = EngineConfig(bags=4, seeds=(1,))
+        results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
+        got = trace_lines(1, results, pset)
+        assert got and got == _reference_trace_lines(1, results, pset)

@@ -1,10 +1,13 @@
+import json
 import logging
 
 import numpy as np
 import pytest
 
-from smx import graphx
-from smx.engine import BagEntry, BagResult
+from smx import dataio, graphx, models, pipeline, synthgen
+from smx.dataio import Zone, ZoneConfig
+from smx.engine import BagEntry, BagResult, EngineConfig
+from smx.errors import ConfigError
 from smx.graphx import (
     ExplanationGraph,
     aggregate_seeds,
@@ -438,8 +441,6 @@ class TestExports:
         assert '[label="1.2345"]' in dot
 
     def test_json_twin_lossless(self):
-        import json
-
         pset, graph, _ = self._ranked()
         parsed = json.loads(to_json(graph, pset))
         assert parsed["seed"] == 3
@@ -457,3 +458,173 @@ class TestExports:
         text = zone_ranking_csv([("Feature 1", True), ("Background", False)])
         assert text.splitlines()[1] == "1,Feature 1,ranked"
         assert text.splitlines()[2] == "2,Background,unranked"
+
+
+# References for the all-sources ``graphx.lrc_scores`` and the directly
+# written ``graphx.to_json``: the implementations they replaced, copied
+# verbatim. LRC ran one breadth-first search per source; the JSON export
+# ran ``json.dumps(indent=2, sort_keys=True)`` over the whole payload.
+def _reference_lrc_scores(node_count: int, edges: dict[tuple[int, int], float]) -> np.ndarray:
+    """Local Reaching Centrality for every node of a resolved graph.
+
+    For each reachable node the contribution is the total weight of the
+    hop-count-shortest path (ties broken by maximum total weight)
+    divided by its edge count; the sum is normalized by node_count - 1.
+    """
+    adjacency: dict[int, list[tuple[int, float]]] = {}
+    for (u, v), w in edges.items():
+        adjacency.setdefault(u, []).append((v, w))
+    out = np.zeros(node_count)
+    if node_count < 2:
+        return out
+    for source in range(node_count):
+        dist = {source: 0}
+        best = {source: 0.0}
+        frontier = [source]
+        total = 0.0
+        while frontier:
+            nxt: list[int] = []
+            layer_best: dict[int, float] = {}
+            for u in frontier:
+                for v, w in adjacency.get(u, ()):
+                    if v in dist:
+                        continue
+                    cand = best[u] + w
+                    if v not in layer_best or cand > layer_best[v]:
+                        layer_best[v] = cand
+            depth = dist[frontier[0]] + 1
+            for v, weight in layer_best.items():
+                dist[v] = depth
+                best[v] = weight
+                total += weight / depth
+                nxt.append(v)
+            frontier = nxt
+        out[source] = total / (node_count - 1)
+    return out
+
+
+def _reference_to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
+    """Lossless JSON twin of the DOT export."""
+    payload = {
+        "seed": graph.seed,
+        "nodes": [
+            {"id": i, "label": graphx.node_label(i, pset)} for i in range(graph.node_count)
+        ],
+        "edges": [
+            {"source": u, "target": v, "weight": w}
+            for (u, v), w in sorted(graph.edges.items())
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _random_lrc_graph(trial):
+    """A digraph on 1..80 nodes, acyclic on even trials and possibly cyclic
+    (self-loops included) on odd ones; weights at one decimal on two trials
+    in three, so that equal-hop ties between paths are common; every tenth
+    edge set is empty, and nodes beyond the drawn endpoints stay isolated."""
+    rng = np.random.default_rng(7000 + trial)
+    n = int(rng.integers(1, 81))
+    m = 0 if trial % 10 == 0 else int(rng.integers(1, 5 * n + 1))
+    ends = rng.integers(0, n, size=(m, 2))
+    if trial % 2 == 0:
+        ends = rng.permutation(n)[np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)]
+    weights = rng.uniform(0.1, 2.0, size=len(ends)).round(1) if trial % 3 else rng.uniform(1e-3, 5.0, size=len(ends))
+    return n, {(int(u), int(v)): float(w) for (u, v), w in zip(ends, weights)}
+
+
+class TestLrcAgainstPerSourceSearch:
+    @pytest.mark.parametrize("block", range(21))
+    def test_random_digraphs_bit_identical(self, block):
+        for trial in range(100 * block, 100 * (block + 1)):
+            n, edges = _random_lrc_graph(trial)
+            got = lrc_scores(n, edges)
+            assert got.tobytes() == _reference_lrc_scores(n, edges).tobytes(), f"trial {trial}"
+
+    def test_random_digraphs_cover_the_cases(self):
+        graphs = [_random_lrc_graph(trial) for trial in range(2100)]
+        assert {n for n, _ in graphs} >= {1, 2, 80}
+        assert sum(not edges for _, edges in graphs) >= 200
+        assert any(u == v for _, edges in graphs for u, v in edges)
+        assert any(len(set(edges.values())) < len(edges) for _, edges in graphs)
+
+    def test_isolated_self_loop_and_unordered_edges(self):
+        edges = {(3, 1): 0.5, (0, 3): 1.0, (2, 2): 4.0, (0, 1): 2.0, (1, 4): 0.25}
+        got = lrc_scores(6, edges)
+        assert got.tobytes() == _reference_lrc_scores(6, edges).tobytes()
+        assert got[5] == 0.0 and got[2] == 0.0
+
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1), (1, -1), (0, 10**6)])
+    def test_endpoint_outside_node_range_raises(self, edge):
+        with pytest.raises(ConfigError, match="outside"):
+            lrc_scores(3, {(0, 1): 1.0, edge: 1.0})
+
+    def test_no_node_accepts_no_edge(self):
+        with pytest.raises(ConfigError):
+            lrc_scores(0, {(0, 0): 1.0})
+        assert lrc_scores(0, {}).shape == (0,)
+
+
+_SPECIAL_NAMES = ['quote "q"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Ünïcödé λ", "日本 🙂", "/", ""]
+
+
+def _special_pset():
+    preds = [
+        Predicate(zone_index=j, zone_name=name, direction=">" if j % 2 else "<=", tau=tau, quantile_level=0.5)
+        for j, (name, tau) in enumerate(zip(_SPECIAL_NAMES, [0.1, -2.5e-300, 1e22, 5e-324, -0.0, 1 / 3, 7.0]))
+    ]
+    return PredicateSet(predicates=preds, indicator=np.ones((2, len(preds)), dtype=bool))
+
+
+class TestJsonTextAgainstJsonDumps:
+    def test_special_labels_and_weights(self):
+        pset = _special_pset()
+        weights = [0.1, 1e-320, float("nan"), float("inf"), float("-inf"), 1e16, 123456789.0, np.float64(2 / 3), -0.0]
+        edges = {(j % 7, (3 * j + 1) % 9): w for j, w in enumerate(weights)}
+        graph = ExplanationGraph(seed=11, n_predicates=len(pset), edges=edges)
+        assert to_json(graph, pset) == _reference_to_json(graph, pset)
+
+    @pytest.mark.parametrize("n_predicates", [0, 1, 7])
+    def test_empty_graphs(self, n_predicates):
+        pset = _special_pset()
+        pset = PredicateSet(predicates=pset.predicates[:n_predicates], indicator=pset.indicator[:, :n_predicates])
+        graph = ExplanationGraph(seed=0, n_predicates=n_predicates, edges={})
+        assert to_json(graph, pset) == _reference_to_json(graph, pset)
+
+    def test_built_graph(self):
+        pset, graph, _ = TestExports()._ranked()
+        assert to_json(graph, pset) == _reference_to_json(graph, pset)
+
+
+@pytest.fixture(scope="module")
+def many_zone_explain():
+    """The synthetic benchmark explained over 30 equal-width zones at
+    quantiles 0.1..0.9 (540 predicates, 542 graph nodes)."""
+    ds = synthgen.generate(synthgen.benchmark_config(42))
+    train, _test = dataio.kennard_stone_split(ds, 0.7)
+    train = dataio.apply_preprocess(dataio.fit_preprocess(train, "mean_center"), train)
+    width = len(train.axis) // 30
+    zones = ZoneConfig(
+        [
+            Zone(f"Z{k + 1:02d}", float(train.axis[k * width]), float(train.axis[(k + 1) * width - 1]), False)
+            for k in range(30)
+        ]
+    )
+    model = models.fit_logistic(train)
+    cfg = EngineConfig(quantiles=tuple(k / 10 for k in range(1, 10)))
+    return pipeline.explain(train, zones, model, cfg)
+
+
+class TestManyZoneGraphs:
+    def test_lrc_bit_identical(self, many_zone_explain):
+        graphs = many_zone_explain.graphs
+        assert len(graphs) == 4 and graphs[0].node_count == 542
+        for graph in graphs:
+            assert len(graph.edges) > 1000
+            got = lrc_scores(graph.node_count, graph.edges)
+            assert got.tobytes() == _reference_lrc_scores(graph.node_count, graph.edges).tobytes()
+
+    def test_json_byte_identical(self, many_zone_explain):
+        pset = many_zone_explain.predicate_set
+        for graph in many_zone_explain.graphs:
+            assert to_json(graph, pset) == _reference_to_json(graph, pset)
