@@ -475,6 +475,8 @@ def _check_evaluate_flags(args) -> None:
         ("--pfi-seed", args.pfi_seed, args.pfi_seed >= 0, ">= 0"),
         ("--depth", args.depth, args.depth >= 1, ">= 1"),
         ("--rho", args.rho, 0.0 < args.rho < 1.0, "in (0, 1)"),
+        ("--stability-runs", args.stability_runs, args.stability_runs == 0 or args.stability_runs >= 2,
+         "0 (off) or >= 2"),
     ):
         if not ok:
             raise ConfigError(f"{flag} must be {rule}, got {value}")

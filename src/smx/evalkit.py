@@ -198,7 +198,9 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
 
     Per variable, the impact between intact predictions and predictions
     with that column permuted, averaged over seeded repeats. Each
-    (seed, repeat, variable) triple keys its own generator, so results
+    (seed, variable) pair keys its own generator, which draws all
+    ``repeats`` permutations of that column in one call (row r of
+    ``rng.permuted`` over a ``repeats x m`` index array), so results
     are independent of evaluation order.
 
     The repeats are stacked: a work buffer holds ``repeats`` copies of
@@ -219,12 +221,12 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
     blocks = np.broadcast_to(X, (repeats, m, p)).copy()
     work = blocks.reshape(repeats * m, p)
     base = model_outputs(model, work)
+    rows = np.broadcast_to(np.arange(m), (repeats, m))
     out = np.zeros(p)
     for j in range(p):
         column = X[:, j]
-        for r in range(repeats):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), r, j)))
-            blocks[r, :, j] = column[rng.permutation(m)]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j)))
+        blocks[:, :, j] = column[rng.permuted(rows, axis=1)]
         impacts = row_impacts(model.kind, base, model_outputs(model, work))
         acc = 0.0
         for mean in impacts.reshape(repeats, m).mean(axis=1).tolist():

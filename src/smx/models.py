@@ -105,8 +105,8 @@ def _require_both_classes(train: SpectralDataset) -> None:
 def fit_ridge(train: SpectralDataset, lam: float = 1.0) -> RidgeModel:
     """Solve (Xc'Xc + lam I) w = Xc' yc on centered features, intercept from means."""
     _require_both_classes(train)
-    if lam < 0:
-        raise ConfigError("ridge lambda must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"ridge lambda must be finite and >= 0, got {lam}")
     X = train.intensities
     y = train.labels.astype(float)
     x_mean = X.mean(axis=0)
@@ -136,8 +136,12 @@ def fit_logistic(
     step is a monotone descent.
     """
     _require_both_classes(train)
-    if l2 < 0:
-        raise ConfigError("logistic l2 must be >= 0")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise ConfigError(f"logistic l2 must be finite and >= 0, got {l2}")
+    if max_iters < 1:
+        raise ConfigError(f"logistic max_iters must be >= 1, got {max_iters}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"logistic tol must be finite and >= 0, got {tol}")
     X = train.intensities
     y = train.labels.astype(float)
     n, p = X.shape

@@ -115,6 +115,8 @@ def score_zone(model: ZoneModel, X_zone: np.ndarray) -> np.ndarray:
 
 def threshold_spectrum(model: ZoneModel, tau: float) -> ThresholdSpectrum:
     """Back-project a score threshold into measurement units: mean + tau * loading."""
+    if not np.isfinite(tau):
+        raise ConfigError(f"threshold tau must be finite, got {tau}")
     profile = model.mean + float(tau) * model.loading
     return ThresholdSpectrum(zone_name=model.zone_name, tau=float(tau), profile=profile)
 

@@ -211,6 +211,27 @@ class TestPipelineCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "raw.csv"]
 
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--model", "ridge", "--lam", "nan"], "lambda"),
+            (["--model", "ridge", "--lam", "inf"], "lambda"),
+            (["--model", "logistic", "--l2", "nan"], "l2"),
+            (["--model", "logistic", "--max-iters", "-3"], "max_iters"),
+            (["--model", "logistic", "--max-iters", "0"], "max_iters"),
+            (["--model", "logistic", "--tol", "-1"], "tol"),
+            (["--model", "logistic", "--tol", "nan"], "tol"),
+        ],
+    )
+    def test_train_bad_hyperparameter_exit_2_no_model(self, tmp_path, capsys, flags, name):
+        dataio.save_csv(synthgen.generate(small_config()), tmp_path / "train.csv")
+        out = tmp_path / "model.json"
+        code = main(["train", "--train", str(tmp_path / "train.csv"), "--out", str(out), *flags])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def explain_case(tmp_path_factory):
     return build_small_case(tmp_path_factory.mktemp("case"))
@@ -445,6 +466,28 @@ class TestThresholdSpectrum:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_tau_exit_2_no_output(self, tmp_path, capsys, tau):
+        case = build_small_case(tmp_path / "case")
+        out = tmp_path / "s.csv"
+        code = main(
+            [
+                "threshold-spectrum",
+                "--train",
+                str(case / "train.csv"),
+                "--zones",
+                str(case / "zones.json"),
+                "--zone",
+                "peak one",
+                f"--tau={tau}",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "tau" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "preprocess, key",
@@ -609,6 +652,9 @@ class TestEvaluate:
             (["--kmax", "-1"], "--kmax"),
             (["--depth", "0"], "--depth"),
             (["--rho", "1.0"], "--rho"),
+            (["--stability-runs", "1"], "--stability-runs"),
+            (["--stability-runs", "-1"], "--stability-runs"),
+            (["--stability-runs", "-10"], "--stability-runs"),
         ],
     )
     def test_invalid_flag_exit_2_before_model_load(self, eval_case, tmp_path, capsys, monkeypatch, flags, flag):

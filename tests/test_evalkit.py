@@ -244,10 +244,8 @@ class TestPfi:
         model = RidgeModel(weights=np.array([1.0, 0.0]), intercept=0.0)
         imps = pfi(model, X, repeats=4, seed=3)
         expected = 0.0
-        for r in range(4):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(3, r, 0)))
-            perm = X[rng.permutation(15), 0]
-            expected += float(np.mean(np.abs(X[:, 0] - perm)))
+        for perm in pfi_permutations(seed=3, j=0, repeats=4, m=15):
+            expected += float(np.mean(np.abs(X[:, 0] - X[perm, 0])))
         assert imps[0] == pytest.approx(expected / 4, abs=1e-12)
 
     def test_bit_exact_repeatability(self):
@@ -263,9 +261,17 @@ class TestPfi:
         assert np.all(pfi(model, X, repeats=2, seed=0) >= 0.0)
 
 
+def pfi_permutations(seed, j, repeats, m):
+    """The ``repeats`` row permutations PFI applies to column j: row r of
+    one draw from the generator keyed by (seed, j)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j)))
+    return rng.permuted(np.tile(np.arange(m), (repeats, 1)), axis=1)
+
+
 def reference_pfi(model, X_test, repeats=10, seed=0):
-    """The per-copy PFI loop that the stacked ``pfi`` replaced, kept
-    verbatim as its reference: one model call per (variable, repeat)."""
+    """The per-copy PFI loop that the stacked ``pfi`` replaced, kept as
+    its reference: one model call per (variable, repeat). Its
+    permutations come from ``pfi_permutations``."""
     X = np.asarray(X_test, dtype=float)
     m, p = X.shape
     base = model_outputs(model, X)
@@ -274,9 +280,8 @@ def reference_pfi(model, X_test, repeats=10, seed=0):
     for j in range(p):
         acc = 0.0
         column = X[:, j].copy()
-        for r in range(repeats):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), r, j)))
-            work[:, j] = column[rng.permutation(m)]
+        for perm in pfi_permutations(seed, j, repeats, m):
+            work[:, j] = column[perm]
             acc += float(np.mean(row_impacts(model.kind, base, model_outputs(model, work))))
         work[:, j] = column
         out[j] = acc / repeats
@@ -358,6 +363,33 @@ class TestStackedPfi:
 
         pfi(Counting(), X, repeats=4, seed=2)
         assert rows == [4 * m] * (1 + p)
+
+    def test_blocks_hold_the_variable_generators_permutations(self):
+        """In the matrix sent for variable j, block r's column j is
+        ``X[:, j][perm_r]``, perm_r being row r of the (seed, j)
+        generator's draw; every other column is the test matrix's."""
+        X = np.random.default_rng(45).normal(size=(11, 6))
+        m, p = X.shape
+        repeats, seed = 5, 9
+        ridge = RidgeModel(weights=np.arange(1.0, p + 1), intercept=0.0)
+        sent = []
+
+        class Capturing:
+            kind = ridge.kind
+
+            def predict(self, X):
+                sent.append(X.copy())
+                return ridge.predict(X)
+
+        pfi(Capturing(), X, repeats=repeats, seed=seed)
+        assert len(sent) == 1 + p
+        np.testing.assert_array_equal(sent[0], np.tile(X, (repeats, 1)))
+        for j, matrix in enumerate(sent[1:]):
+            blocks = matrix.reshape(repeats, m, p)
+            for r, perm in enumerate(pfi_permutations(seed, j, repeats, m)):
+                np.testing.assert_array_equal(blocks[r, :, j], X[:, j][perm])
+                np.testing.assert_array_equal(np.delete(blocks[r], j, axis=1), np.delete(X, j, axis=1))
+            assert len({blocks[r, :, j].tobytes() for r in range(repeats)}) > 1
 
     @pytest.mark.parametrize("repeats, seed", [(0, 0), (-2, 0), (1, -1)])
     def test_invalid_repeats_or_seed_rejected(self, repeats, seed):

@@ -130,6 +130,11 @@ class TestRidge:
         with pytest.raises(ConfigError, match="both classes"):
             fit_ridge(_dataset([[0.0], [1.0]], [0, 0]))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="lambda"):
+            fit_ridge(_dataset([[0.0], [1.0]], [0, 1]), lam=lam)
+
 
 class TestLogistic:
     def test_zero_model_is_uniform(self):
@@ -194,6 +199,23 @@ class TestLogistic:
         a = fit_logistic(_dataset(X, y))
         b = fit_logistic(_dataset(X, y))
         assert np.array_equal(a.weights, b.weights) and a.intercept == b.intercept
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"l2": np.nan}, "l2"),
+            ({"l2": np.inf}, "l2"),
+            ({"l2": -0.5}, "l2"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"max_iters": -3}, "max_iters"),
+            ({"tol": -1e-7}, "tol"),
+            ({"tol": np.nan}, "tol"),
+            ({"tol": np.inf}, "tol"),
+        ],
+    )
+    def test_bad_hyperparameters_rejected(self, kwargs, name):
+        with pytest.raises(ConfigError, match=name):
+            fit_logistic(_dataset([[-1.0], [1.0]], [0, 1]), **kwargs)
 
 
 class TestPersistence:
