@@ -1,17 +1,24 @@
 """Command-line surface: synth, split, preprocess, train, explain,
 evaluate and threshold-spectrum.
 
-Exit codes: 0 success, 1 pipeline/model error, 2 usage/config error.
-All artifacts are written via temp-file-and-rename after the full
-computation succeeds, so failed runs leave no partial outputs behind.
+Exit codes: 0 success, 1 pipeline/model error, 2 usage/config error
+(an unwritable output path included). Outputs are published only after
+the full computation succeeds. ``explain`` and ``evaluate`` write into a
+fresh hidden sibling of ``--out`` that then replaces the whole directory,
+so a rerun leaves exactly its own files and a failed run the previous
+ones; an ``--out`` holding anything else is refused before any load.
+The other commands write every file to a temp sibling, then rename all.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -23,34 +30,79 @@ from .engine import EngineConfig, trace_lines
 from .errors import ConfigError, FormatError, PipelineError, SmxError
 
 
-def _write_atomic(path: Path, text: str, written: list[Path]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    written.append(path)
+def _write_files(outputs) -> None:
+    """Write each (path, text) to a temp sibling, then rename them all into
+    place, so a failed write leaves none of the new files behind."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path, text in outputs:
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+            staged.append((tmp, path))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            if tmp.exists():
+                tmp.unlink()
 
 
-def _cleanup(written: list[Path]) -> None:
-    for path in written:
+@contextlib.contextmanager
+def _replacing_dir(out: Path):
+    """Yield a fresh hidden sibling of ``out`` to write into. On success it
+    replaces ``out`` whole: the old directory is renamed aside, the new one
+    renamed in (or the old one back if that fails), then the old one is
+    removed. On any failure the sibling is removed and ``out`` is untouched."""
+    target = Path(os.path.realpath(out))
+    stage, old = (target.with_name(f".{target.name}.{tag}-{os.getpid()}") for tag in ("tmp", "old"))
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        stage.mkdir()
+        yield stage
+        if target.exists():
+            os.rename(target, old)
         try:
-            path.unlink()
+            os.rename(stage, target)
         except OSError:
-            pass
+            if old.exists():
+                os.rename(old, target)
+            raise
+        shutil.rmtree(old, ignore_errors=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out}: {exc.strerror or exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+# What explain and evaluate write, as paths relative to --out.
+_EXPLAIN_OWNS = re.compile(
+    r"predicate_ranking\.csv|zone_ranking\.csv|zone_models\.json|bag_trace\.jsonl"
+    r"|graph_seed_\d+\.(dot|json)|threshold_spectra(/predicate_\d+\.csv)?"
+)
+_EVALUATE_OWNS = re.compile(r"report\.json|curves(/[^/]+\.csv)?")
+
+
+def _check_out_dir(out: Path, owns: re.Pattern) -> None:
+    """Refuse an ``--out`` that cannot be a directory, or that holds anything
+    ``owns`` does not match: a run replaces it whole. Runs before any load."""
+    existing = next(p for p in (out, *out.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write output directory {out}: {existing} is not a directory")
+    foreign = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+    foreign = [rel for rel in foreign if not owns.fullmatch(rel)]
+    if foreign:
+        raise ConfigError(f"{out} holds {foreign[0]!r}, which this command does not write; use a new or empty --out")
+
+
+def _parse_list(text: str, cast, what: str) -> list:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +159,9 @@ def _load_manifest(args) -> dict:
         if value is not None:
             engine[key] = value
     if getattr(args, "quantiles", None) is not None:
-        engine["quantiles"] = list(_parse_floats(args.quantiles))
+        engine["quantiles"] = _parse_list(args.quantiles, float, "numbers")
     if getattr(args, "seeds", None) is not None:
-        engine["seeds"] = list(_parse_ints(args.seeds))
+        engine["seeds"] = _parse_list(args.seeds, int, "integers")
     manifest["engine"] = engine
     manifest["_base"] = base
     return manifest
@@ -151,6 +203,9 @@ def _cast(section: str, key: str, cast, value):
 def _manifest_engine(manifest: dict) -> EngineConfig:
     """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
     engine = manifest.get("engine", {})
+    unknown = sorted(set(engine) - set(_ENGINE_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown engine key(s) in manifest: {', '.join(unknown)}")
     return EngineConfig(
         **{key: _cast("engine", key, cast, engine[key]) for key, cast in _ENGINE_KEYS.items() if key in engine}
     )
@@ -171,19 +226,13 @@ def _manifest_path(manifest: dict, key: str, required: bool = True) -> Path | No
 
 def _load_model_entry(manifest: dict):
     spec = manifest.get("model")
-    if spec is None:
-        raise ConfigError("manifest is missing required entry 'model'")
-    if isinstance(spec, dict):
-        return models.load_model(spec)
-    return models.load_model(_manifest_path(manifest, "model"))
+    return models.load_model(spec if isinstance(spec, dict) else _manifest_path(manifest, "model"))
 
 
 def _load_data(manifest: dict, need_test: bool):
     train = dataio.load_csv(_manifest_path(manifest, "train"))
-    test = None
     test_path = _manifest_path(manifest, "test", required=need_test)
-    if test_path is not None:
-        test = dataio.load_csv(test_path)
+    test = None if test_path is None else dataio.load_csv(test_path)
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
     pre = manifest.get("preprocess")
     if pre:
@@ -204,25 +253,17 @@ def _load_data(manifest: dict, need_test: bool):
 
 def cmd_synth(args) -> int:
     cfg = synthgen.load_config(args.config) if args.config else synthgen.benchmark_config()
-    ds = synthgen.generate(cfg)
-    written: list[Path] = []
-    _write_atomic(Path(args.out), dataio.dataset_csv_text(ds), written)
+    outputs = [(args.out, dataio.dataset_csv_text(synthgen.generate(cfg)))]
     if args.zones_out:
-        zones = synthgen.benchmark_zones()
-        payload = [
-            {"name": z.name, "start": z.start, "end": z.end, "plausible": z.plausible}
-            for z in zones.zones
-        ]
-        _write_atomic(Path(args.zones_out), json.dumps(payload, indent=2) + "\n", written)
+        outputs.append((args.zones_out, dataio.zone_config_json(synthgen.benchmark_zones())))
+    _write_files(outputs)
     return 0
 
 
 def cmd_split(args) -> int:
     ds = dataio.load_csv(args.input)
     train, test = dataio.kennard_stone_split(ds, args.train_fraction)
-    written: list[Path] = []
-    _write_atomic(Path(args.out_train), dataio.dataset_csv_text(train), written)
-    _write_atomic(Path(args.out_test), dataio.dataset_csv_text(test), written)
+    _write_files([(args.out_train, dataio.dataset_csv_text(train)), (args.out_test, dataio.dataset_csv_text(test))])
     return 0
 
 
@@ -239,9 +280,7 @@ def cmd_preprocess(args) -> int:
         outputs.append((args.out_test, dataio.dataset_csv_text(dataio.apply_preprocess(state, test))))
     if args.state:
         outputs.append((args.state, json.dumps(state.to_dict(), indent=2) + "\n"))
-    written: list[Path] = []
-    for path, text in outputs:
-        _write_atomic(Path(path), text, written)
+    _write_files(outputs)
     return 0
 
 
@@ -253,14 +292,10 @@ def cmd_train(args) -> int:
     else:
         model = models.fit_logistic(train, l2=args.l2, max_iters=args.max_iters, tol=args.tol)
         extra = f" converged={model.converged} iters={model.n_iters}"
-    preds = model.predict(train.intensities) if args.model == "ridge" else None
-    if preds is not None:
-        acc = float(np.mean((preds > 0.5).astype(int) == train.labels))
-    else:
-        acc = float(
-            np.mean((model.predict_proba(train.intensities)[:, 1] > 0.5).astype(int) == train.labels)
-        )
-    models.save_model(model, args.out)
+    X = train.intensities
+    scores = model.predict(X) if args.model == "ridge" else model.predict_proba(X)[:, 1]
+    acc = float(np.mean((scores > 0.5) == train.labels))
+    _write_files([(args.out, models.model_json(model))])
     print(f"trained {args.model}: train accuracy {acc:.4f}{extra}")
     return 0
 
@@ -272,53 +307,47 @@ def cmd_explain(args) -> int:
         raise ConfigError("an output directory is required (--out or manifest output_dir)")
     base = None if "out" in manifest.get("_flag_keys", []) else manifest.get("_base")
     out = _resolve(base, str(out_dir))
+    _check_out_dir(out, _EXPLAIN_OWNS)
+    cfg = _manifest_engine(manifest)
     train, _test, zones = _load_data(manifest, need_test=False)
     model = _load_model_entry(manifest)
-    cfg = _manifest_engine(manifest)
 
     result = pipeline.explain(train, zones, model, cfg)
 
-    written: list[Path] = []
-    try:
-        _write_atomic(out / "predicate_ranking.csv", graphx.ranking_csv(result.ranking, result.predicate_set), written)
-        _write_atomic(out / "zone_ranking.csv", graphx.zone_ranking_csv(result.zone_order), written)
-        _write_atomic(out / "zone_models.json", zonecore.zone_models_to_json(result.zone_models), written)
+    with _replacing_dir(out) as stage:
+        (stage / "predicate_ranking.csv").write_text(graphx.ranking_csv(result.ranking, result.predicate_set))
+        (stage / "zone_ranking.csv").write_text(graphx.zone_ranking_csv(result.zone_order))
+        (stage / "zone_models.json").write_text(zonecore.zone_models_to_json(result.zone_models))
         trace: list[str] = []
         for seed in cfg.seeds:
             graph = next(g for g in result.graphs if g.seed == seed)
-            _write_atomic(out / f"graph_seed_{seed}.dot", graphx.to_dot(graph, result.predicate_set), written)
-            _write_atomic(out / f"graph_seed_{seed}.json", graphx.to_json(graph, result.predicate_set), written)
+            (stage / f"graph_seed_{seed}.dot").write_text(graphx.to_dot(graph, result.predicate_set))
+            (stage / f"graph_seed_{seed}.json").write_text(graphx.to_json(graph, result.predicate_set))
             trace.extend(trace_lines(seed, result.bag_results[seed], result.predicate_set))
-        _write_atomic(out / "bag_trace.jsonl", "\n".join(trace + [""]), written)
+        (stage / "bag_trace.jsonl").write_text("\n".join(trace + [""]))
+        (stage / "threshold_spectra").mkdir()
         for j, pred in enumerate(result.predicate_set.predicates):
             zm = result.zone_models[pred.zone_index]
             spectrum = zonecore.threshold_spectrum(zm, pred.tau)
-            _write_atomic(
-                out / "threshold_spectra" / f"predicate_{j:03d}.csv",
-                zonecore.threshold_spectrum_csv(spectrum, train.axis, zm.indices),
-                written,
+            (stage / "threshold_spectra" / f"predicate_{j:03d}.csv").write_text(
+                zonecore.threshold_spectrum_csv(spectrum, train.axis, zm.indices)
             )
-    except Exception:
-        _cleanup(written)
-        raise
     return 0
 
 
 def cmd_threshold_spectrum(args) -> int:
+    if not np.isfinite(args.tau):
+        raise ConfigError(f"threshold tau must be finite, got {args.tau}")
     manifest = _load_manifest(args)
     train, _test, zones = _load_data(manifest, need_test=False)
-    zone_models, _scores = zonecore.fit_zone_models(train, zones)
-    matches = [m for m in zone_models if m.zone_name == args.zone]
-    if not matches:
+    names = zones.names()
+    if args.zone not in names:
         raise ConfigError(f"zone '{args.zone}' is not defined in the zone config")
-    model = matches[0]
+    m = names.index(args.zone)
+    idx = dataio.resolve_zones(zones, train)[m]
+    model = zonecore.fit_zone(train.intensities[:, idx], zone_name=args.zone, zone_index=m, indices=idx)
     spectrum = zonecore.threshold_spectrum(model, args.tau)
-    written: list[Path] = []
-    _write_atomic(
-        Path(args.out),
-        zonecore.threshold_spectrum_csv(spectrum, train.axis, model.indices),
-        written,
-    )
+    _write_files([(args.out, zonecore.threshold_spectrum_csv(spectrum, train.axis, model.indices))])
     return 0
 
 
@@ -351,37 +380,28 @@ def _check_dataset_names(manifests: list[dict]) -> None:
         seen.add(name)
 
 
-def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
+def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -> dict:
     train, test, zones = _load_data(manifest, need_test=True)
     model = _load_model_entry(manifest)
-    cfg = _manifest_engine(manifest)
     zone_sets = {
         z.name: idx for z, idx in zip(zones.zones, dataio.resolve_zones(zones, train))
     }
     plausible = zones.plausible_names()
 
-    per_method: dict[str, dict] = {}
-    rankings: dict[str, list[str]] = {}
+    orders: dict[str, list[tuple[str, bool]]] = {}
     importances: dict[str, np.ndarray] = {}
-
     if "smx" in methods:
         prepared = pipeline.prepare(train, zones, model, cfg)
         result = pipeline.rank(prepared, cfg)
-        rankings["smx"] = result.ranked_zone_names()
-        importances["smx"] = result.ranking.mean_lrc
-        per_method["smx"] = {
-            "zone_ranking": [
-                {"zone": name, "ranked": ranked} for name, ranked in result.zone_order
-            ]
-        }
+        orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
     if "pfi" in methods:
         imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=args.pfi_seed)
-        order = evalkit.variable_zone_ranking(imps, zone_sets, zones.names())
-        rankings["pfi"] = [name for name, ranked in order if ranked]
-        importances["pfi"] = imps
-        per_method["pfi"] = {
-            "zone_ranking": [{"zone": name, "ranked": ranked} for name, ranked in order]
-        }
+        orders["pfi"], importances["pfi"] = evalkit.variable_zone_ranking(imps, zone_sets, zones.names()), imps
+    rankings = {name: [zone for zone, ranked in order if ranked] for name, order in orders.items()}
+    per_method = {
+        name: {"zone_ranking": [{"zone": zone, "ranked": ranked} for zone, ranked in order]}
+        for name, order in orders.items()
+    }
 
     depth = min(len(r) for r in rankings.values())
     if args.kmax:
@@ -398,31 +418,21 @@ def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
         section["alignment"] = _curve_dict(evalkit.agreement_curve(ranked, plausible))
         section["simplicity"] = _curve_dict(evalkit.simplicity_curve(importances[name]))
 
-    if args.stability_runs >= 2:
-        seeds = list(range(args.stability_runs))
-        if "smx" in methods:
-            def smx_runner(seed: int):
-                reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
-                return pipeline.rank(prepared, reruns).predicate_labels()
+    def smx_runner(seed: int):
+        reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
+        return pipeline.rank(prepared, reruns).predicate_labels()
 
-            res = evalkit.stability_study(smx_runner, seeds, rho=args.rho, depth=args.depth)
-            per_method["smx"]["stability"] = {
-                "instabilities": res.instabilities,
-                "median": res.median,
-            }
-        if "pfi" in methods:
-            def pfi_runner(seed: int):
-                if seed == args.pfi_seed:
-                    imps = importances["pfi"]  # the main run above, same seed and repeats
-                else:
-                    imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
-                return list(np.argsort(-imps, kind="stable"))
+    def pfi_runner(seed: int):
+        if seed == args.pfi_seed:
+            imps = importances["pfi"]  # the main run above, same seed and repeats
+        else:
+            imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
+        return list(np.argsort(-imps, kind="stable"))
 
-            res = evalkit.stability_study(pfi_runner, seeds, rho=args.rho, depth=args.depth)
-            per_method["pfi"]["stability"] = {
-                "instabilities": res.instabilities,
-                "median": res.median,
-            }
+    for name, runner in (("smx", smx_runner), ("pfi", pfi_runner)):
+        if args.stability_runs >= 2 and name in methods:
+            res = evalkit.stability_study(runner, list(range(args.stability_runs)), rho=args.rho, depth=args.depth)
+            per_method[name]["stability"] = {"instabilities": res.instabilities, "median": res.median}
 
     return {"name": _dataset_name(manifest), "depth": depth, "methods": per_method}
 
@@ -446,9 +456,8 @@ def _compare(datasets: list[dict], methods: list[str]) -> list[dict]:
             for entry in datasets:
                 a = _metric_value(entry["methods"][other], metric)
                 b = _metric_value(entry["methods"]["smx"], metric)
-                if a is None or b is None:
-                    continue
-                diffs.append(a - b)
+                if a is not None and b is not None:
+                    diffs.append(a - b)
             if len(diffs) < 4:
                 continue  # the exact test needs at least 4 paired values
             row: dict = {
@@ -490,34 +499,26 @@ def cmd_evaluate(args) -> int:
     if not methods:
         raise ConfigError("at least one method is required")
     _check_evaluate_flags(args)
+    _check_out_dir(Path(args.out), _EVALUATE_OWNS)
     manifests = [_load_manifest(argparse.Namespace(manifest=mpath)) for mpath in args.manifest]
     _check_dataset_names(manifests)
-    datasets = [_evaluate_one(manifest, methods, args) for manifest in manifests]
+    cfgs = [_manifest_engine(manifest) for manifest in manifests]
+    datasets = [_evaluate_one(manifest, cfg, methods, args) for manifest, cfg in zip(manifests, cfgs)]
     report = {
         "methods": methods,
         "datasets": datasets,
         "comparisons": _compare(datasets, methods),
     }
-    out = Path(args.out)
-    written: list[Path] = []
-    try:
-        _write_atomic(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n", written)
+    with _replacing_dir(Path(args.out)) as stage:
+        (stage / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (stage / "curves").mkdir()
         for entry in datasets:
             for method, section in entry["methods"].items():
                 for metric in ("faithfulness", "alignment", "simplicity"):
-                    curve = section.get(metric)
-                    if curve is None:
-                        continue
-                    lines = ["k,value"]
-                    lines.extend(f"{k},{_fmt(v)}" for k, v in zip(curve["x"], curve["y"]))
-                    _write_atomic(
-                        out / "curves" / f"{entry['name']}__{method}__{metric}.csv",
-                        "\n".join(lines) + "\n",
-                        written,
-                    )
-    except Exception:
-        _cleanup(written)
-        raise
+                    curve = section[metric]
+                    lines = ["k,value", *(f"{k},{_fmt(v)}" for k, v in zip(curve["x"], curve["y"]))]
+                    curve_path = stage / "curves" / f"{entry['name']}__{method}__{metric}.csv"
+                    curve_path.write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -612,12 +613,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SmxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
 
 
 if __name__ == "__main__":

@@ -155,12 +155,16 @@ def load_zone_config(path: str | Path) -> ZoneConfig:
     return ZoneConfig(zones)
 
 
-def save_zone_config(cfg: ZoneConfig, path: str | Path) -> None:
+def zone_config_json(cfg: ZoneConfig) -> str:
     payload = [
         {"name": z.name, "start": z.start, "end": z.end, "plausible": z.plausible}
         for z in cfg.zones
     ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def save_zone_config(cfg: ZoneConfig, path: str | Path) -> None:
+    Path(path).write_text(zone_config_json(cfg))
 
 
 @dataclass

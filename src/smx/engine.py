@@ -46,7 +46,6 @@ class EngineConfig:
     min_support_fraction: float = 0.2
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    replacement: str = "median"
 
     def __post_init__(self):
         if self.bags < 1:
@@ -61,8 +60,6 @@ class EngineConfig:
             raise ConfigError("seeds must be distinct")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
-        if self.replacement != "median":
-            raise ConfigError("only median replacement is supported")
 
 
 @dataclass(frozen=True)

@@ -216,11 +216,6 @@ def lrc_scores(node_count: int, edges: dict[tuple[int, int], float]) -> np.ndarr
     return out / (node_count - 1)
 
 
-def lrc(graph: ExplanationGraph, node: int) -> float:
-    """Centrality of one node; terminals always score 0 (no outgoing edges)."""
-    return float(lrc_scores(graph.node_count, graph.edges)[node])
-
-
 @dataclass
 class PredicateRanking:
     """Seed-averaged centralities, ordered descending with deterministic ties."""

@@ -174,8 +174,8 @@ def fit_logistic(
     return model
 
 
-def save_model(model, path: str | Path) -> None:
-    """Dump builtin model weights as JSON."""
+def model_json(model) -> str:
+    """Builtin model weights as JSON text."""
     if isinstance(model, RidgeModel):
         payload = {
             "kind": "ridge",
@@ -192,7 +192,12 @@ def save_model(model, path: str | Path) -> None:
         }
     else:
         raise ModelError("only builtin models can be saved")
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def save_model(model, path: str | Path) -> None:
+    """Dump builtin model weights as JSON."""
+    Path(path).write_text(model_json(model))
 
 
 def load_model(spec: dict | str | Path):

@@ -42,9 +42,6 @@ class ExplainResult:
     ranking: PredicateRanking
     zone_order: list[tuple[str, bool]]
 
-    def ranked_zone_names(self) -> list[str]:
-        return [name for name, ranked in self.zone_order if ranked]
-
     def predicate_labels(self) -> list[str]:
         """Predicate identity strings in ranking order (the raw output list)."""
         return [self.predicate_set.predicates[j].key for j in self.ranking.order]

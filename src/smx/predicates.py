@@ -7,7 +7,6 @@ the first occurrence, so at most 2*M*K predicates survive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,16 +112,3 @@ def build_predicates(
                 )
                 columns.append(t <= tau if direction == LE else t > tau)
     return PredicateSet(predicates=predicates, indicator=np.column_stack(columns))
-
-
-def predicates_to_json(pset: PredicateSet) -> str:
-    payload = [
-        {
-            "zone": p.zone_name,
-            "direction": p.direction,
-            "tau": p.tau,
-            "quantile_level": p.quantile_level,
-        }
-        for p in pset.predicates
-    ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -157,9 +156,3 @@ def threshold_spectrum_csv(spectrum: ThresholdSpectrum, axis: np.ndarray, indice
     for j, v in zip(indices, spectrum.profile):
         lines.append(f"{_fmt(axis[j])},{_fmt(v)}")
     return "\n".join(lines) + "\n"
-
-
-def write_threshold_spectrum(
-    spectrum: ThresholdSpectrum, axis: np.ndarray, indices: np.ndarray, path: str | Path
-) -> None:
-    Path(path).write_text(threshold_spectrum_csv(spectrum, axis, indices))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smx import dataio, evalkit, models, synthgen
+from smx import cli, dataio, evalkit, models, synthgen, zonecore
 from smx.cli import main
 from smx.synthgen import ClassSpec, PeakSpec, SyntheticConfig
 
@@ -327,6 +327,30 @@ class TestExplain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "engine",
+        [{"replacement": "median"}, {"replacement": "mean"}, {"bag": 3}, {"bags": 3, "seed": [9]}],
+        ids=["replacement", "replacement-mean", "bag", "seed"],
+    )
+    def test_unknown_manifest_engine_key_exit_2_no_outputs(self, explain_case, tmp_path, capsys, engine):
+        """Only the keys smx reads are accepted: a typo or a removed knob is
+        refused rather than run at the defaults."""
+        case = explain_case
+        manifest = {
+            "train": str(case / "train.csv"),
+            "zones": str(case / "zones.json"),
+            "model": str(case / "model.json"),
+            "engine": engine,
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["explain", "--manifest", str(mpath), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in engine if key != "bags")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize(
         "entries, key",
         [
             ({"engine": {"bags": 2.7}}, "bags"),
@@ -423,6 +447,35 @@ class TestExplain:
 
 
 class TestThresholdSpectrum:
+    def _argv(self, case, tau, out):
+        return ["threshold-spectrum", "--train", str(case / "train.csv"), "--zones", str(case / "zones.json"),
+                "--zone", "peak two", f"--tau={tau}", "--out", str(out)]
+
+    def test_fits_only_the_named_zone(self, explain_case, tmp_path, monkeypatch):
+        """One fit on success, none for a refused tau; the CSV is the one the
+        full zone fit gives."""
+        train = dataio.load_csv(explain_case / "train.csv")
+        zones = dataio.load_zone_config(explain_case / "zones.json")
+        zone_models, _ = zonecore.fit_zone_models(train, zones)
+        model = zone_models[zones.names().index("peak two")]
+        expected = zonecore.threshold_spectrum_csv(zonecore.threshold_spectrum(model, 0.75), train.axis, model.indices)
+        calls = []
+        fit_zone = zonecore.fit_zone
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("zone_name"))
+            return fit_zone(*args, **kwargs)
+
+        monkeypatch.setattr(zonecore, "fit_zone", counting)
+        out = tmp_path / "s.csv"
+        assert main(self._argv(explain_case, 0.75, out)) == 0
+        assert calls == ["peak two"]
+        assert out.read_text() == expected
+        calls.clear()
+        assert main(self._argv(explain_case, "nan", tmp_path / "n.csv")) == 2
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
     def test_writes_profile(self, tmp_path):
         case = build_small_case(tmp_path / "case")
         out = tmp_path / "spectrum.csv"
@@ -725,6 +778,24 @@ class TestEvaluate:
         assert not (tmp_path / "deep").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"m{k}.json" for k in range(len(names))]
 
+    def test_unknown_engine_key_in_any_manifest_exit_2_before_loading(self, eval_case, tmp_path, capsys, monkeypatch):
+        manifests = []
+        for k, engine in enumerate([{"bags": 5}, {"bags": 5, "seed": [1]}]):
+            manifest = json.loads((eval_case / "manifest.json").read_text())
+            manifest.update({key: str(eval_case / manifest[key]) for key in ("train", "test", "zones", "model")})
+            manifest.update(name=f"d{k}", engine=engine)
+            manifests.append(tmp_path / f"m{k}.json")
+            manifests[-1].write_text(json.dumps(manifest))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data was loaded before every manifest's engine keys were checked")
+
+        monkeypatch.setattr(dataio, "load_csv", refuse)
+        out = tmp_path / "report"
+        assert main(["evaluate", "--manifest", *map(str, manifests), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unnamed_manifests_sharing_a_train_stem_exit_2(self, eval_case, tmp_path, capsys):
         manifest = json.loads((eval_case / "manifest.json").read_text())
         del manifest["name"]
@@ -754,3 +825,135 @@ class TestEvaluate:
         )
         assert code == 2
         assert "shap" in capsys.readouterr().err
+
+
+def _tree(root: Path) -> dict:
+    """Relative path -> bytes of every file under ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _leftovers(root: Path) -> list[str]:
+    """Temp or set-aside siblings that a publish step left behind."""
+    return [p.name for p in root.rglob("*") if ".tmp" in p.name or ".old-" in p.name]
+
+
+class TestOutputDirectories:
+    """explain and evaluate replace --out whole; the file commands publish
+    all of their files or none."""
+
+    def _explain(self, case, out, *flags):
+        return main(["explain", "--manifest", str(write_manifest(case, "small")), "--out", str(out), *flags])
+
+    def _evaluate(self, case, out, *flags):
+        argv = ["evaluate", "--manifest", str(case / "manifest.json"), "--out", str(out)]
+        return main([*argv, "--stability-runs", "0", "--pfi-repeats", "2", *flags])
+
+    def test_explain_rerun_leaves_exactly_the_new_files(self, explain_case, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert self._explain(explain_case, out, "--seeds", "1,2,3") == 0
+        assert (out / "graph_seed_3.json").exists()
+        assert self._explain(explain_case, out, "--seeds", "1,2", "--quantiles", "0.5") == 0
+        assert self._explain(explain_case, fresh, "--seeds", "1,2", "--quantiles", "0.5") == 0
+        assert _tree(out) == _tree(fresh)
+        assert not (out / "graph_seed_3.json").exists()
+        assert len(list((out / "threshold_spectra").iterdir())) == 10  # 5 zones x 1 quantile x 2 directions
+        assert _leftovers(tmp_path) == []
+
+    def test_evaluate_rerun_leaves_no_stale_curves(self, eval_case, tmp_path):
+        out, fresh = tmp_path / "report", tmp_path / "fresh"
+        assert self._evaluate(eval_case, out, "--methods", "smx,pfi") == 0
+        assert len(list((out / "curves").iterdir())) == 6
+        assert self._evaluate(eval_case, out, "--methods", "smx") == 0
+        assert self._evaluate(eval_case, fresh, "--methods", "smx") == 0
+        assert _tree(out) == _tree(fresh)
+        assert sorted(p.name for p in (out / "curves").iterdir()) == [
+            f"small__smx__{metric}.csv" for metric in ("alignment", "faithfulness", "simplicity")
+        ]
+        assert _leftovers(tmp_path) == []
+
+    def test_failed_rerun_leaves_previous_outputs_intact(self, explain_case, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._explain(explain_case, out) == 0
+        before = _tree(out)
+        models.save_model(models.RidgeModel(weights=np.zeros(3), intercept=0.0), tmp_path / "narrow.json")
+        code = self._explain(explain_case, out, "--model", str(tmp_path / "narrow.json"), "--seeds", "5")
+        assert code == 1
+        assert "width" in capsys.readouterr().err
+        assert _tree(out) == before
+        assert _leftovers(tmp_path) == []
+
+    def test_failed_swap_restores_previous_outputs(self, explain_case, tmp_path, capsys, monkeypatch):
+        """If the new directory cannot be renamed in, the old one is renamed
+        back and the run exits 2 naming --out."""
+        out = tmp_path / "out"
+        assert self._explain(explain_case, out) == 0
+        before = _tree(out)
+        rename = cli.os.rename
+
+        def refuse_stage(src, dst):
+            if ".tmp-" in Path(src).name:
+                raise OSError(28, "No space left on device")
+            rename(src, dst)
+
+        monkeypatch.setattr(cli.os, "rename", refuse_stage)
+        assert self._explain(explain_case, out, "--seeds", "5") == 2
+        assert str(out) in capsys.readouterr().err
+        assert _tree(out) == before
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["explain", "evaluate", "preprocess", "train"])
+    def test_output_below_a_file_exit_2_creates_nothing(self, eval_case, tmp_path, capsys, command):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        target = tmp_path / "blocker" / "x"
+        train = str(eval_case / "train.csv")
+        argv = {
+            "explain": ["explain", "--manifest", str(eval_case / "manifest.json"), "--out", str(target)],
+            "evaluate": ["evaluate", "--manifest", str(eval_case / "manifest.json"), "--out", str(target)],
+            "preprocess": ["preprocess", "--method", "mean_center", "--train", train, "--out-train", str(target)],
+            "train": ["train", "--train", train, "--model", "ridge", "--out", str(target)],
+        }[command]
+        assert main(argv) == 2
+        assert str(target) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+    @pytest.mark.parametrize(
+        "command, owned, foreign",
+        [
+            ("explain", "threshold_spectra/predicate_000.csv", "notes.txt"),
+            ("explain", "threshold_spectra/predicate_000.csv", "threshold_spectra/notes.txt"),
+            ("explain", "graph_seed_1.json", "report.json"),
+            ("evaluate", "curves/small__smx__alignment.csv", "notes.txt"),
+            ("evaluate", "curves/small__smx__alignment.csv", "curves/sub/x.csv"),
+            ("evaluate", "report.json", "graph_seed_1.json"),
+        ],
+    )
+    def test_foreign_entry_in_out_refused_before_loading(
+        self, eval_case, tmp_path, capsys, monkeypatch, command, owned, foreign
+    ):
+        out = tmp_path / "out"
+        for name in (owned, foreign):
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text("keep me\n")
+        before = _tree(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data or a model was loaded before --out was checked")
+
+        monkeypatch.setattr(dataio, "load_csv", refuse)
+        monkeypatch.setattr(models, "load_model", refuse)
+        assert main([command, "--manifest", str(eval_case / "manifest.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert _tree(out) == before
+
+    def test_preprocess_unwritable_out_test_leaves_no_out_train(self, tmp_path, capsys):
+        dataio.save_csv(synthgen.generate(small_config()), tmp_path / "raw.csv")
+        (tmp_path / "blocker").write_text("a file\n")
+        code = main(
+            ["preprocess", "--method", "mean_center", "--train", str(tmp_path / "raw.csv"),
+             "--out-train", str(tmp_path / "tr.csv"), "--test", str(tmp_path / "raw.csv"),
+             "--out-test", str(tmp_path / "blocker" / "te.csv")]
+        )
+        assert code == 2
+        assert str(tmp_path / "blocker" / "te.csv") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "raw.csv"]

@@ -43,7 +43,6 @@ class TestEngineConfig:
             {"min_support_fraction": 0.0},
             {"seeds": ()},
             {"seeds": (1, 1)},
-            {"replacement": "mean"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -12,7 +12,6 @@ from smx.graphx import (
     ExplanationGraph,
     aggregate_seeds,
     build_graph,
-    lrc,
     lrc_scores,
     ranking_csv,
     to_dot,
@@ -318,8 +317,9 @@ class TestLrc:
 
     def test_terminal_lrc_zero_on_graph_object(self):
         graph = ExplanationGraph(seed=0, n_predicates=2, edges={(0, 1): 1.0, (1, 2): 2.0})
-        assert lrc(graph, graph.terminal(0)) == 0.0
-        assert lrc(graph, graph.terminal(1)) == 0.0
+        scores = lrc_scores(graph.node_count, graph.edges)
+        assert scores[graph.terminal(0)] == 0.0
+        assert scores[graph.terminal(1)] == 0.0
 
     def test_shortest_path_prefers_fewer_hops(self):
         # direct edge (1 hop, weight 1) vs heavy 2-hop path: hops win

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smx.errors import ConfigError
-from smx.predicates import GT, LE, build_predicates, predicates_to_json, quantile
+from smx.predicates import GT, LE, build_predicates, quantile
 from smx.zonecore import ZoneModel
 
 
@@ -121,10 +121,3 @@ class TestBuildPredicates:
             build_predicates(scores, zones, [0.8, 0.2])
         with pytest.raises(ConfigError):
             build_predicates(scores, zones, [0.5, 1.0])
-
-    def test_json_export(self):
-        pset = build_predicates(np.array([[1.0], [3.0]]), [_stub_zone("z")], [0.5])
-        import json
-
-        parsed = json.loads(predicates_to_json(pset))
-        assert parsed[0] == {"zone": "z", "direction": "<=", "tau": 2.0, "quantile_level": 0.5}
