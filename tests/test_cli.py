@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smx
 from smx import cli, dataio, evalkit, models, synthgen, zonecore
 from smx.cli import main
 from smx.synthgen import ClassSpec, PeakSpec, SyntheticConfig
@@ -230,6 +234,34 @@ class TestPipelineCommands:
         assert code == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, converged, warned",
+        [([], True, False), (["--max-iters", "1"], False, True)],
+    )
+    def test_train_warns_on_stderr_only_when_not_converged(self, tmp_path, flags, converged, warned):
+        # the README walkthrough's training set
+        train = dataio.kennard_stone_split(synthgen.generate(synthgen.benchmark_config(42)), 0.7)[0]
+        train = dataio.apply_preprocess(dataio.fit_preprocess(train, "mean_center"), train)
+        dataio.save_csv(train, tmp_path / "train.csv")
+        # a child process, so that the warning meets Python's default logging setup
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(smx.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "smx", "train", "--train", str(tmp_path / "train.csv"),
+             "--model", "logistic", "--out", str(tmp_path / "model.json"), *flags],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"converged={converged}" in proc.stdout
+        if warned:
+            assert "logistic fit stopped with gradient norm" in proc.stderr
+            assert "after 1 iterations" in proc.stderr
+        else:
+            assert proc.stderr == ""
 
 
 @pytest.fixture(scope="module")

@@ -80,6 +80,59 @@ class TestLoadCsv:
         save_csv(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_csv_text_matches_per_value_reference(self):
+        rng = np.random.default_rng(11)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e-300, 0.1]
+        for n, p in ((1, 1), (5, 7), (40, 300)):
+            values = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-320, 309, size=(n, p))
+            values.flat[rng.integers(0, n * p, size=min(n * p, 3 * len(special)))] = rng.choice(
+                special, size=min(n * p, 3 * len(special))
+            )
+            ds = SpectralDataset(
+                axis=np.arange(1.0, p + 1.0),
+                intensities=np.zeros((n, p)),
+                labels=rng.integers(0, 2, n),
+                sample_ids=[f"r{i}" for i in range(n)],
+            )
+            ds.intensities = values  # the writer formats any float, finite or not
+            ds.axis = np.sort(rng.normal(size=p) * 1e-310)
+            lines = ["id,label," + ",".join(dataio._fmt(v) for v in ds.axis)]
+            for i in range(n):
+                cells = ",".join(dataio._fmt(v) for v in ds.intensities[i])
+                lines.append(f"{ds.sample_ids[i]},{int(ds.labels[i])},{cells}")
+            assert dataio.dataset_csv_text(ds) == "\n".join(lines) + "\n"
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = ["1_000", " 1.5", "1e-400", "-0", "\uff11\uff12", "\u0663", "1e5_0", ".5", "1.",
+                 "-4.9e-324", "  -1.5e-3  ", "1.7976931348623157e308", "0.1", "-2.5E+10"]
+        rng = np.random.default_rng(12)
+        cells += [repr(v) for v in (rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)).tolist()]
+        cells += ["%.17g" % v for v in rng.normal(size=40).tolist()]
+        p = len(cells)
+        header = "id,label," + ",".join(str(k) for k in range(1, p + 1))
+        rows = [f"a,0,{','.join(cells)}", f"b,1,{','.join(reversed(cells))}"]
+        ds = load_csv(_write(tmp_path, header + "\n" + "\n".join(rows) + "\n"))
+        expected = np.array([[float(c) for c in cells], [float(c) for c in reversed(cells)]])
+        assert ds.intensities.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cell", ["Infinity", "-inf", "nan", "1e400"])
+    def test_non_finite_cells_parse_then_fail_validation(self, tmp_path, cell):
+        path = _write(tmp_path, f"id,label,1.0,2.0\na,0,1,{cell}\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            load_csv(path)
+
+    def test_non_numeric_cell_exact_message(self, tmp_path):
+        path = _write(tmp_path, "id,label,1.0,2.0,3.0\na,0,1,2,3\nb,1,4,5_,oops\n")
+        with pytest.raises(FormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: line 3, column 4: non-numeric cell '5_'"
+
+    def test_bad_cell_reported_before_later_column_count_error(self, tmp_path):
+        path = _write(tmp_path, "id,label,1.0,2.0\na,0,1,2\nb,1,x,4\nc,0,5,6\nd,1,7\n")
+        with pytest.raises(FormatError, match=r"line 3, column 3: non-numeric cell 'x'"):
+            load_csv(path)
+
 
 class TestKennardStone:
     def test_one_dimensional_example(self):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import subprocess
 import sys
 import threading
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smx import models
+from smx import dataio, models, synthgen
 from smx.dataio import SpectralDataset
 from smx.errors import ConfigError, ModelError
 from smx.models import (
@@ -216,6 +218,82 @@ class TestLogistic:
     def test_bad_hyperparameters_rejected(self, kwargs, name):
         with pytest.raises(ConfigError, match=name):
             fit_logistic(_dataset([[-1.0], [1.0]], [0, 1]), **kwargs)
+
+
+def _centred(ds):
+    return dataio.apply_preprocess(dataio.fit_preprocess(ds, "mean_center"), ds)
+
+
+def _newton_logistic(X, y, l2):
+    """Independent reference: Newton (IRLS) steps on the same loss, with
+    the intercept unpenalised, until a step is below 1e-15."""
+    n, p = X.shape
+    X1 = np.column_stack([X, np.ones(n)])
+    penalty = np.append(np.full(p, l2), 0.0)
+    theta = np.zeros(p + 1)
+    for _ in range(100):
+        mu = 1.0 / (1.0 + np.exp(-(X1 @ theta)))
+        grad = X1.T @ (mu - y) / n + penalty * theta
+        hess = (X1.T * (mu * (1.0 - mu))) @ X1 / n + np.diag(penalty)
+        step = np.linalg.solve(hess, grad)
+        theta -= step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return theta[:p], theta[p]
+
+
+def _grad_norm(model, ds):
+    X, y = ds.intensities, ds.labels.astype(float)
+    resid = model.predict_proba(X)[:, 1] - y
+    grad = np.append(X.T @ resid / len(y) + model.l2 * model.weights, resid.mean())
+    return float(np.linalg.norm(grad))
+
+
+class TestLogisticSolver:
+    def test_benchmark_shape_converges_at_defaults(self, caplog):
+        ds = synthgen.generate(synthgen.benchmark_config(42))
+        train = _centred(dataio.kennard_stone_split(ds, 0.7)[0])
+        assert train.intensities.shape == (169, 300)
+        with caplog.at_level(logging.WARNING, logger="smx.models"):
+            model = fit_logistic(train)
+        assert model.converged and 1 <= model.n_iters < 2000
+        assert _grad_norm(model, train) < 1e-7
+        assert not caplog.records
+
+    def test_wide_shape_converges_at_defaults(self):
+        cfg = synthgen.benchmark_config(42)
+        a, b = cfg.classes
+        cfg = dataclasses.replace(
+            cfg,
+            n_points=2048,
+            classes=(dataclasses.replace(a, n_samples=1380), dataclasses.replace(b, n_samples=1477)),
+        )
+        train = _centred(synthgen.generate(cfg))
+        assert train.intensities.shape == (2857, 2048)
+        model = fit_logistic(train)
+        assert model.converged and model.n_iters < 2000
+        assert _grad_norm(model, train) < 1e-7
+
+    def test_matches_newton_reference(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=40) > 0).astype(int)
+        model = fit_logistic(_dataset(X, y), l2=0.1)
+        weights, intercept = _newton_logistic(X, y.astype(float), 0.1)
+        assert model.converged
+        np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-6)
+        assert abs(model.intercept - intercept) < 1e-6
+
+    def test_iteration_cap_reports_not_converged_and_warns(self, caplog):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        y = (X[:, 0] > 0).astype(int)
+        with caplog.at_level(logging.WARNING, logger="smx.models"):
+            model = fit_logistic(_dataset(X, y), max_iters=1)
+        assert not model.converged and model.n_iters == 1
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "tol 1e-07" in record.getMessage() and "after 1 iterations" in record.getMessage()
 
 
 class TestPersistence:
