@@ -246,7 +246,7 @@ def load_csv(path: str | Path) -> SpectralDataset:
 
     ids: list[str] = []
     labels: list[int] = []
-    data: list[np.ndarray | list[float]] = []
+    data: list[list[float]] = []
     seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -259,17 +259,14 @@ def load_csv(path: str | Path) -> SpectralDataset:
         seen.add(sid)
         if row[1] not in ("0", "1"):
             raise FormatError(f"{path}: line {lineno}, column 2: label must be 0 or 1, found '{row[1]}'")
-        try:
-            values = np.array(row[2:], dtype=float)
-        except ValueError:  # cell by cell, to name the first bad one
-            values = []
-            for col, tok in enumerate(row[2:], start=3):
-                try:
-                    values.append(float(tok))
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path}: line {lineno}, column {col}: non-numeric cell '{tok}'"
-                    ) from exc
+        values = []
+        for col, tok in enumerate(row[2:], start=3):
+            try:
+                values.append(float(tok))
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}: line {lineno}, column {col}: non-numeric cell '{tok}'"
+                ) from exc
         ids.append(sid)
         labels.append(int(row[1]))
         data.append(values)
@@ -283,9 +280,10 @@ def dataset_csv_text(ds: SpectralDataset) -> str:
     # "%.17g" % x is the text _fmt(x) gives, one template fills a whole row
     row_fmt = ",".join(["%.17g"] * ds.n_variables)
     lines = ["id,label," + row_fmt % tuple(ds.axis.tolist())]
-    for sid, label, row in zip(ds.sample_ids, ds.labels.tolist(), ds.intensities.tolist()):
-        lines.append(f"{sid},{label}," + row_fmt % tuple(row))
-    return "\n".join(lines) + "\n"
+    for sid, label, row in zip(ds.sample_ids, ds.labels.tolist(), ds.intensities):
+        lines.append(f"{sid},{label}," + row_fmt % tuple(row.tolist()))
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 def save_csv(ds: SpectralDataset, path: str | Path) -> None:

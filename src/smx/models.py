@@ -133,10 +133,9 @@ def fit_logistic(
 ) -> LogisticModel:
     """L-BFGS-B from zeros on mean log-loss + ``0.5 * l2 * |w|^2`` (intercept unpenalised).
 
-    The solver runs at most ``max_iters`` iterations; ``n_iters`` is how
-    many it ran. ``converged`` is true when the Euclidean norm of the
-    gradient (weights and intercept) at the solution is below ``tol``;
-    otherwise one WARNING is logged.
+    At most ``max_iters`` iterations; ``n_iters`` is how many ran. ``converged`` is true
+    when the Euclidean norm of the gradient (weights and intercept) at the solution is
+    below ``tol``; otherwise one WARNING is logged.
     """
     _require_both_classes(train)
     if not (np.isfinite(l2) and l2 >= 0):
@@ -145,24 +144,26 @@ def fit_logistic(
         raise ConfigError(f"logistic max_iters must be >= 1, got {max_iters}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ConfigError(f"logistic tol must be finite and >= 0, got {tol}")
-    X = train.intensities
-    y = train.labels.astype(float)
-    n, p = X.shape
+    n, p = train.intensities.shape
+    # The first L-BFGS-B step has unit length, far too long when intensities are large, so
+    # solve for v = c * w against X / c: c = 1 while max |X| < 16, else an exact power of two.
+    c = float(np.ldexp(1.0, max(int(np.frexp(np.abs(train.intensities).max(initial=0.0))[1]) - 4, 0)))
+    Xs, y, l2_s = train.intensities / c, train.labels.astype(float), l2 / c / c
 
     def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        w, b = theta[:p], theta[p]
-        z = X @ w + b
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * (w @ w))
+        v, b = theta[:p], theta[p]
+        z = Xs @ v + b
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2_s * (v @ v))
         if not np.isfinite(loss):
             raise ModelError("logistic loss overflowed; try a larger l2")
         resid = _sigmoid(z) - y
-        return loss, np.append(X.T @ resid / n + l2 * w, resid.mean())
+        return loss, np.append(Xs.T @ resid / n + l2_s * v, resid.mean())
 
-    # scipy stops once every gradient entry is within gtol, so the norm is then within tol
-    options = {"maxiter": max_iters, "ftol": 0.0, "gtol": tol / np.sqrt(p + 1)}
+    # scipy stops once every gradient entry in v is within gtol; the norm in w (c times it) is then within tol
+    options = {"maxiter": max_iters, "ftol": 0.0, "gtol": tol / (c * np.sqrt(p + 1))}
     res = minimize(loss_and_grad, np.zeros(p + 1), jac=True, method="L-BFGS-B", options=options)
-    grad_norm = float(np.linalg.norm(loss_and_grad(res.x)[1]))
-    model = LogisticModel(weights=res.x[:p], intercept=float(res.x[p]), l2=l2)
+    grad_norm = float(np.linalg.norm(loss_and_grad(res.x)[1] * np.append(np.full(p, c), 1.0)))
+    model = LogisticModel(weights=res.x[:p] / c, intercept=float(res.x[p]), l2=l2)
     model.converged, model.n_iters = grad_norm < tol, int(res.nit)
     if not model.converged:
         logging.getLogger(__name__).warning(

@@ -4,6 +4,7 @@ import logging
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,33 @@ class TestLogisticSolver:
         assert model.converged
         np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-6)
         assert abs(model.intercept - intercept) < 1e-6
+
+    def test_scaled_intensities_scale_the_weights(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=40) > 0).astype(int)
+        weights, intercept = _newton_logistic(X, y.astype(float), 0.1)
+        model = fit_logistic(_dataset(X * 100.0, y), l2=0.1 * 100.0**2)
+        assert model.converged
+        np.testing.assert_allclose(model.weights * 100.0, weights, rtol=0, atol=1e-6)
+        assert abs(model.intercept - intercept) < 1e-6
+
+    @pytest.mark.parametrize("scale", [1e20, 1e160])
+    def test_huge_intensities_reach_the_optimum_unconverged(self, scale, caplog):
+        # The solver reaches the optimum, but a gradient in these units cannot
+        # get below an absolute tol of 1e-7, so the fit says so.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=40) > 0).astype(int)
+        weights, intercept = _newton_logistic(X, y.astype(float), 0.0)
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="smx.models"):
+            warnings.simplefilter("error")
+            model = fit_logistic(_dataset(X * scale, y), l2=0.0)
+        assert not model.converged and model.n_iters >= 1
+        np.testing.assert_allclose(model.weights * scale, weights, rtol=0, atol=1e-6)
+        assert abs(model.intercept - intercept) < 1e-6
+        [record] = caplog.records
+        assert "tol 1e-07" in record.getMessage()
 
     def test_iteration_cap_reports_not_converged_and_warns(self, caplog):
         rng = np.random.default_rng(0)
