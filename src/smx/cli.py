@@ -108,33 +108,40 @@ def _parse_list(text: str, cast, what: str) -> list:
 # ---------------------------------------------------------------------------
 # manifest handling
 
-def _resolve(base: Path | None, value: str) -> Path:
-    path = Path(value)
-    if base is not None and not path.is_absolute():
-        path = base / path
-    return path
+class _Manifest(dict):
+    """A manifest's entries. Relative file entries resolve against ``base``,
+    the manifest's directory, except those of ``flag_keys``, set by flags."""
 
-
-def _load_manifest(args) -> dict:
-    """Merge an optional manifest file with direct flags (flags win)."""
-    manifest: dict = {}
     base: Path | None = None
+    flag_keys: frozenset[str] = frozenset()
+
+    def resolve(self, key: str, value) -> Path:
+        path = Path(str(value))
+        if self.base is not None and key not in self.flag_keys and not path.is_absolute():
+            path = self.base / path
+        return path
+
+
+def _load_manifest(args) -> _Manifest:
+    """Merge an optional manifest file with direct flags (flags win)."""
+    manifest = _Manifest()
     if getattr(args, "manifest", None):
         mpath = Path(args.manifest)
         if not mpath.exists():
             raise ConfigError(f"manifest not found: {mpath}")
         try:
-            manifest = json.loads(mpath.read_text())
+            entries = json.loads(mpath.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{mpath}: invalid JSON ({exc})") from exc
-        if not isinstance(manifest, dict):
-            raise ConfigError(f"{mpath}: manifest must be a JSON object, got {manifest!r}")
-        base = mpath.parent
+        if not isinstance(entries, dict):
+            raise ConfigError(f"{mpath}: manifest must be a JSON object, got {entries!r}")
+        manifest = _Manifest(entries)
+        manifest.base = mpath.parent
     for key in ("train", "test", "zones", "model", "out"):
         flag = getattr(args, key, None)
         if flag is not None:
             manifest[key] = flag
-            manifest.setdefault("_flag_keys", []).append(key)
+            manifest.flag_keys |= {key}
     if getattr(args, "preprocess", None):
         manifest["preprocess"] = {
             "method": args.preprocess,
@@ -163,7 +170,6 @@ def _load_manifest(args) -> dict:
     if getattr(args, "seeds", None) is not None:
         engine["seeds"] = _parse_list(args.seeds, int, "integers")
     manifest["engine"] = engine
-    manifest["_base"] = base
     return manifest
 
 
@@ -200,7 +206,7 @@ def _cast(section: str, key: str, cast, value):
         raise ConfigError(f"invalid {section} value {key}={value!r}: {exc}") from exc
 
 
-def _manifest_engine(manifest: dict) -> EngineConfig:
+def _manifest_engine(manifest: _Manifest) -> EngineConfig:
     """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
     engine = manifest.get("engine", {})
     unknown = sorted(set(engine) - set(_ENGINE_KEYS))
@@ -211,25 +217,24 @@ def _manifest_engine(manifest: dict) -> EngineConfig:
     )
 
 
-def _manifest_path(manifest: dict, key: str, required: bool = True) -> Path | None:
+def _manifest_path(manifest: _Manifest, key: str, required: bool = True) -> Path | None:
     value = manifest.get(key)
     if value is None:
         if required:
             raise ConfigError(f"manifest is missing required entry '{key}'")
         return None
-    base = None if key in manifest.get("_flag_keys", []) else manifest.get("_base")
-    path = _resolve(base, str(value))
+    path = manifest.resolve(key, value)
     if not path.exists():
         raise ConfigError(f"{key} file not found: {path}")
     return path
 
 
-def _load_model_entry(manifest: dict):
+def _load_model_entry(manifest: _Manifest):
     spec = manifest.get("model")
     return models.load_model(spec if isinstance(spec, dict) else _manifest_path(manifest, "model"))
 
 
-def _load_data(manifest: dict, need_test: bool):
+def _load_data(manifest: _Manifest, need_test: bool):
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test_path = _manifest_path(manifest, "test", required=need_test)
     test = None if test_path is None else dataio.load_csv(test_path)
@@ -305,8 +310,7 @@ def cmd_explain(args) -> int:
     out_dir = manifest.get("out") or manifest.get("output_dir")
     if out_dir is None:
         raise ConfigError("an output directory is required (--out or manifest output_dir)")
-    base = None if "out" in manifest.get("_flag_keys", []) else manifest.get("_base")
-    out = _resolve(base, str(out_dir))
+    out = manifest.resolve("out", out_dir)
     _check_out_dir(out, _EXPLAIN_OWNS)
     cfg = _manifest_engine(manifest)
     train, _test, zones = _load_data(manifest, need_test=False)
@@ -319,8 +323,7 @@ def cmd_explain(args) -> int:
         (stage / "zone_ranking.csv").write_text(graphx.zone_ranking_csv(result.zone_order))
         (stage / "zone_models.json").write_text(zonecore.zone_models_to_json(result.zone_models))
         trace: list[str] = []
-        for seed in cfg.seeds:
-            graph = next(g for g in result.graphs if g.seed == seed)
+        for seed, graph in zip(cfg.seeds, result.graphs):
             (stage / f"graph_seed_{seed}.dot").write_text(graphx.to_dot(graph, result.predicate_set))
             (stage / f"graph_seed_{seed}.json").write_text(graphx.to_json(graph, result.predicate_set))
             trace.extend(trace_lines(seed, result.bag_results[seed], result.predicate_set))
@@ -380,7 +383,7 @@ def _check_dataset_names(manifests: list[dict]) -> None:
         seen.add(name)
 
 
-def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -> dict:
+def _evaluate_one(manifest: _Manifest, cfg: EngineConfig, methods: list[str], args) -> dict:
     train, test, zones = _load_data(manifest, need_test=True)
     model = _load_model_entry(manifest)
     zone_sets = {

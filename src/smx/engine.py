@@ -18,13 +18,18 @@ one bag as one masked reduction over ``D``: a predicate's impact is the
 mean of its zone's column over its satisfying bag samples. Bags are
 pure functions of (seed, bag_index, D), so any parallel schedule yields
 identical results.
+
+A bag's ranking is one ``ENTRY_DTYPE`` record array, a row per retained
+predicate in rank order (impact descending, ties to the lower index):
+``predicate``, ``impact`` (normalized), ``raw_impact`` and ``support``
+(satisfying bag samples). The graph and the trace read its columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,19 +67,16 @@ class EngineConfig:
             raise ConfigError("seeds must be non-negative")
 
 
-@dataclass(frozen=True)
-class BagEntry:
-    predicate: int
-    impact: float  # normalized by zone width
-    raw_impact: float
-    support: int
+ENTRY_DTYPE = np.dtype(
+    [("predicate", np.int64), ("impact", np.float64), ("raw_impact", np.float64), ("support", np.int64)]
+)
 
 
 @dataclass
 class BagResult:
     bag_index: int
-    entries: list[BagEntry] = field(default_factory=list)
-    terminal_class: int | None = None
+    entries: np.ndarray  # ENTRY_DTYPE records in rank order
+    terminal_class: int | None  # None when no predicate is retained
 
 
 def draw_bag(seed: int, bag_index: int, n: int, n_b: int) -> np.ndarray:
@@ -195,23 +197,17 @@ def run_bags(
         raw = np.where(I[:, kept], D[np.ix_(subset, zone_of[kept])], 0.0).sum(axis=0) / supports[kept]
         impact = raw / zone_width[kept]
         order = np.lexsort((kept, -impact))
-        result = BagResult(
-            bag_index=b,
-            entries=[
-                BagEntry(
-                    predicate=int(kept[k]),
-                    impact=float(impact[k]),
-                    raw_impact=float(raw[k]),
-                    support=int(supports[kept[k]]),
-                )
-                for k in order
-            ],
-        )
+        entries = np.empty(kept.size, ENTRY_DTYPE)
+        entries["predicate"] = kept[order]
+        entries["impact"] = impact[order]
+        entries["raw_impact"] = raw[order]
+        entries["support"] = supports[entries["predicate"]]
+        terminal = None
         if kept.size:
-            last = kept[order[-1]]
+            last = entries["predicate"][-1]
             ones = int(np.count_nonzero(classes[subset][I[:, last]] == 1))
-            result.terminal_class = 1 if ones > supports[last] - ones else 0
-        return result
+            terminal = 1 if ones > supports[last] - ones else 0
+        return BagResult(b, entries, terminal)
 
     return run_ordered(one_bag, list(range(cfg.bags)), workers)
 
@@ -231,9 +227,9 @@ def trace_lines(seed: int, results: Sequence[BagResult], pset: PredicateSet) -> 
     floats through ``_json_float``."""
     labels = [json.dumps(p.key) for p in pset.predicates]
     return [
-        f'{{"bag": {bag.bag_index}, "impact_norm": {_json_float(e.impact)}, '
-        f'"impact_raw": {_json_float(e.raw_impact)}, "label": {labels[e.predicate]}, '
-        f'"predicate": {e.predicate}, "seed": {seed}, "support": {e.support}}}'
+        f'{{"bag": {bag.bag_index}, "impact_norm": {_json_float(impact)}, '
+        f'"impact_raw": {_json_float(raw)}, "label": {labels[j]}, '
+        f'"predicate": {j}, "seed": {seed}, "support": {support}}}'
         for bag in results
-        for e in bag.entries
+        for j, impact, raw, support in bag.entries.tolist()
     ]

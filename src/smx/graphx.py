@@ -69,19 +69,15 @@ def build_graph(
 ) -> ExplanationGraph:
     """Assemble and resolve one seed's graph from its bag rankings."""
     n_pred = len(pset)
-    ve = [zone_models[p.zone_index].variance_explained for p in pset.predicates]
+    ve = np.array([zone_models[p.zone_index].variance_explained for p in pset.predicates], dtype=float)
     acc: dict[tuple[int, int], float] = {}
     for bag in bag_results:
-        entries = bag.entries
-        if not entries:
+        preds = bag.entries["predicate"]
+        if not preds.size:
             continue
-        for cur, nxt in zip(entries, entries[1:]):
-            w = cur.impact * ve[cur.predicate]
-            key = (cur.predicate, nxt.predicate)
+        nodes = preds.tolist() + [n_pred + int(bag.terminal_class)]
+        for key, w in zip(zip(nodes, nodes[1:]), (bag.entries["impact"] * ve[preds]).tolist()):
             acc[key] = acc.get(key, 0.0) + w
-        last = entries[-1]
-        key = (last.predicate, n_pred + int(bag.terminal_class))
-        acc[key] = acc.get(key, 0.0) + last.impact * ve[last.predicate]
 
     # zero-impact contributions carry no evidence; keeping them would
     # violate the positive-weight contract

@@ -213,6 +213,8 @@ def load_model(spec: dict | str | Path):
             raise ConfigError(f"model file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid model JSON ({exc})") from exc
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: model JSON must be an object, got {spec!r}")
     kind = spec.get("kind")
     try:
         if kind == "ridge":
@@ -365,9 +367,9 @@ class ExternalModel:
             size += len(", ") + len(row)
         yield len(rows), head + ", ".join(rows) + "]}"
 
-    def _query(self, op: str, key: str, kind: str, X: np.ndarray):
-        """Send ``X`` under ``op`` in row chunks, yielding each reply's
-        ``key`` field as an array with one entry per chunk row."""
+    def _query(self, op: str, key: str, kind: str, X: np.ndarray, row_shape: tuple[int, ...]):
+        """Send ``X`` under ``op`` in row chunks, yielding each reply's ``key``
+        field as a finite float array, one ``row_shape`` entry per chunk row."""
         if self.kind != kind:
             raise ModelError(f"{op} is only available on {kind} models")
         X = _check_width(X, self.n_features)
@@ -377,18 +379,26 @@ class ExternalModel:
             values = self._request(line).get(key)
             if not isinstance(values, list) or len(values) != rows:
                 raise ModelError(f"external model '{op}' reply has a wrong-sized '{key}'")
-            yield np.asarray(values, dtype=float)
+            try:
+                arr = np.array(values)  # strings, booleans and nulls give a non-number dtype
+            except ValueError as exc:
+                raise ModelError(f"external model '{op}' reply has a ragged '{key}'") from exc
+            if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+                raise ModelError(f"external model '{op}' reply has non-numeric or non-finite values in '{key}'")
+            if arr.shape[1:] != row_shape:
+                raise ModelError(f"external model '{op}' '{key}' entries have shape {arr.shape[1:]}, not {row_shape}")
+            yield arr.astype(float, copy=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        parts = list(self._query("predict", "y", CONTINUOUS, X))
+        parts = list(self._query("predict", "y", CONTINUOUS, X, ()))
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         parts = []
-        for arr in self._query("predict_proba", "p", PROBABILISTIC, X):
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ModelError("external model probabilities must be m-by-2")
-            if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
+        for arr in self._query("predict_proba", "p", PROBABILISTIC, X, (2,)):
+            if arr.min() < 0.0 or arr.max() > 1.0:
+                raise ModelError("external model probabilities must lie in [0, 1]")
+            if np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
                 raise ModelError("external model probability rows must sum to 1")
             parts.append(arr)
         return np.concatenate(parts) if parts else np.zeros((0, 2))

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataio import SpectralDataset, ZoneConfig
 from .engine import BagResult, EngineConfig, Responses, responses, run_bags
 from .errors import ConfigError
@@ -35,7 +33,6 @@ from .zonecore import ZoneModel, fit_zone_models
 @dataclass
 class ExplainResult:
     zone_models: list[ZoneModel]
-    scores: np.ndarray
     predicate_set: PredicateSet
     bag_results: dict[int, list[BagResult]]  # seed -> bags
     graphs: list[ExplanationGraph]
@@ -54,7 +51,6 @@ class Prepared:
     zone_names: list[str]
     quantiles: tuple[float, ...]
     zone_models: list[ZoneModel]
-    scores: np.ndarray
     predicate_set: PredicateSet
     responses: Responses
 
@@ -73,7 +69,6 @@ def prepare(
         zone_names=zones.names(),
         quantiles=cfg.quantiles,
         zone_models=zone_models,
-        scores=scores,
         predicate_set=pset,
         responses=responses(model, train.intensities, zone_models),
     )
@@ -103,7 +98,6 @@ def rank(prepared: Prepared, cfg: EngineConfig | None = None, workers: int | Non
     ranking = aggregate_seeds(graphs, pset)
     return ExplainResult(
         zone_models=prepared.zone_models,
-        scores=prepared.scores,
         predicate_set=pset,
         bag_results=bag_results,
         graphs=graphs,

@@ -2,20 +2,23 @@
 
 Usage: python external_model.py MODE N_FEATURES [ARGS...]
   fixed-proba N P0 P1   probabilistic; every row answers (P0, P1)
-  sum N                 continuous; y is the row sum
+  sum N                 continuous; y is the sum of the row's finite values
   error N               continuous; predict replies with an error object
   die N                 continuous; exits on the first predict request
   error-info N          answers every request, info included, with an error object
+  proba-reply N JSON    probabilistic; every predict_proba answers {"p": JSON}
+  predict-reply N JSON  continuous; every predict answers {"y": JSON}
 """
 
 import json
+import math
 import sys
 
 
 def main() -> int:
     mode = sys.argv[1]
     n_features = int(sys.argv[2])
-    kind = "probabilistic" if mode == "fixed-proba" else "continuous"
+    kind = "probabilistic" if mode in ("fixed-proba", "proba-reply") else "continuous"
     for line in sys.stdin:
         req = json.loads(line)
         op = req["op"]
@@ -25,7 +28,9 @@ def main() -> int:
             reply = {"kind": kind, "n_features": n_features, "n_classes": 2}
         elif op == "predict":
             if mode == "sum":
-                reply = {"y": [sum(row) for row in req["x"]]}
+                reply = {"y": [sum(v for v in row if math.isfinite(v)) for row in req["x"]]}
+            elif mode == "predict-reply":
+                reply = {"y": json.loads(sys.argv[3])}
             elif mode == "error":
                 reply = {"error": "synthetic failure"}
             elif mode == "die":
@@ -36,6 +41,8 @@ def main() -> int:
             if mode == "fixed-proba":
                 p0, p1 = float(sys.argv[3]), float(sys.argv[4])
                 reply = {"p": [[p0, p1] for _ in req["x"]]}
+            elif mode == "proba-reply":
+                reply = {"p": json.loads(sys.argv[3])}
             else:
                 reply = {"error": f"predict_proba unsupported in mode {mode}"}
         else:

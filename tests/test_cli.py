@@ -612,6 +612,62 @@ def test_non_object_manifest_exit_2_no_outputs(tmp_path, capsys, command, top_le
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "3"])
+def test_non_object_model_file_exit_2_no_outputs(explain_case, tmp_path, capsys, text):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(text)
+    out = tmp_path / "out"
+    code = main(
+        ["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
+         "--model", str(mpath), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(mpath) in err and "must be an object" in err
+    assert not out.exists()
+
+
+class TestManifestState:
+    """Which entries came from flags, and the manifest's directory, are
+    not manifest entries: a manifest holding keys of the same names
+    changes neither, and other ``_``-prefixed keys are accepted."""
+
+    def _case(self, explain_case, tmp_path, **extra):
+        root = tmp_path / "case"
+        root.mkdir()
+        for name in ("train.csv", "zones.json", "model.json"):
+            (root / name).write_bytes((explain_case / name).read_bytes())
+        manifest = {
+            "train": "train.csv",
+            "zones": "zones.json",
+            "model": "model.json",
+            "engine": {"bags": 3, "seeds": [1]},
+            "_comment": "accepted",
+            **extra,
+        }
+        mpath = root / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        return mpath
+
+    @pytest.mark.parametrize("flag_keys", [5, ["train", "zones", "model", "out"], "train"])
+    def test_flag_keys_entry_ignored(self, explain_case, tmp_path, monkeypatch, capsys, flag_keys):
+        mpath = self._case(explain_case, tmp_path, _flag_keys=flag_keys, _base="/nonexistent", output_dir="out")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        # the relative entries resolve against the manifest's directory
+        assert main(["explain", "--manifest", str(mpath)]) == 0
+        assert (mpath.parent / "out" / "predicate_ranking.csv").exists()
+        assert capsys.readouterr().err == ""
+        assert list(elsewhere.iterdir()) == []
+
+    def test_flag_keys_entry_with_a_path_flag(self, explain_case, tmp_path, monkeypatch):
+        mpath = self._case(explain_case, tmp_path, _flag_keys=5)
+        monkeypatch.chdir(tmp_path)
+        assert main(["explain", "--manifest", str(mpath), "--out", "o"]) == 0
+        assert (tmp_path / "o" / "predicate_ranking.csv").exists()
+
+
 class TestEvaluate:
     def test_two_method_report_sections(self, eval_case, tmp_path):
         case = eval_case

@@ -1,12 +1,14 @@
 import json
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from smx import pipeline, synthgen
+from smx import graphx, pipeline, synthgen
 from smx.dataio import kennard_stone_split
 from smx.engine import (
-    BagEntry,
+    ENTRY_DTYPE,
     BagResult,
     EngineConfig,
     _predicted_classes,
@@ -21,7 +23,7 @@ from smx.engine import (
     trace_lines,
 )
 from smx.errors import ConfigError
-from smx.models import CONTINUOUS, PROBABILISTIC, RidgeModel, fit_logistic
+from smx.models import CONTINUOUS, PROBABILISTIC, LogisticModel, RidgeModel, fit_logistic
 from smx.parallel import run_ordered
 from smx.predicates import Predicate, PredicateSet, build_predicates
 from smx.zonecore import fit_zone_models
@@ -182,7 +184,7 @@ class TestRunBags:
             subset = draw_bag(1, bag.bag_index, ds.n_samples, bag_size(ds.n_samples, 0.8))
             for j in range(len(pset)):
                 support = pset.support(j, subset).size
-                present = any(e.predicate == j for e in bag.entries)
+                present = j in bag.entries["predicate"]
                 assert present == (support >= n_min)
 
     def test_zero_weight_zone_scores_exactly_zero(self):
@@ -197,9 +199,9 @@ class TestRunBags:
         noise_preds = {j for j, p in enumerate(pset.predicates) if p.zone_name == "noise"}
         seen = 0
         for bag in results:
-            for entry in bag.entries:
-                if entry.predicate in noise_preds:
-                    assert entry.impact == 0.0 and entry.raw_impact == 0.0
+            for predicate, impact, raw_impact, _support in bag.entries.tolist():
+                if predicate in noise_preds:
+                    assert impact == 0.0 and raw_impact == 0.0
                     seen += 1
         assert seen > 0
 
@@ -210,9 +212,9 @@ class TestRunBags:
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=2, seeds=(1,))
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
-            for entry in bag.entries:
-                width = zone_models[pset.predicates[entry.predicate].zone_index].width
-                assert abs(entry.impact * width - entry.raw_impact) < 1e-12
+            for predicate, impact, raw_impact, _support in bag.entries.tolist():
+                width = zone_models[pset.predicates[predicate].zone_index].width
+                assert abs(impact * width - raw_impact) < 1e-12
 
     def test_ranking_descending_with_stable_ties(self):
         ds, zones = _toy_problem()
@@ -221,11 +223,12 @@ class TestRunBags:
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=3, seeds=(2,))
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=2):
-            impacts = [e.impact for e in bag.entries]
+            ranked = bag.entries[["predicate", "impact"]].tolist()
+            impacts = [impact for _, impact in ranked]
             assert impacts == sorted(impacts, reverse=True)
-            for a, b in zip(bag.entries, bag.entries[1:]):
-                if a.impact == b.impact:
-                    assert a.predicate < b.predicate
+            for (j_a, impact_a), (j_b, impact_b) in zip(ranked, ranked[1:]):
+                if impact_a == impact_b:
+                    assert j_a < j_b
 
     def test_workers_do_not_change_results(self):
         ds, zones = _toy_problem()
@@ -235,7 +238,7 @@ class TestRunBags:
         cfg = EngineConfig(bags=6, seeds=(3,))
         serial = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=1)
         threaded = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=4)
-        assert serial == threaded
+        assert _bag_tuples(serial) == _bag_tuples(threaded)
 
     def test_benchmark_feature1_leads_most_bags(self, benchmark_problem):
         train, zones, model = benchmark_problem
@@ -246,7 +249,7 @@ class TestRunBags:
         leading = sum(
             1
             for bag in results
-            if bag.entries and pset.predicates[bag.entries[0].predicate].zone_name == "Feature 1"
+            if bag.entries.size and pset.predicates[bag.entries["predicate"][0]].zone_name == "Feature 1"
         )
         assert leading >= 9
 
@@ -259,14 +262,14 @@ class TestRunBags:
         medians = np.median(ds.intensities, axis=0)
         cfg = EngineConfig(bags=3, seeds=(5,))
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=5):
-            for entry in bag.entries:
-                pred = pset.predicates[entry.predicate]
+            for predicate, impact, _raw, _support in bag.entries.tolist():
+                pred = pset.predicates[predicate]
                 idx = zone_models[pred.zone_index].indices
                 bound = sum(
                     abs(model.weights[j]) * np.max(np.abs(ds.intensities[:, j] - medians[j]))
                     for j in idx
                 )
-                assert entry.impact <= bound / idx.size + 1e-12
+                assert impact <= bound / idx.size + 1e-12
 
     def test_terminal_class_majority_rule(self):
         ds, zones = _toy_problem(signal=5.0)
@@ -275,7 +278,7 @@ class TestRunBags:
         model = fit_logistic(ds, l2=0.01, max_iters=500)
         cfg = EngineConfig(bags=4, seeds=(1,), min_support_fraction=0.1)
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
-            if bag.entries:
+            if bag.entries.size:
                 assert bag.terminal_class in (0, 1)
             else:
                 assert bag.terminal_class is None
@@ -288,7 +291,7 @@ class TestRunBags:
         # bag holds 32 of 40 samples but every predicate needs 36 supporters
         cfg = EngineConfig(bags=2, seeds=(1,), min_support_fraction=0.9)
         results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
-        assert all(bag.entries == [] and bag.terminal_class is None for bag in results)
+        assert all(bag.entries.size == 0 and bag.terminal_class is None for bag in results)
         from smx.graphx import build_graph
 
         graph = build_graph(results, zone_models, pset, seed=1)
@@ -313,6 +316,38 @@ class TestRunBags:
             "impact_raw",
             "impact_norm",
         }
+
+
+class _Entry(NamedTuple):
+    """Stand-in for the per-entry object that bags held before they
+    became ``ENTRY_DTYPE`` record arrays; the references below build it."""
+
+    predicate: int
+    impact: float
+    raw_impact: float
+    support: int
+
+
+@dataclass
+class _Bag:
+    bag_index: int
+    entries: list[_Entry] = field(default_factory=list)
+    terminal_class: int | None = None
+
+
+def _rows(entries):
+    """(predicate, impact, raw_impact, support) tuples of a bag's record
+    array or of a reference's ``_Entry`` list."""
+    return entries.tolist() if isinstance(entries, np.ndarray) else [tuple(e) for e in entries]
+
+
+def _bag_tuples(results):
+    return [(bag.bag_index, _rows(bag.entries), bag.terminal_class) for bag in results]
+
+
+def _as_records(bags):
+    """``BagResult``s holding the record arrays of reference bags."""
+    return [BagResult(bag.bag_index, np.array(_rows(bag.entries), dtype=ENTRY_DTYPE), bag.terminal_class) for bag in bags]
 
 
 def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
@@ -341,9 +376,9 @@ def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
             zm = zone_models[pred.zone_index]
             pert = query(perturb_zone(X[sat], zm.indices, medians))
             raw = _mean_impact(model.kind, outputs[sat], pert)
-            scored.append(BagEntry(predicate=j, impact=raw / zm.width, raw_impact=raw, support=int(sat.size)))
+            scored.append(_Entry(predicate=j, impact=raw / zm.width, raw_impact=raw, support=int(sat.size)))
         scored.sort(key=lambda e: (-e.impact, e.predicate))
-        result = BagResult(bag_index=b, entries=scored)
+        result = _Bag(bag_index=b, entries=scored)
         if scored:
             sat = pset.support(scored[-1].predicate, subset)
             ones = int(np.count_nonzero(classes[sat] == 1))
@@ -387,7 +422,7 @@ def _parent_run_bags(model, X_train, zone_models, pset, cfg, seed, workers=1):
     zone_of = [p.zone_index for p in pset.predicates]
     zone_width = [zone_models[m].width for m in zone_of]
 
-    def one_bag(b: int) -> BagResult:
+    def one_bag(b: int) -> _Bag:
         subset = draw_bag(seed, b, n, n_b)
         scored = []
         for j in range(len(pset)):
@@ -395,9 +430,9 @@ def _parent_run_bags(model, X_train, zone_models, pset, cfg, seed, workers=1):
             if sat.size < n_min:
                 continue
             raw = float(np.mean(D[sat, zone_of[j]]))
-            scored.append(BagEntry(predicate=j, impact=raw / zone_width[j], raw_impact=raw, support=int(sat.size)))
+            scored.append(_Entry(predicate=j, impact=raw / zone_width[j], raw_impact=raw, support=int(sat.size)))
         scored.sort(key=lambda e: (-e.impact, e.predicate))
-        result = BagResult(bag_index=b, entries=scored)
+        result = _Bag(bag_index=b, entries=scored)
         if scored:
             last = scored[-1]
             sat = pset.support(last.predicate, subset)
@@ -413,13 +448,13 @@ def _assert_same_bags(got, want, cfg):
     for g, w in zip(got, want):
         assert g.bag_index == w.bag_index
         assert g.terminal_class == w.terminal_class
-        assert [(e.predicate, e.support) for e in g.entries] == [(e.predicate, e.support) for e in w.entries]
+        assert [(j, support) for j, _, _, support in _rows(g.entries)] == [(e.predicate, e.support) for e in w.entries]
         # Outputs are of order one and the cache evaluates full rows
         # where the per-predicate reference evaluated bag subsets, so an
         # output may move by one ULP; on a small shift that is more than
         # 1e-12 relative, hence the absolute floor.
         np.testing.assert_allclose(
-            [e.raw_impact for e in g.entries], [e.raw_impact for e in w.entries], rtol=1e-12, atol=1e-15
+            g.entries["raw_impact"], [e.raw_impact for e in w.entries], rtol=1e-12, atol=1e-15
         )
 
 
@@ -451,7 +486,7 @@ class TestPerZoneCache:
 
         cfg = EngineConfig(bags=bags, quantiles=tuple(quantiles), seeds=(1, 2, 3, 4), min_support_fraction=0.05)
         result = pipeline.explain(ds, zones, Counting(), cfg)
-        assert sum(len(bag.entries) for bags_ in result.bag_results.values() for bag in bags_) > bags
+        assert sum(bag.entries.size for bags_ in result.bag_results.values() for bag in bags_) > bags
         assert rows == [ds.n_samples] * (len(zones.zones) + 1)
 
 
@@ -474,17 +509,17 @@ class TestMaskedReduction:
         for seed in (1, 2, 3):
             got = run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed)
             want = _parent_run_bags(model, ds.intensities, zone_models, pset, cfg, seed)
-            assert [[(e.predicate, e.support) for e in g.entries] for g in got] == [
+            assert [g.entries[["predicate", "support"]].tolist() for g in got] == [
                 [(e.predicate, e.support) for e in w.entries] for w in want
             ]
             assert [g.terminal_class for g in got] == [w.terminal_class for w in want]
             # same shifts, summed in another order: a few ULPs at most
             for g, w in zip(got, want):
                 np.testing.assert_allclose(
-                    [e.raw_impact for e in g.entries], [e.raw_impact for e in w.entries], rtol=1e-12, atol=0
+                    g.entries["raw_impact"], [e.raw_impact for e in w.entries], rtol=1e-12, atol=0
                 )
                 np.testing.assert_allclose(
-                    [e.impact for e in g.entries], [e.impact for e in w.entries], rtol=1e-12, atol=0
+                    g.entries["impact"], [e.impact for e in w.entries], rtol=1e-12, atol=0
                 )
 
     def test_responses_shape_checked(self, toy_logistic):
@@ -559,21 +594,17 @@ class TestTraceLinesAgainstJsonDumps:
     def test_special_labels_and_impacts(self):
         pset = self._pset()
         entries = [
-            BagEntry(predicate=j % len(self.NAMES), impact=imp, raw_impact=self.IMPACTS[-1 - j], support=j + 1)
+            _Entry(predicate=j % len(self.NAMES), impact=imp, raw_impact=self.IMPACTS[-1 - j], support=j + 1)
             for j, imp in enumerate(self.IMPACTS)
         ]
-        results = [
-            BagResult(bag_index=0, entries=entries[:4], terminal_class=1),
-            BagResult(bag_index=1),
-            BagResult(bag_index=2, entries=entries[4:], terminal_class=0),
-        ]
-        got = trace_lines(3, results, pset)
+        bags = [_Bag(0, entries[:4], 1), _Bag(1), _Bag(2, entries[4:], 0)]
+        got = trace_lines(3, _as_records(bags), pset)
         assert len(got) == len(entries)
-        assert got == _reference_trace_lines(3, results, pset)
+        assert got == _reference_trace_lines(3, bags, pset)
 
     def test_empty_bags_and_no_bags(self):
         pset = self._pset()
-        assert trace_lines(1, [BagResult(bag_index=0), BagResult(bag_index=1)], pset) == []
+        assert trace_lines(1, _as_records([_Bag(0), _Bag(1)]), pset) == []
         assert trace_lines(1, [], pset) == []
 
     def test_engine_results(self):
@@ -582,6 +613,126 @@ class TestTraceLinesAgainstJsonDumps:
         pset = build_predicates(scores, zone_models, [0.25, 0.5, 0.75])
         model = fit_logistic(ds, l2=0.1, max_iters=100)
         cfg = EngineConfig(bags=4, seeds=(1,))
-        results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
-        got = trace_lines(1, results, pset)
-        assert got and got == _reference_trace_lines(1, results, pset)
+        resp = responses(model, ds.intensities, zone_models)
+        got = trace_lines(1, run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, 1), pset)
+        want = _object_run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, 1)
+        assert got and got == _reference_trace_lines(1, want, pset)
+
+
+# The bag scorer and graph accumulation from before bags became record
+# arrays, verbatim apart from the stand-in entry type: the same masked
+# reduction, one object per retained predicate, and a graph loop over
+# those objects. The record arrays must reproduce them exactly.
+def _object_run_bags(shifts, classes, zone_models, pset, cfg, seed, workers=1):
+    D = np.asarray(shifts, dtype=float)
+    classes = np.asarray(classes)
+    n = D.shape[0]
+    n_b = bag_size(n, cfg.bag_fraction)
+    n_min = min_support(n, cfg.min_support_fraction)
+    zone_of = np.array([p.zone_index for p in pset.predicates], dtype=int)
+    zone_width = np.array([zone_models[m].width for m in zone_of], dtype=float)
+
+    def one_bag(b: int) -> _Bag:
+        subset = draw_bag(seed, b, n, n_b)
+        I = pset.indicator[subset]
+        supports = I.sum(axis=0)
+        kept = np.flatnonzero(supports >= n_min)
+        raw = np.where(I[:, kept], D[np.ix_(subset, zone_of[kept])], 0.0).sum(axis=0) / supports[kept]
+        impact = raw / zone_width[kept]
+        order = np.lexsort((kept, -impact))
+        result = _Bag(
+            bag_index=b,
+            entries=[
+                _Entry(
+                    predicate=int(kept[k]),
+                    impact=float(impact[k]),
+                    raw_impact=float(raw[k]),
+                    support=int(supports[kept[k]]),
+                )
+                for k in order
+            ],
+        )
+        if kept.size:
+            last = kept[order[-1]]
+            ones = int(np.count_nonzero(classes[subset][I[:, last]] == 1))
+            result.terminal_class = 1 if ones > supports[last] - ones else 0
+        return result
+
+    return run_ordered(one_bag, list(range(cfg.bags)), workers)
+
+
+def _object_build_graph(bag_results, zone_models, pset, seed):
+    """The graph's edge dict from the object loop, then the same resolution."""
+    n_pred = len(pset)
+    ve = [zone_models[p.zone_index].variance_explained for p in pset.predicates]
+    acc = {}
+    for bag in bag_results:
+        entries = bag.entries
+        if not entries:
+            continue
+        for cur, nxt in zip(entries, entries[1:]):
+            w = cur.impact * ve[cur.predicate]
+            key = (cur.predicate, nxt.predicate)
+            acc[key] = acc.get(key, 0.0) + w
+        last = entries[-1]
+        key = (last.predicate, n_pred + int(bag.terminal_class))
+        acc[key] = acc.get(key, 0.0) + last.impact * ve[last.predicate]
+    edges = {k: w for k, w in acc.items() if w > 0.0}
+    graphx._resolve_bidirectional(edges)
+    graphx._break_cycles(edges, seed)
+    return edges
+
+
+def _random_case(rng):
+    """A random dataset, contiguous zones, model, quantiles and engine config."""
+    from smx.dataio import SpectralDataset, Zone, ZoneConfig
+
+    n, n_zones, width = int(rng.integers(6, 60)), int(rng.integers(1, 7)), int(rng.integers(2, 6))
+    p = n_zones * width
+    labels = np.arange(n) % 2
+    X = rng.normal(size=(n, p)) + np.outer(labels, rng.normal(size=p))
+    ds = SpectralDataset(axis=np.arange(1.0, p + 1), intensities=X, labels=labels, sample_ids=[f"s{i}" for i in range(n)])
+    zones = ZoneConfig([Zone(f"z{k}", 1.0 + k * width, float((k + 1) * width), bool(k % 2)) for k in range(n_zones)])
+    weights = rng.normal(size=p) * (rng.random(p) < 0.7)  # some zones may carry no weight: tied zero impacts
+    model = RidgeModel(weights, 0.1) if rng.random() < 0.5 else LogisticModel(weights, -0.2)
+    levels = [k / 10 for k in range(1, 10)]
+    quantiles = tuple(sorted(rng.choice(levels, size=int(rng.integers(1, 10)), replace=False).tolist()))
+    cfg = EngineConfig(
+        bags=int(rng.integers(1, 12)),
+        bag_fraction=float(rng.uniform(0.2, 1.0)),
+        min_support_fraction=float(rng.uniform(0.02, 0.9)),
+        quantiles=quantiles,
+        seeds=tuple(int(s) for s in rng.choice(1000, size=2, replace=False)),
+    )
+    return ds, zones, model, cfg
+
+
+class TestRecordsAgainstObjects:
+    def _check(self, ds, zones, model, cfg):
+        zone_models, scores = fit_zone_models(ds, zones)
+        pset = build_predicates(scores, zone_models, cfg.quantiles)
+        resp = responses(model, ds.intensities, zone_models)
+        for seed in cfg.seeds:
+            got = run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed)
+            want = _object_run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed)
+            assert all(bag.entries.dtype == ENTRY_DTYPE for bag in got)
+            assert _bag_tuples(got) == _bag_tuples(want)
+            edges = graphx.build_graph(got, zone_models, pset, seed).edges
+            assert list(edges.items()) == list(_object_build_graph(want, zone_models, pset, seed).items())
+            assert trace_lines(seed, got, pset) == _reference_trace_lines(seed, want, pset)
+
+    def test_random_configs(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            self._check(*_random_case(rng))
+
+    def test_many_zones(self, benchmark_problem):
+        """30 equal-width zones x 9 quantiles on the benchmark training set."""
+        from smx.dataio import Zone, ZoneConfig
+
+        train, _, model = benchmark_problem
+        axis, width = train.axis, train.axis.size // 30
+        zones = ZoneConfig(
+            [Zone(f"Z{k + 1:02d}", float(axis[k * width]), float(axis[(k + 1) * width - 1]), False) for k in range(30)]
+        )
+        self._check(train, zones, model, EngineConfig(quantiles=tuple(k / 10 for k in range(1, 10))))

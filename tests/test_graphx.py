@@ -6,7 +6,7 @@ import pytest
 
 from smx import dataio, graphx, models, pipeline, synthgen
 from smx.dataio import Zone, ZoneConfig
-from smx.engine import BagEntry, BagResult, EngineConfig
+from smx.engine import ENTRY_DTYPE, BagResult, EngineConfig
 from smx.errors import ConfigError
 from smx.graphx import (
     ExplanationGraph,
@@ -47,11 +47,8 @@ def _zone_models(n, ve=1.0):
 
 
 def _bag(index, entries, terminal):
-    return BagResult(
-        bag_index=index,
-        entries=[BagEntry(predicate=j, impact=imp, raw_impact=imp, support=4) for j, imp in entries],
-        terminal_class=terminal,
-    )
+    records = np.array([(j, imp, imp, 4) for j, imp in entries], dtype=ENTRY_DTYPE)
+    return BagResult(bag_index=index, entries=records, terminal_class=terminal)
 
 
 def enumerate_lrc(node_count, edges):

@@ -352,6 +352,13 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="ridge"):
             load_model({"kind": "ridge"})
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "3"])
+    def test_non_object_json_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="model.json: model JSON must be an object"):
+            load_model(path)
+
 
 class TestExternal:
     def test_fixed_probabilities_parse_exactly(self):
@@ -364,6 +371,43 @@ class TestExternal:
         with ExternalModel([sys.executable, STUB, "fixed-proba", "2", "0.7", "0.7"]) as model:
             with pytest.raises(ModelError, match="sum to 1"):
                 model.predict_proba(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["fixed-proba", "3", "nan", "nan"], "non-finite"),
+            (["fixed-proba", "3", "-0.5", "1.5"], r"\[0, 1\]"),
+            (["proba-reply", "3", '[["a", "b"]]'], "non-numeric"),
+            (["proba-reply", "3", "[[0.5, null]]"], "non-numeric"),
+            (["proba-reply", "3", "[[true, false]]"], "non-numeric"),
+            (["proba-reply", "3", "[[Infinity, 0.5]]"], "non-finite"),
+            (["proba-reply", "3", "[[0.2, 0.3, 0.5]]"], "shape"),
+            (["proba-reply", "3", "[1]"], "shape"),
+        ],
+    )
+    def test_invalid_probabilities_rejected(self, args, match):
+        with ExternalModel([sys.executable, STUB, *args]) as model:
+            with pytest.raises(ModelError, match=match):
+                model.predict_proba(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize(
+        "reply, match",
+        [
+            ('["a", 1]', "non-numeric"),
+            ("[null, 1]", "non-numeric"),
+            ("[[1, 2], [3]]", "ragged"),
+            ("[NaN, 1]", "non-finite"),
+            ("[[1], [2]]", "shape"),
+        ],
+    )
+    def test_invalid_outputs_rejected(self, reply, match):
+        with ExternalModel([sys.executable, STUB, "predict-reply", "2", reply]) as model:
+            with pytest.raises(ModelError, match=match):
+                model.predict(np.zeros((2, 2)))
+
+    def test_integer_outputs_accepted(self):
+        with ExternalModel([sys.executable, STUB, "predict-reply", "2", "[1, -2]"]) as model:
+            np.testing.assert_array_equal(model.predict(np.zeros((2, 2))), [1.0, -2.0])
 
     def test_continuous_row_sums(self):
         rng = np.random.default_rng(7)
