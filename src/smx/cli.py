@@ -1,6 +1,11 @@
 """Command-line surface: synth, split, preprocess, train, explain,
 evaluate and threshold-spectrum.
 
+``explain`` writes into ``--out`` the predicate and zone rankings, the
+zone models, one DOT and one JSON graph per seed, the bag trace and one
+``threshold_spectra.csv`` table holding every predicate's threshold
+spectrum, a row per (predicate, zone channel).
+
 Exit codes: 0 success, 1 pipeline/model error, 2 usage/config error
 (an unwritable output path included). Outputs are published only after
 the full computation succeeds. ``explain`` and ``evaluate`` write into a
@@ -78,10 +83,12 @@ def _replacing_dir(out: Path):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-# What explain and evaluate write, as paths relative to --out.
+# What explain and evaluate write, as paths relative to --out. Explain also
+# owns threshold_spectra/predicate_NNN.csv, the one-file-per-predicate
+# layout of earlier versions, so that a rerun replaces such an --out.
 _EXPLAIN_OWNS = re.compile(
     r"predicate_ranking\.csv|zone_ranking\.csv|zone_models\.json|bag_trace\.jsonl"
-    r"|graph_seed_\d+\.(dot|json)|threshold_spectra(/predicate_\d+\.csv)?"
+    r"|graph_seed_\d+\.(dot|json)|threshold_spectra(\.csv|/predicate_\d+\.csv)?"
 )
 _EVALUATE_OWNS = re.compile(r"report\.json|curves(/[^/]+\.csv)?")
 
@@ -328,13 +335,9 @@ def cmd_explain(args) -> int:
             (stage / f"graph_seed_{seed}.json").write_text(graphx.to_json(graph, result.predicate_set))
             trace.extend(trace_lines(seed, result.bag_results[seed], result.predicate_set))
         (stage / "bag_trace.jsonl").write_text("\n".join(trace + [""]))
-        (stage / "threshold_spectra").mkdir()
-        for j, pred in enumerate(result.predicate_set.predicates):
-            zm = result.zone_models[pred.zone_index]
-            spectrum = zonecore.threshold_spectrum(zm, pred.tau)
-            (stage / "threshold_spectra" / f"predicate_{j:03d}.csv").write_text(
-                zonecore.threshold_spectrum_csv(spectrum, train.axis, zm.indices)
-            )
+        (stage / "threshold_spectra.csv").write_text(
+            zonecore.threshold_table_csv(result.predicate_set.predicates, result.zone_models, train.axis)
+        )
     return 0
 
 

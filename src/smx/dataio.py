@@ -31,6 +31,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_quote(text: str) -> str:
+    """``text`` as a quoted RFC 4180 CSV field, inner quotes doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as an RFC 4180 CSV field, quoted only if it holds a comma,
+    a quote or a line break."""
+    return _csv_quote(text) if any(c in text for c in ',"\r\n') else text
+
+
 @dataclass
 class SpectralDataset:
     """A sample-by-variable intensity matrix with axis, labels and ids.

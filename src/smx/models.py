@@ -8,6 +8,7 @@ over classes (0, 1) summing to 1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import subprocess
@@ -387,6 +388,10 @@ class ExternalModel:
                 raise ModelError(f"external model '{op}' reply has non-numeric or non-finite values in '{key}'")
             if arr.shape[1:] != row_shape:
                 raise ModelError(f"external model '{op}' '{key}' entries have shape {arr.shape[1:]}, not {row_shape}")
+            # numpy reads booleans mixed with numbers as 1 and 0
+            flat = itertools.chain.from_iterable(values) if row_shape else values
+            if any(isinstance(v, bool) for v in flat):
+                raise ModelError(f"external model '{op}' reply has non-numeric (boolean) values in '{key}'")
             yield arr.astype(float, copy=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

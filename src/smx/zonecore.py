@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import SpectralDataset, ZoneConfig, resolve_zones, _fmt
+from .dataio import SpectralDataset, ZoneConfig, resolve_zones, _csv_quote, _fmt
 from .errors import ConfigError, PipelineError
 
 
@@ -150,9 +150,27 @@ def zone_models_to_json(models: list[ZoneModel]) -> str:
     return "[\n" + ",\n".join("  " + zone_model_to_json(m) for m in models) + "\n]\n"
 
 
+def threshold_spectrum_lines(spectrum: ThresholdSpectrum, axis: np.ndarray, indices: np.ndarray) -> list[str]:
+    """One ``axis,value`` CSV line per zone channel, in zone order, both at
+    17 significant digits (``"%.17g" % x`` is the text ``_fmt(x)`` gives)."""
+    return ["%.17g,%.17g" % pair for pair in zip(axis[indices].tolist(), spectrum.profile.tolist())]
+
+
 def threshold_spectrum_csv(spectrum: ThresholdSpectrum, axis: np.ndarray, indices: np.ndarray) -> str:
     """CSV text (axis value, profile value) for overlaying on measured spectra."""
-    lines = ["axis,value"]
-    for j, v in zip(indices, spectrum.profile):
-        lines.append(f"{_fmt(axis[j])},{_fmt(v)}")
+    return "\n".join(["axis,value", *threshold_spectrum_lines(spectrum, axis, indices)]) + "\n"
+
+
+def threshold_table_csv(predicates, models: list[ZoneModel], axis: np.ndarray) -> str:
+    """Every predicate's threshold spectrum as one CSV table with columns
+    ``predicate,label,axis,value``: one row per (predicate, zone channel),
+    predicates in the given order, channels in zone order. ``predicate``
+    is the position in ``predicates``, ``label`` is quoted, and the
+    ``axis,value`` text of a row is its ``threshold_spectrum_csv`` line."""
+    lines = ["predicate,label,axis,value"]
+    for j, pred in enumerate(predicates):
+        model = models[pred.zone_index]
+        prefix = f"{j},{_csv_quote(pred.label)},"
+        spectrum = threshold_spectrum(model, pred.tau)
+        lines.extend(prefix + line for line in threshold_spectrum_lines(spectrum, axis, model.indices))
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import csv
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +12,9 @@ import pytest
 import smx
 from smx import cli, dataio, evalkit, models, synthgen, zonecore
 from smx.cli import main
+from smx.dataio import Zone, ZoneConfig, _fmt
+from smx.engine import EngineConfig
+from smx.predicates import build_predicates
 from smx.synthgen import ClassSpec, PeakSpec, SyntheticConfig
 
 
@@ -292,9 +297,36 @@ class TestExplain:
             assert (out / f"graph_seed_{seed}.json").exists()
         assert (out / "bag_trace.jsonl").exists()
         assert (out / "zone_models.json").exists()
-        spectra = sorted((out / "threshold_spectra").glob("predicate_*.csv"))
-        assert len(spectra) == len(ranking) - 1  # one profile per ranked predicate
-        assert spectra[0].read_text().startswith("axis,value")
+        table = (out / "threshold_spectra.csv").read_text().splitlines()
+        assert table[0] == "predicate,label,axis,value"
+        # one profile per ranked predicate
+        assert {row.split(",", 1)[0] for row in table[1:]} == {str(j) for j in range(len(ranking) - 1)}
+        assert not (out / "threshold_spectra").exists()
+
+    def test_zone_name_with_quotes_and_commas_round_trips(self, explain_case, tmp_path):
+        """Zone names are RFC 4180 fields in every CSV that holds them."""
+        name = 'Fe K"a", Kb'
+        zones = [dict(z, name=name) if z["name"] == "peak one" else z for z in SMALL_ZONES]
+        (tmp_path / "zones.json").write_text(json.dumps(zones))
+        out = tmp_path / "out"
+        manifest = str(write_manifest(explain_case, "small"))
+        assert main(["explain", "--manifest", manifest, "--zones", str(tmp_path / "zones.json"), "--out", str(out)]) == 0
+
+        def rows(file_name):
+            with open(out / file_name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        zone_rows = rows("zone_ranking.csv")
+        assert {len(row) for row in zone_rows} == {3}
+        assert zone_rows[1][1] == name
+        pred_rows = rows("predicate_ranking.csv")
+        assert {len(row) for row in pred_rows} == {8}  # 6 columns and one per seed
+        labels = {row[1] for row in pred_rows[1:] if row[2] == name}
+        assert len(labels) == 2 * len(EngineConfig().quantiles)
+        assert all(label.startswith(name + " ") for label in labels)
+        table = rows("threshold_spectra.csv")
+        assert {len(row) for row in table} == {4}
+        assert {row[1] for row in table[1:] if row[1].startswith(name)} == labels
 
     def test_rerun_byte_identical(self, explain_case, tmp_path):
         manifest = write_manifest(explain_case, "small")
@@ -476,6 +508,79 @@ class TestExplain:
         assert (out / "graph_seed_7.dot").exists()
         trace = [json.loads(l) for l in (out / "bag_trace.jsonl").read_text().splitlines()]
         assert {t["bag"] for t in trace} <= {0, 1, 2}
+
+
+def _reference_threshold_spectrum_csv(spectrum, axis, indices):
+    """The per-predicate ``threshold_spectra/predicate_NNN.csv`` text that
+    explain wrote before the single table, kept as the reference."""
+    lines = ["axis,value"]
+    for j, v in zip(indices, spectrum.profile):
+        lines.append(f"{_fmt(axis[j])},{_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+MANY_QUANTILES = tuple(k / 10 for k in range(1, 10))
+
+
+@pytest.fixture(scope="module", params=["walkthrough", "many-zones"])
+def benchmark_explain(request, tmp_path_factory):
+    """``smx explain`` at seed 42 on the README walkthrough (benchmark zones,
+    CLI defaults) and on 30 equal-width zones x 9 quantiles; returns
+    (inputs directory, --out, quantiles)."""
+    root = tmp_path_factory.mktemp(request.param)
+    train = dataio.kennard_stone_split(synthgen.generate(synthgen.benchmark_config(42)), 0.7)[0]
+    train = dataio.apply_preprocess(dataio.fit_preprocess(train, "mean_center"), train)
+    dataio.save_csv(train, root / "train.csv")
+    models.save_model(models.fit_logistic(train), root / "model.json")
+    quantiles, flags = EngineConfig().quantiles, []
+    zones = synthgen.benchmark_zones()
+    if request.param == "many-zones":
+        axis, width = train.axis, train.axis.size // 30
+        zones = ZoneConfig(
+            [Zone(f"Z{k + 1:02d}", float(axis[k * width]), float(axis[(k + 1) * width - 1]), False) for k in range(30)]
+        )
+        quantiles, flags = MANY_QUANTILES, ["--quantiles", ",".join(map(str, MANY_QUANTILES))]
+    dataio.save_zone_config(zones, root / "zones.json")
+    out = root / "out"
+    argv = ["explain", "--train", str(root / "train.csv"), "--zones", str(root / "zones.json"),
+            "--model", str(root / "model.json"), *flags, "--out", str(out)]
+    assert main(argv) == 0
+    return root, out, quantiles
+
+
+class TestThresholdTable:
+    def test_groups_equal_the_per_predicate_files(self, benchmark_explain):
+        """Split by ``predicate``, the table gives every predicate's old
+        file body byte for byte, in predicate-set order."""
+        root, out, quantiles = benchmark_explain
+        train = dataio.load_csv(root / "train.csv")
+        zone_models, scores = zonecore.fit_zone_models(train, dataio.load_zone_config(root / "zones.json"))
+        pset = build_predicates(scores, zone_models, quantiles)
+        text = (out / "threshold_spectra.csv").read_text()
+        header, *rows = text.removesuffix("\n").split("\n")
+        assert header == "predicate,label,axis,value"
+        groups = [
+            (prefix, [row[len(prefix) + 1 :] for row in group])
+            for prefix, group in itertools.groupby(rows, key=lambda row: row.rsplit(",", 2)[0])
+        ]
+        assert [prefix for prefix, _ in groups] == [f'{j},"{p.label}"' for j, p in enumerate(pset.predicates)]
+        for (_, lines), pred in zip(groups, pset.predicates):
+            zm = zone_models[pred.zone_index]
+            spectrum = zonecore.threshold_spectrum(zm, pred.tau)
+            want = _reference_threshold_spectrum_csv(spectrum, train.axis, zm.indices)
+            assert "\n".join(["axis,value", *lines]) + "\n" == want
+            assert zonecore.threshold_spectrum_csv(spectrum, train.axis, zm.indices) == want
+
+    def test_file_list(self, benchmark_explain):
+        """Five files plus one DOT and one JSON graph per seed, no directory."""
+        _, out, _ = benchmark_explain
+        seeds = EngineConfig().seeds
+        graphs = [f"graph_seed_{seed}.{ext}" for seed in seeds for ext in ("dot", "json")]
+        names = ["bag_trace.jsonl", "predicate_ranking.csv", "threshold_spectra.csv", "zone_models.json",
+                 "zone_ranking.csv", *graphs]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert all(p.is_file() for p in out.iterdir())
+        assert len(names) == 13
 
 
 class TestThresholdSpectrum:
@@ -944,7 +1049,23 @@ class TestOutputDirectories:
         assert self._explain(explain_case, fresh, "--seeds", "1,2", "--quantiles", "0.5") == 0
         assert _tree(out) == _tree(fresh)
         assert not (out / "graph_seed_3.json").exists()
-        assert len(list((out / "threshold_spectra").iterdir())) == 10  # 5 zones x 1 quantile x 2 directions
+        table = (out / "threshold_spectra.csv").read_text().splitlines()[1:]
+        assert len({row.split(",", 1)[0] for row in table}) == 10  # 5 zones x 1 quantile x 2 directions
+        assert _leftovers(tmp_path) == []
+
+    def test_explain_rerun_replaces_per_predicate_spectra(self, explain_case, tmp_path):
+        """Earlier versions wrote threshold_spectra/predicate_NNN.csv; a rerun
+        into such an --out replaces it like any other output of explain."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert self._explain(explain_case, out) == 0
+        (out / "threshold_spectra.csv").unlink()
+        (out / "threshold_spectra").mkdir()
+        for j in range(20):
+            (out / "threshold_spectra" / f"predicate_{j:03d}.csv").write_text("axis,value\n1,2\n")
+        assert self._explain(explain_case, out) == 0
+        assert self._explain(explain_case, fresh) == 0
+        assert _tree(out) == _tree(fresh)
+        assert not (out / "threshold_spectra").exists()
         assert _leftovers(tmp_path) == []
 
     def test_evaluate_rerun_leaves_no_stale_curves(self, eval_case, tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -435,3 +437,24 @@ class TestZones:
         path.write_text(json.dumps({"not": "a list"}))
         with pytest.raises(FormatError):
             load_zone_config(path)
+
+
+class TestCsvFields:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("peak one", "peak one"),
+            ("Z01", "Z01"),
+            ("a,b", '"a,b"'),
+            ('K"a"', '"K""a"""'),
+            ("two\nlines", '"two\nlines"'),
+            ('Fe K"a", Kb', '"Fe K""a"", Kb"'),
+        ],
+    )
+    def test_quoted_only_when_needed(self, text, field):
+        assert dataio._csv_field(text) == field
+        assert next(csv.reader(io.StringIO(dataio._csv_field(text) + "\n"))) == [text]
+
+    def test_always_quoted(self):
+        assert dataio._csv_quote("Z01 <= 1.00") == '"Z01 <= 1.00"'
+        assert next(csv.reader(io.StringIO(dataio._csv_quote('a "b", c') + "\n"))) == ['a "b", c']

@@ -383,6 +383,8 @@ class TestExternal:
             (["proba-reply", "3", "[[Infinity, 0.5]]"], "non-finite"),
             (["proba-reply", "3", "[[0.2, 0.3, 0.5]]"], "shape"),
             (["proba-reply", "3", "[1]"], "shape"),
+            (["proba-reply", "3", "[[true, 0]]"], "boolean"),
+            (["proba-reply", "3", "[[0.0, true]]"], "boolean"),
         ],
     )
     def test_invalid_probabilities_rejected(self, args, match):
@@ -398,6 +400,8 @@ class TestExternal:
             ("[[1, 2], [3]]", "ragged"),
             ("[NaN, 1]", "non-finite"),
             ("[[1], [2]]", "shape"),
+            ("[true, 2]", "boolean"),
+            ("[1.5, false]", "boolean"),
         ],
     )
     def test_invalid_outputs_rejected(self, reply, match):
