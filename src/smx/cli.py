@@ -241,10 +241,19 @@ def _load_model_entry(manifest: _Manifest):
     return models.load_model(spec if isinstance(spec, dict) else _manifest_path(manifest, "model"))
 
 
+def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
+    """The test set at ``path``, refused unless its axis is the train axis:
+    zones resolved on the train axis must mask the same test channels."""
+    test = dataio.load_csv(path)
+    if not np.array_equal(test.axis, train.axis):
+        raise ConfigError(f"{path}: axis differs from the train axis")
+    return test
+
+
 def _load_data(manifest: _Manifest, need_test: bool):
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test_path = _manifest_path(manifest, "test", required=need_test)
-    test = None if test_path is None else dataio.load_csv(test_path)
+    test = None if test_path is None else _load_test(train, test_path)
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
     pre = manifest.get("preprocess")
     if pre:
@@ -283,12 +292,12 @@ def cmd_preprocess(args) -> int:
     if args.test and not args.out_test:
         raise ConfigError("--out-test is required when --test is given")
     train = dataio.load_csv(args.train)
+    test = _load_test(train, args.test) if args.test else None
     state = dataio.fit_preprocess(
         train, args.method, savgol_window=args.window, savgol_order=args.order
     )
     outputs = [(args.out_train, dataio.dataset_csv_text(dataio.apply_preprocess(state, train)))]
-    if args.test:
-        test = dataio.load_csv(args.test)
+    if test is not None:
         outputs.append((args.out_test, dataio.dataset_csv_text(dataio.apply_preprocess(state, test))))
     if args.state:
         outputs.append((args.state, json.dumps(state.to_dict(), indent=2) + "\n"))

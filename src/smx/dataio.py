@@ -3,7 +3,11 @@ preprocessing transforms and Kennard-Stone train/test splitting.
 
 The CSV layout is ``id,label,<axis_1>,...,<axis_p>`` with one sample per
 row. Numeric text is written with 17 significant digits so that a
-save/load round trip reproduces every 64-bit value exactly.
+save/load round trip reproduces every 64-bit value exactly, and ids as
+RFC 4180 fields. ``load_csv`` converts all numbers of a plain file (no
+quote, carriage return, NUL or \\x1c-\\x1f) in one ``np.loadtxt`` call and
+reads any other file cell by cell through ``csv.reader``; both give the
+same values bit for bit and the same errors.
 """
 
 from __future__ import annotations
@@ -235,13 +239,71 @@ def load_csv(path: str | Path) -> SpectralDataset:
     """Parse a dataset CSV; row order is preserved.
 
     Errors carry the 1-based file line and column of the offending cell.
+    A plain file has its numbers converted in one ``np.loadtxt`` call
+    (``_read_plain``); any other file, and any file that would raise,
+    goes through ``csv.reader`` and a per-cell ``float()``
+    (``_read_rows``). Both give the same arrays bit for bit, and every
+    error comes from ``_read_rows``.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    header = rows[0]
+    axis, data, labels, ids = _read_plain(path) or _read_rows(path)
+    return SpectralDataset(axis=axis, intensities=data, labels=labels, sample_ids=ids)
+
+
+# Text that sends a file to _read_rows: a quote or a carriage return changes
+# how csv.reader splits it, NUL is left to csv.reader, and \x1c-\x1f are
+# whitespace to loadtxt's float parser but not to float().
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+_Parsed = tuple[np.ndarray, np.ndarray, list[int], list[str]]  # axis, data, labels, ids
+
+
+def _read_plain(path: Path) -> _Parsed | None:
+    """``_read_rows``'s result for a file ``_read_rows`` would accept whose
+    text holds none of ``_NOT_PLAIN``'s characters, else None.
+
+    Lines are split at line feeds, ids and labels by ``str.split`` and the
+    numbers of all rows by one ``np.loadtxt``. ``loadtxt`` hands each
+    token's ASCII text to ``PyOS_string_to_double``, as ``float()``
+    does, and refuses what only ``float()`` takes (underscores,
+    non-ASCII digits, empty cells), so accepted values agree bit for bit.
+    """
+    try:
+        with path.open(newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    # csv.reader refuses a field longer than its limit
+    limit = csv.field_size_limit()
+    if any(len(f) > limit for line in lines if len(line) > limit for f in line.split(",")):
+        return None
+    try:
+        axis = _header_axis(path, lines[0].split(","))
+    except FormatError:
+        return None
+    rows = [line.split(",", 2) for line in lines[1:] if line]
+    if not rows or any(len(row) != 3 for row in rows):
+        return None
+    ids, labels, rests = zip(*rows)
+    if len(set(ids)) != len(ids) or not set(labels) <= {"0", "1"}:
+        return None
+    if "" in rests:  # loadtxt skips an empty line, and warns if all are empty
+        return None
+    try:
+        data = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(rows), axis.size):
+        return None
+    return axis, data, [int(label) for label in labels], list(ids)
+
+
+def _header_axis(path: Path, header: list[str]) -> np.ndarray:
+    """The axis named by a header row's fields."""
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
         raise FormatError(f"{path}: header must start with 'id,label' and have axis columns")
     axis = []
@@ -253,6 +315,16 @@ def load_csv(path: str | Path) -> SpectralDataset:
     axis = np.asarray(axis)
     if np.any(np.diff(axis) <= 0):
         raise FormatError(f"{path}: axis not strictly increasing")
+    return axis
+
+
+def _read_rows(path: Path) -> _Parsed:
+    """The file's rows through csv.reader, each cell through ``float()``."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    axis = _header_axis(path, rows[0])
     p = axis.size
 
     ids: list[str] = []
@@ -283,7 +355,7 @@ def load_csv(path: str | Path) -> SpectralDataset:
         data.append(values)
     if not data:
         raise FormatError(f"{path}: no data rows")
-    return SpectralDataset(axis=axis, intensities=np.asarray(data), labels=np.asarray(labels), sample_ids=ids)
+    return axis, np.asarray(data), labels, ids
 
 
 def dataset_csv_text(ds: SpectralDataset) -> str:
@@ -292,7 +364,7 @@ def dataset_csv_text(ds: SpectralDataset) -> str:
     row_fmt = ",".join(["%.17g"] * ds.n_variables)
     lines = ["id,label," + row_fmt % tuple(ds.axis.tolist())]
     for sid, label, row in zip(ds.sample_ids, ds.labels.tolist(), ds.intensities):
-        lines.append(f"{sid},{label}," + row_fmt % tuple(row.tolist()))
+        lines.append(f"{_csv_field(sid)},{label}," + row_fmt % tuple(row.tolist()))
     lines.append("")  # the final newline, without copying the joined text again
     return "\n".join(lines)
 

@@ -273,12 +273,17 @@ def node_label(node: int, pset: PredicateSet) -> str:
     return f"Class_{node - len(pset)}"
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: ExplanationGraph, pset: PredicateSet) -> str:
     """DOT text with predicate labels at 2 decimals and weights at 4."""
     lines = ["digraph explanation {"]
     used = sorted({n for e in graph.edges for n in e})
     for node in used:
-        lines.append(f'  n{node} [label="{node_label(node, pset)}"];')
+        lines.append(f"  n{node} [label={_dot_string(node_label(node, pset))}];")
     for (u, v), w in sorted(graph.edges.items()):
         lines.append(f'  n{u} -> n{v} [label="{w:.4f}"];')
     lines.append("}")

@@ -67,6 +67,18 @@ def build_small_case(root: Path, seed=5):
     return root
 
 
+def _save_other_axis(ds, path, shift, width=None):
+    """``ds`` saved with its axis moved by ``shift`` and cut to ``width`` points."""
+    width = width or ds.n_variables
+    dataio.save_csv(
+        dataio.SpectralDataset(
+            axis=ds.axis[:width] + shift, intensities=ds.intensities[:, :width],
+            labels=ds.labels, sample_ids=ds.sample_ids,
+        ),
+        path,
+    )
+
+
 def write_manifest(root: Path, name: str, engine=None) -> Path:
     manifest = {
         "name": name,
@@ -218,6 +230,20 @@ class TestPipelineCommands:
         assert code == 2
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "raw.csv"]
+
+    @pytest.mark.parametrize("shift, width", [(1000.0, None), (0.0, 59)], ids=["shifted", "narrower"])
+    def test_preprocess_test_axis_differs_exit_2_no_outputs(self, tmp_path, capsys, shift, width):
+        raw = synthgen.generate(small_config())
+        dataio.save_csv(raw, tmp_path / "raw.csv")
+        _save_other_axis(raw, tmp_path / "other.csv", shift, width)
+        code = main(
+            ["preprocess", "--method", "mean_center", "--train", str(tmp_path / "raw.csv"),
+             "--out-train", str(tmp_path / "tr.csv"), "--test", str(tmp_path / "other.csv"),
+             "--out-test", str(tmp_path / "te.csv"), "--state", str(tmp_path / "state.json")]
+        )
+        assert code == 2
+        assert "other.csv: axis differs from the train axis" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.csv", "raw.csv"]
 
 
     @pytest.mark.parametrize(
@@ -774,6 +800,25 @@ class TestManifestState:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("shift, width", [(1000.0, None), (0.0, 59)], ids=["shifted", "narrower"])
+    def test_test_axis_differs_exit_2_before_model_loads(self, eval_case, tmp_path, capsys, monkeypatch, shift, width):
+        """Zones are resolved on the train axis; a test set on another axis
+        would have them mask other channels."""
+        _save_other_axis(dataio.load_csv(eval_case / "test.csv"), tmp_path / "other.csv", shift, width)
+        manifest = json.loads((eval_case / "manifest.json").read_text())
+        manifest.update({key: str(eval_case / manifest[key]) for key in ("train", "zones", "model")})
+        manifest["test"] = str(tmp_path / "other.csv")
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was loaded before the test axis was checked")
+
+        monkeypatch.setattr(models, "load_model", refuse)
+        out = tmp_path / "report"
+        assert main(["evaluate", "--manifest", str(tmp_path / "m.json"), "--out", str(out)]) == 2
+        assert "other.csv: axis differs from the train axis" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "other.csv"]
+
     def test_two_method_report_sections(self, eval_case, tmp_path):
         case = eval_case
         out = tmp_path / "report"

@@ -82,6 +82,24 @@ class TestLoadCsv:
         save_csv(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_ids_needing_quotes_round_trip(self, tmp_path, monkeypatch):
+        ids = ["a,b", 'c"d', "e\nf", "g\rh", "plain"]
+        ds = SpectralDataset(
+            axis=[1.0, 2.0], intensities=np.arange(10.0).reshape(5, 2), labels=[0, 1, 0, 1, 1], sample_ids=ids
+        )
+        text = dataio.dataset_csv_text(ds)
+        assert text.splitlines(keepends=True)[1:3] == ['"a,b",0,0,1\n', '"c""d",1,2,3\n']
+        assert text.endswith("\nplain,1,8,9\n")
+        readers = []
+        real = csv.reader
+        monkeypatch.setattr(dataio.csv, "reader", lambda *a: readers.append(a) or real(*a))
+        save_csv(ds, tmp_path / "ids.csv")
+        loaded = load_csv(tmp_path / "ids.csv")
+        assert len(readers) == 1  # quoted files are read by csv.reader
+        assert loaded.sample_ids == ids
+        np.testing.assert_array_equal(loaded.intensities, ds.intensities)
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
+
     def test_csv_text_matches_per_value_reference(self):
         rng = np.random.default_rng(11)
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

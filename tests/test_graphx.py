@@ -437,6 +437,13 @@ class TestExports:
         assert '[label="Feature 1 > 0.00"]' in dot
         assert '[label="1.2345"]' in dot
 
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self):
+        pset = _pset(2, ['Fe K"a", Kb', "C:\\x"])
+        graph = build_graph([_bag(0, [(0, 1.2345), (1, 0.5)], 1)], _zone_models(2), pset, seed=3)
+        dot = to_dot(graph, pset)
+        assert '  n0 [label="Fe K\\"a\\", Kb > 0.00"];\n' in dot
+        assert '  n1 [label="C:\\\\x > 1.00"];\n' in dot
+
     def test_json_twin_lossless(self):
         pset, graph, _ = self._ranked()
         parsed = json.loads(to_json(graph, pset))
