@@ -224,12 +224,10 @@ def _manifest_engine(manifest: _Manifest) -> EngineConfig:
     )
 
 
-def _manifest_path(manifest: _Manifest, key: str, required: bool = True) -> Path | None:
+def _manifest_path(manifest: _Manifest, key: str) -> Path:
     value = manifest.get(key)
     if value is None:
-        if required:
-            raise ConfigError(f"manifest is missing required entry '{key}'")
-        return None
+        raise ConfigError(f"manifest is missing required entry '{key}'")
     path = manifest.resolve(key, value)
     if not path.exists():
         raise ConfigError(f"{key} file not found: {path}")
@@ -252,8 +250,7 @@ def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
 
 def _load_data(manifest: _Manifest, need_test: bool):
     train = dataio.load_csv(_manifest_path(manifest, "train"))
-    test_path = _manifest_path(manifest, "test", required=need_test)
-    test = None if test_path is None else _load_test(train, test_path)
+    test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
     pre = manifest.get("preprocess")
     if pre:
@@ -401,6 +398,9 @@ def _evaluate_one(manifest: _Manifest, cfg: EngineConfig, methods: list[str], ar
     zone_sets = {
         z.name: idx for z, idx in zip(zones.zones, dataio.resolve_zones(zones, train))
     }
+    channel_zones = np.full(train.n_variables, None, dtype=object)
+    for name, idx in zone_sets.items():
+        channel_zones[idx] = name
     plausible = zones.plausible_names()
 
     orders: dict[str, list[tuple[str, bool]]] = {}
@@ -411,7 +411,7 @@ def _evaluate_one(manifest: _Manifest, cfg: EngineConfig, methods: list[str], ar
         orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
     if "pfi" in methods:
         imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=args.pfi_seed)
-        orders["pfi"], importances["pfi"] = evalkit.variable_zone_ranking(imps, zone_sets, zones.names()), imps
+        orders["pfi"], importances["pfi"] = graphx.zone_ranking(imps, channel_zones, zones.names()), imps
     rankings = {name: [zone for zone, ranked in order if ranked] for name, order in orders.items()}
     per_method = {
         name: {"zone_ranking": [{"zone": zone, "ranked": ranked} for zone, ranked in order]}

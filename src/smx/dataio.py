@@ -178,10 +178,6 @@ def zone_config_json(cfg: ZoneConfig) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def save_zone_config(cfg: ZoneConfig, path: str | Path) -> None:
-    Path(path).write_text(zone_config_json(cfg))
-
-
 @dataclass
 class PreprocessState:
     """Fitted preprocessing parameters, learned on training data only."""
@@ -217,22 +213,6 @@ class PreprocessState:
         if self.savgol is not None:
             out["savgol"] = {"window": self.savgol[0], "order": self.savgol[1]}
         return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PreprocessState":
-        savgol = None
-        if "savgol" in obj:
-            savgol = (int(obj["savgol"]["window"]), int(obj["savgol"]["order"]))
-        return cls(
-            method=obj["method"],
-            column_means=np.asarray(obj["column_means"], dtype=float),
-            poisson_scales=(
-                np.asarray(obj["poisson_scales"], dtype=float)
-                if "poisson_scales" in obj
-                else None
-            ),
-            savgol=savgol,
-        )
 
 
 def load_csv(path: str | Path) -> SpectralDataset:
@@ -488,18 +468,20 @@ def apply_preprocess(state: PreprocessState, ds: SpectralDataset) -> SpectralDat
 
 
 def resolve_zones(cfg: ZoneConfig, ds: SpectralDataset) -> list[np.ndarray]:
-    """Map each zone to the axis indices it covers (inclusive bounds).
+    """Map each zone to the axis indices it covers.
 
-    Returns index arrays in config order; every zone must capture at
-    least 2 axis points and no point may fall into two zones.
+    Bounds are inclusive, except where zones touch: an axis point equal
+    to one zone's ``end`` and another zone's ``start`` goes to the zone
+    that starts there. Zones never overlap, so no point falls into two
+    zones. Returns index arrays in config order; every zone must capture
+    at least 2 axis points.
     """
+    starts = {z.start for z in cfg.zones}
     sets = []
     for z in cfg.zones:
-        idx = np.flatnonzero((ds.axis >= z.start) & (ds.axis <= z.end))
+        below_end = ds.axis < z.end if z.end in starts else ds.axis <= z.end
+        idx = np.flatnonzero((ds.axis >= z.start) & below_end)
         if idx.size < 2:
             raise ConfigError(f"zone '{z.name}' covers {idx.size} axis point(s); at least 2 required")
         sets.append(idx)
-    total = np.concatenate(sets)
-    if np.unique(total).size != total.size:
-        raise ConfigError("zones share an axis point at a common boundary")
     return sets

@@ -142,34 +142,6 @@ def rbo(list_a: Sequence, list_b: Sequence, rho: float = 0.7, depth: int = 20) -
     return (x_k / k) * rho**k + (1.0 - rho) / rho * weighted
 
 
-def variable_zone_ranking(
-    importances: Sequence[float],
-    zone_sets: Mapping[str, np.ndarray],
-    zone_names: Sequence[str],
-) -> list[tuple[str, bool]]:
-    """Collapse variable-level importances into a ranked zone list.
-
-    Variables are visited in descending importance (ties by lower index)
-    and each zone keeps its first occurrence; zones whose variables all
-    score zero are appended last, in config order, flagged unranked.
-    """
-    v = np.asarray(importances, dtype=float)
-    var_zone: dict[int, str] = {}
-    for name in zone_names:
-        for j in np.asarray(zone_sets[name], dtype=int):
-            var_zone[int(j)] = name
-    seen: list[str] = []
-    for j in np.argsort(-v, kind="stable"):
-        if v[j] <= 0.0:
-            continue
-        name = var_zone.get(int(j))
-        if name is not None and name not in seen:
-            seen.append(name)
-    ranked = [(name, True) for name in seen]
-    ranked.extend((name, False) for name in zone_names if name not in seen)
-    return ranked
-
-
 @dataclass
 class StabilityResult:
     instabilities: list[float]  # one value per seed pair

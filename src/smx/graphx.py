@@ -247,20 +247,21 @@ def aggregate_seeds(graphs: Sequence[ExplanationGraph], pset: PredicateSet) -> P
 
 
 def zone_ranking(
-    ranking: PredicateRanking, pset: PredicateSet, zone_names: Sequence[str]
+    scores: Sequence[float], item_zones: Sequence[str | None], zone_names: Sequence[str]
 ) -> list[tuple[str, bool]]:
-    """Zone order by first occurrence in the predicate ranking.
+    """Zone order by each zone's first positively scored item.
 
-    Only predicates with positive mean centrality count as evidence;
-    zones without any are appended last, in config order, flagged
-    unranked (False).
+    Items (predicates by mean LRC, or channels by PFI importance) are
+    visited by descending score, ties to the lower index; ``item_zones``
+    names each item's zone, None for a channel outside every zone.
+    Zones without a positive item are appended last, in config order,
+    flagged unranked (False).
     """
+    v = np.asarray(scores, dtype=float)
     seen: list[str] = []
-    for j in ranking.order:
-        if ranking.mean_lrc[j] <= 0.0:
-            continue
-        name = pset.predicates[j].zone_name
-        if name not in seen:
+    for j in np.argsort(-v, kind="stable"):
+        name = item_zones[j]
+        if v[j] > 0.0 and name is not None and name not in seen:
             seen.append(name)
     ranked = [(name, True) for name in seen]
     ranked.extend((name, False) for name in zone_names if name not in seen)

@@ -54,7 +54,6 @@ class RidgeModel:
         self.weights = np.asarray(weights, dtype=float)
         self.intercept = float(intercept)
         self.lam = float(lam)
-        self.fitted_values: np.ndarray | None = None
 
     @property
     def n_features(self) -> int:
@@ -121,9 +120,7 @@ def fit_ridge(train: SpectralDataset, lam: float = 1.0) -> RidgeModel:
         if evals[0] <= max(evals[-1], 1.0) * 1e-12:
             raise ModelError("singular system at lambda 0; use lambda > 0")
     w = np.linalg.solve(G, Xc.T @ (y - y_mean))
-    model = RidgeModel(weights=w, intercept=float(y_mean - x_mean @ w), lam=lam)
-    model.fitted_values = model.predict(X)
-    return model
+    return RidgeModel(weights=w, intercept=float(y_mean - x_mean @ w), lam=lam)
 
 
 def fit_logistic(

@@ -19,15 +19,13 @@ R = TypeVar("R")
 ENV_VAR = "SMX_THREADS"
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Resolve the worker count from an explicit value or SMX_THREADS."""
-    value = explicit
-    if value is None:
-        raw = os.environ.get(ENV_VAR, "0")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+def thread_count() -> int:
+    """Resolve the worker count from SMX_THREADS."""
+    raw = os.environ.get(ENV_VAR, "0")
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 0:
         raise ConfigError(f"{ENV_VAR} must be >= 0")
     if value == 0:

@@ -74,12 +74,12 @@ def prepare(
     )
 
 
-def rank(prepared: Prepared, cfg: EngineConfig | None = None, workers: int | None = None) -> ExplainResult:
+def rank(prepared: Prepared, cfg: EngineConfig | None = None) -> ExplainResult:
     """The per-seed stage: bags, graph and LRC for every seed of ``cfg``."""
     cfg = cfg or EngineConfig()
     if tuple(cfg.quantiles) != tuple(prepared.quantiles):
         raise ConfigError("the engine quantiles differ from the ones the predicates were built with")
-    workers = thread_count(workers)
+    workers = thread_count()
     pset = prepared.predicate_set
     bag_results: dict[int, list[BagResult]] = {}
     graphs: list[ExplanationGraph] = []
@@ -102,7 +102,9 @@ def rank(prepared: Prepared, cfg: EngineConfig | None = None, workers: int | Non
         bag_results=bag_results,
         graphs=graphs,
         ranking=ranking,
-        zone_order=zone_ranking(ranking, pset, prepared.zone_names),
+        zone_order=zone_ranking(
+            ranking.mean_lrc, [p.zone_name for p in pset.predicates], prepared.zone_names
+        ),
     )
 
 
@@ -111,11 +113,10 @@ def explain(
     zones: ZoneConfig,
     model,
     cfg: EngineConfig | None = None,
-    workers: int | None = None,
 ) -> ExplainResult:
     """Run the full explanation pipeline on one training set."""
     cfg = cfg or EngineConfig()
-    return rank(prepare(train, zones, model, cfg), cfg, workers)
+    return rank(prepare(train, zones, model, cfg), cfg)
 
 
 def derive_seeds(base_seed: int, count: int = 4) -> tuple[int, ...]:

@@ -152,34 +152,11 @@ def benchmark_zones() -> ZoneConfig:
     )
 
 
-def config_to_dict(cfg: SyntheticConfig) -> dict:
-    return {
-        "n_points": cfg.n_points,
-        "axis_range": [cfg.axis_range[0], cfg.axis_range[1]],
-        "seed": cfg.seed,
-        "classes": [
-            {
-                "label": cls.label,
-                "name": cls.name,
-                "n_samples": cls.n_samples,
-                "noise_std": cls.noise_std,
-                "peaks": [
-                    {
-                        "center": pk.center,
-                        "amp_mean": pk.amp_mean,
-                        "amp_std": pk.amp_std,
-                        "width_mean": pk.width_mean,
-                        "width_std": pk.width_std,
-                    }
-                    for pk in cls.peaks
-                ],
-            }
-            for cls in cfg.classes
-        ],
-    }
-
-
-def config_from_dict(obj: dict) -> SyntheticConfig:
+def load_config(path: str | Path) -> SyntheticConfig:
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
         classes = tuple(
             ClassSpec(
@@ -210,15 +187,3 @@ def config_from_dict(obj: dict) -> SyntheticConfig:
         raise FormatError(f"bad synthetic config: {exc}") from exc
     cfg.validate()
     return cfg
-
-
-def load_config(path: str | Path) -> SyntheticConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(raw)
-
-
-def save_config(cfg: SyntheticConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")

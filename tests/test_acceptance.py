@@ -229,7 +229,7 @@ def test_criterion_8_thread_count_determinism(bench, tmp_path):
     train_csv = tmp_path / "train.csv"
     dataio.save_csv(bench.train, train_csv)
     zones_json = tmp_path / "zones.json"
-    dataio.save_zone_config(bench.zones, zones_json)
+    zones_json.write_text(dataio.zone_config_json(bench.zones))
     model_json = tmp_path / "model.json"
     models.save_model(bench.model, model_json)
     outputs = {}

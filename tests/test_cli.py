@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -132,7 +133,7 @@ class TestSynth:
             seed=1,
         )
         cpath = tmp_path / "cfg.json"
-        synthgen.save_config(quiet, cpath)
+        cpath.write_text(json.dumps(dataclasses.asdict(quiet)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["synth", "--config", str(cpath), "--out", str(a)])
         main(["synth", "--config", str(cpath), "--out", str(b)])
@@ -143,7 +144,7 @@ class TestPipelineCommands:
     def test_split_preprocess_train(self, tmp_path):
         raw = tmp_path / "raw.csv"
         cpath = tmp_path / "cfg.json"
-        synthgen.save_config(small_config(), cpath)
+        cpath.write_text(json.dumps(dataclasses.asdict(small_config())))
         main(["synth", "--config", str(cpath), "--out", str(raw)])
         assert (
             main(
@@ -566,7 +567,7 @@ def benchmark_explain(request, tmp_path_factory):
             [Zone(f"Z{k + 1:02d}", float(axis[k * width]), float(axis[(k + 1) * width - 1]), False) for k in range(30)]
         )
         quantiles, flags = MANY_QUANTILES, ["--quantiles", ",".join(map(str, MANY_QUANTILES))]
-    dataio.save_zone_config(zones, root / "zones.json")
+    (root / "zones.json").write_text(dataio.zone_config_json(zones))
     out = root / "out"
     argv = ["explain", "--train", str(root / "train.csv"), "--zones", str(root / "zones.json"),
             "--model", str(root / "model.json"), *flags, "--out", str(out)]
@@ -797,6 +798,25 @@ class TestManifestState:
         monkeypatch.chdir(tmp_path)
         assert main(["explain", "--manifest", str(mpath), "--out", "o"]) == 0
         assert (tmp_path / "o" / "predicate_ranking.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command", [["explain"], ["threshold-spectrum", "--zone", "peak one", "--tau", "1.5"]], ids=lambda c: c[0]
+    )
+    def test_test_entry_not_loaded(self, explain_case, tmp_path, monkeypatch, command):
+        """Neither command uses a test set: a manifest's ``test`` entry is
+        not read, so one on another axis is no error."""
+        mpath = self._case(explain_case, tmp_path, test="other.csv")
+        _save_other_axis(dataio.load_csv(explain_case / "train.csv"), mpath.parent / "other.csv", 1000.0)
+        loaded = []
+        load_csv = dataio.load_csv
+
+        def counting(path):
+            loaded.append(Path(path).name)
+            return load_csv(path)
+
+        monkeypatch.setattr(dataio, "load_csv", counting)
+        assert main([*command, "--manifest", str(mpath), "--out", str(tmp_path / "out")]) == 0
+        assert loaded == ["train.csv"]
 
 
 class TestEvaluate:

@@ -19,7 +19,6 @@ from smx.evalkit import (
     simplicity_curve,
     stability_study,
     trapezoid_auc,
-    variable_zone_ranking,
     wilcoxon_signed_rank,
 )
 from smx.models import ExternalModel, LogisticModel, RidgeModel
@@ -424,14 +423,6 @@ class TestStackedPfi:
         assert rows[0] == reference_rows[0] * 3
         assert rows[1:] == [sum(reference_rows[1 + 3 * j : 4 + 3 * j], []) for j in range(X.shape[1])]
         np.testing.assert_allclose(stacked, reference, rtol=PFI_RTOL, atol=PFI_ATOL)
-
-
-class TestVariableZoneRanking:
-    def test_first_occurrence_and_unranked_tail(self):
-        zone_sets = {"a": np.array([0, 1]), "b": np.array([2, 3]), "c": np.array([4])}
-        imps = np.array([0.1, 5.0, 1.0, 0.2, 0.0])
-        ranked = variable_zone_ranking(imps, zone_sets, ["a", "b", "c"])
-        assert ranked == [("a", True), ("b", True), ("c", False)]
 
 
 class TestWilcoxon:

