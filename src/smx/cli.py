@@ -435,7 +435,8 @@ def _evaluate_one(manifest: _Manifest, cfg: EngineConfig, methods: list[str], ar
 
     def smx_runner(seed: int):
         reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
-        return pipeline.rank(prepared, reruns).predicate_labels()
+        ranked = result if reruns == cfg else pipeline.rank(prepared, reruns)  # result: the main run above
+        return ranked.predicate_labels()
 
     def pfi_runner(seed: int):
         if seed == args.pfi_seed:

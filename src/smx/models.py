@@ -27,13 +27,8 @@ PROBABILISTIC = "probabilistic"
 # Requests to external models are split by rows so that no request line,
 # newline included, is longer than this (a single longer row goes alone).
 _MAX_REQUEST_BYTES = 32 * 1024 * 1024
-# Distinct float values whose JSON texts one external model handle keeps.
-# 2^15 holds a 73x300 test matrix (21,900 values) in about 5 MB. A full
-# map still serves its hits but takes no new entries, unless the first
-# row of a request misses on most of its values: then the map holds
-# another matrix's values (the training matrix, before PFI sends the
-# test matrix) and is emptied to make room for this one's.
-_MAX_ENCODED_FLOATS = 1 << 15
+# bytes.translate table marking the characters of numbers in a JSON matrix: all but "[], "
+_NUMBER_CHARS = bytes(c not in b"[], " for c in range(256))
 
 
 def _check_width(X: np.ndarray, expected: int) -> np.ndarray:
@@ -237,15 +232,32 @@ def load_model(spec: dict | str | Path):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+def _patched(text: str, starts, ends, cells: np.ndarray, bits: np.ndarray, width: int) -> str:
+    """``text``, whose cell ``k`` (row-major) is ``text[starts[k]:ends[k]]``,
+    with the cells at indices ``cells`` written from their 64-bit patterns."""
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    new = [texts[k] for k in inverse.tolist()]
+    # a run is changed cells side by side in one row, written as one slice
+    first = (np.diff(cells, prepend=-2) != 1) | (cells % width == 0)
+    last = np.roll(first, -1)
+    runs = (np.flatnonzero(first), np.flatnonzero(last), starts[cells[first]], ends[cells[last]])
+    pieces, kept = [], 0
+    for s, e, a, b in zip(*(run.tolist() for run in runs)):
+        pieces += (text[kept:a], ", ".join(new[s : e + 1]))
+        kept = b
+    pieces.append(text[kept:])
+    return "".join(pieces)
+
+
 class ExternalModel:
     """Child-process model speaking newline-delimited JSON over stdio.
 
     The handle is a serial channel: one in-flight request, guarded by a
     lock. Large matrices are split by rows to keep each request small.
-    Each distinct float is turned into its JSON text once per handle:
-    smx re-sends mostly the same values (a matrix with one column
-    permuted, or one zone replaced), and encoding floats is the
-    client's main cost.
+    Writing floats as JSON is the client's main cost and smx re-sends
+    mostly the same matrix, so a matrix of the last full one's shape that
+    differs from it in at most half its cells is written as a patch of it.
     """
 
     def __init__(self, argv: list[str]):
@@ -261,9 +273,9 @@ class ExternalModel:
         except OSError as exc:
             raise ModelError(f"failed to start external model {self.argv}: {exc}") from exc
         self._lock = threading.Lock()
-        # 64-bit pattern of a float -> json.dumps of it, so -0.0, NaN and
-        # +-Infinity read exactly as json.dumps writes them.
-        self._texts: dict[int, str] = {}
+        # (64-bit patterns, JSON text, cell starts, cell ends) of the last matrix written in
+        # full; replaced whole and never mutated, so callers on other threads need no lock
+        self._reference: tuple | None = None
         try:
             self.kind, self.n_features = self._handshake()
         except BaseException:
@@ -318,52 +330,39 @@ class ExternalModel:
             raise ModelError(f"external model sent a non-object reply: {reply!r}")
         return parsed
 
-    def _encode_row(self, bits: np.ndarray, values: np.ndarray, first: bool) -> str:
-        """The JSON list of one row, as ``json.dumps`` writes it;
-        ``first`` marks the first row of a request."""
-        keys = bits.tolist()
-        texts = list(map(self._texts.get, keys))
-        try:
-            return "[" + ", ".join(texts) + "]"
-        except TypeError:  # some values are not in the map yet
-            pass
-        missing = [i for i, text in enumerate(texts) if text is None]
-        mostly_new = 2 * len(missing) > len(texts)
-        if mostly_new:  # one json.dumps of the row beats filling it in
-            row = json.dumps(values.tolist())
-        else:
-            fresh = json.dumps(values[missing].tolist())[1:-1].split(", ")
-            for i, text in zip(missing, fresh):
-                texts[i] = text
-            row = "[" + ", ".join(texts) + "]"
-        with self._lock:
-            if first and mostly_new and len(self._texts) >= _MAX_ENCODED_FLOATS:
-                self._texts.clear()
-            room = _MAX_ENCODED_FLOATS - len(self._texts)
-            if room > 0:
-                if mostly_new:
-                    texts = row[1:-1].split(", ")
-                self._texts.update((keys[i], texts[i]) for i in missing[:room])
-        return row
+    def _encode(self, X: np.ndarray) -> str:
+        """``json.dumps(X.tolist())``: a patch of the reference's text, or a new reference."""
+        bits = X.view(np.uint64)
+        reference = self._reference
+        if reference is not None and reference[0].shape == bits.shape:
+            changed = bits != reference[0]
+            if 2 * np.count_nonzero(changed) <= changed.size:
+                return _patched(*reference[1:], np.flatnonzero(changed), bits[changed], X.shape[1])
+        text = json.dumps(X.tolist())
+        in_cell = np.frombuffer(text.encode().translate(_NUMBER_CHARS), np.bool_)
+        edges = np.flatnonzero(in_cell[1:] != in_cell[:-1]) + 1
+        self._reference = (bits.copy(), text, edges[0::2], edges[1::2])
+        return text
 
     def _lines(self, op: str, X: np.ndarray):
         """Yield ``(rows, line)`` for consecutive row chunks of ``X``: the
         request ``json.dumps({"op": op, "x": chunk})`` would write, with
         as many rows as fit in ``_MAX_REQUEST_BYTES``."""
-        head = f'{{"op": {json.dumps(op)}, "x": ['
+        head = f'{{"op": {json.dumps(op)}, "x": '
+        text = self._encode(X)
+        if len(head) + len(text) + len("}\n") <= _MAX_REQUEST_BYTES:
+            yield X.shape[0], f"{head}{text}}}"
+            return
         # size: length of the line holding ``rows``, newline included
-        empty = len(head) + len("]}\n") - len(", ")
-        bits = X.view(np.uint64)
-        rows: list[str] = []
-        size = empty
-        for i in range(X.shape[0]):
-            row = self._encode_row(bits[i], X[i], i == 0)
+        empty = len(head) + len("[]}\n") - len(", ")
+        rows, size = [], empty
+        for row in map("[{}]".format, text[2:-2].split("], [")):
             if rows and size + len(", ") + len(row) > _MAX_REQUEST_BYTES:
-                yield len(rows), head + ", ".join(rows) + "]}"
+                yield len(rows), f"{head}[{', '.join(rows)}]}}"
                 rows, size = [], empty
             rows.append(row)
             size += len(", ") + len(row)
-        yield len(rows), head + ", ".join(rows) + "]}"
+        yield len(rows), f"{head}[{', '.join(rows)}]}}"
 
     def _query(self, op: str, key: str, kind: str, X: np.ndarray, row_shape: tuple[int, ...]):
         """Send ``X`` under ``op`` in row chunks, yielding each reply's ``key``

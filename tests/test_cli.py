@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smx
-from smx import cli, dataio, evalkit, models, synthgen, zonecore
+from smx import cli, dataio, evalkit, models, pipeline, synthgen, zonecore
 from smx.cli import main
 from smx.dataio import Zone, ZoneConfig, _fmt
 from smx.engine import EngineConfig
@@ -1005,6 +1005,42 @@ class TestEvaluate:
             lambda seed: list(np.argsort(-pfi(model, X, repeats=10, seed=seed), kind="stable")), list(range(10))
         )
         stability = json.loads((out / "report.json").read_text())["datasets"][0]["methods"]["pfi"]["stability"]
+        assert stability == {"instabilities": recomputed.instabilities, "median": recomputed.median}
+
+    @pytest.mark.parametrize("seeds, ranks", [([1, 2], 10), ([5, 6], 11)])
+    def test_smx_stability_reuses_main_run(self, eval_case, tmp_path, monkeypatch, seeds, ranks):
+        """The stability seed whose derived engine seeds equal the manifest's
+        (seed 0 for seeds 1, 2) takes the main ranking, and the
+        instabilities match a study that recomputes every ranking."""
+        manifest = json.loads((eval_case / "manifest.json").read_text())
+        manifest.update({key: str(eval_case / manifest[key]) for key in ("train", "test", "zones", "model")})
+        manifest["engine"]["seeds"] = seeds
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        rank = pipeline.rank
+        calls = []
+
+        def counting(prepared, cfg):
+            calls.append(cfg.seeds)
+            return rank(prepared, cfg)
+
+        monkeypatch.setattr(pipeline, "rank", counting)
+        out = tmp_path / "report"
+        assert main(["evaluate", "--manifest", str(tmp_path / "m.json"), "--out", str(out)]) == 0
+        assert len(calls) == ranks
+        cfg = EngineConfig(bags=manifest["engine"]["bags"], seeds=tuple(seeds))
+        prepared = pipeline.prepare(
+            dataio.load_csv(eval_case / "train.csv"),
+            dataio.load_zone_config(eval_case / "zones.json"),
+            models.load_model(eval_case / "model.json"),
+            cfg,
+        )
+        recomputed = evalkit.stability_study(
+            lambda seed: rank(
+                prepared, dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(seeds)))
+            ).predicate_labels(),
+            list(range(10)),
+        )
+        stability = json.loads((out / "report.json").read_text())["datasets"][0]["methods"]["smx"]["stability"]
         assert stability == {"instabilities": recomputed.instabilities, "median": recomputed.median}
 
     @pytest.mark.parametrize(

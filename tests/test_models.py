@@ -488,71 +488,69 @@ class TestExternal:
             model.predict_proba(X)
         assert lines == _dumps_lines("predict_proba", X, lines[:1]) * 2
 
-    def test_encoded_floats_capped(self, monkeypatch):
+    def test_wide_matrix_lines_byte_identical(self, monkeypatch):
         width = 256
-        X = np.random.default_rng(11).normal(size=(models._MAX_ENCODED_FLOATS // width + 32, width))
-        assert np.unique(X).size > models._MAX_ENCODED_FLOATS
+        X = np.random.default_rng(11).normal(size=(160, width))
         with ExternalModel([sys.executable, STUB, "sum", str(width)]) as model:
             lines = _capture_lines(model, monkeypatch)
             cold = model.predict(X)
-            assert len(model._texts) == models._MAX_ENCODED_FLOATS
             warm = model.predict(X)
-            assert len(model._texts) == models._MAX_ENCODED_FLOATS
         assert lines == _dumps_lines("predict", X, lines[:1]) * 2
         np.testing.assert_array_equal(cold, warm)
 
-    def test_full_map_makes_room_for_another_matrix(self, monkeypatch):
-        monkeypatch.setattr(models, "_MAX_ENCODED_FLOATS", 500)
+    def test_matrix_switches_lines_byte_identical(self, monkeypatch):
         rng = np.random.default_rng(14)
         train, test = rng.normal(size=(30, 20)), rng.normal(size=(20, 20))
         replaced = train.copy()
         replaced[:, :5] = np.median(train[:, :5], axis=0)
-        bits = lambda X: set(X.view(np.uint64).ravel().tolist())
+        sent = [train, replaced, test, test, train]
         with ExternalModel([sys.executable, STUB, "sum", "20"]) as model:
             lines = _capture_lines(model, monkeypatch)
-            model.predict(train)
-            kept = dict(model._texts)
-            assert len(kept) == 500
-            # a first row that mostly hits leaves a full map as it is
-            model.predict(replaced)
-            assert model._texts == kept
-            # a first row that mostly misses empties it for the new matrix
-            model.predict(test)
-            assert bits(test) <= model._texts.keys()
-            assert len(model._texts) <= 500
-            model.predict(test)
-            model.predict(train)
-            assert len(model._texts) == 500
-        sent = [train, replaced, test, test, train]
+            for X in sent:
+                np.testing.assert_allclose(model.predict(X), X.sum(axis=1), atol=1e-12)
         assert lines == [_dumps_lines("predict", X, [line])[0] for X, line in zip(sent, lines)]
 
-    def test_concurrent_callers_share_capped_map(self, monkeypatch):
-        monkeypatch.setattr(models, "_MAX_ENCODED_FLOATS", 500)
+    def test_concurrent_callers_lines_byte_identical(self):
         rng = np.random.default_rng(13)
-        inputs = [rng.normal(size=(40, 6)) for _ in range(4)]
+        base = rng.normal(size=(40, 6))
+        replaced, permuted = base.copy(), base.copy()
+        replaced[:, 1:4] = np.median(base[:, 1:4], axis=0)
+        permuted[:, 5] = rng.permutation(permuted[:, 5])
+        # deltas against whichever matrix another thread last wrote in full
+        inputs = [base, replaced, permuted, rng.normal(size=(40, 6))]
         results: dict[int, list] = {k: [] for k in range(len(inputs))}
+        sent: list[tuple[str, str]] = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ExternalModel([sys.executable, STUB, "sum", "6"]) as model:
+                request = model._request
+
+                def recording(line):
+                    sent.append((threading.current_thread().name, line))
+                    return request(line)
+
+                model._request = recording
 
                 def work(k):
                     for _ in range(5):
                         results[k].append(model.predict(inputs[k]))
 
-                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+                threads = [threading.Thread(target=work, args=(k,), name=str(k)) for k in range(len(inputs))]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                assert 0 < len(model._texts) <= 500
         finally:
             sys.setswitchinterval(interval)
         for k, X in enumerate(inputs):
             assert len(results[k]) == 5
             for y in results[k]:
                 np.testing.assert_allclose(y, X.sum(axis=1), atol=1e-12)
+        assert len(sent) == 5 * len(inputs)
+        for name, line in sent:
+            assert line == json.dumps({"op": "predict", "x": inputs[int(name)].tolist()})
 
     @pytest.mark.parametrize("cap", [1024, 300, 64])
     def test_request_lines_fit_byte_cap(self, monkeypatch, cap):
@@ -575,6 +573,18 @@ class TestExternal:
             start += rows
         assert len(lines) > 1
 
+    def test_whole_matrix_line_at_byte_cap(self, monkeypatch):
+        X = np.random.default_rng(15).normal(size=(6, 3))
+        whole = json.dumps({"op": "predict", "x": X.tolist()})
+        with ExternalModel([sys.executable, STUB, "sum", "3"]) as model:
+            lines = _capture_lines(model, monkeypatch)
+            for cap in (len(whole) + 1, len(whole)):  # newline included
+                monkeypatch.setattr(models, "_MAX_REQUEST_BYTES", cap)
+                model.predict(X)
+        assert lines[0] == whole
+        assert len(lines) > 2 and lines[1:] == _dumps_lines("predict", X, lines[1:])
+        assert all(len(line) + 1 <= len(whole) for line in lines[1:])
+
     def test_failed_handshake_closes_child(self, monkeypatch):
         started = []
         popen = subprocess.Popen
@@ -595,3 +605,186 @@ class TestExternal:
             assert model.kind == "continuous"
         finally:
             model.close()
+
+
+# The request encoder of ``ExternalModel`` before it wrote deltas against
+# the last matrix sent in full: a map from each float's 64-bit pattern to
+# its JSON text, capped at 2^15 values. Kept verbatim, but for reading the
+# byte cap from ``smx.models``, as the reference for request lines.
+_MAX_ENCODED_FLOATS = 1 << 15
+
+
+class _CappedMapEncoder:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._texts: dict[int, str] = {}
+
+    def _encode_row(self, bits: np.ndarray, values: np.ndarray, first: bool) -> str:
+        """The JSON list of one row, as ``json.dumps`` writes it;
+        ``first`` marks the first row of a request."""
+        keys = bits.tolist()
+        texts = list(map(self._texts.get, keys))
+        try:
+            return "[" + ", ".join(texts) + "]"
+        except TypeError:  # some values are not in the map yet
+            pass
+        missing = [i for i, text in enumerate(texts) if text is None]
+        mostly_new = 2 * len(missing) > len(texts)
+        if mostly_new:  # one json.dumps of the row beats filling it in
+            row = json.dumps(values.tolist())
+        else:
+            fresh = json.dumps(values[missing].tolist())[1:-1].split(", ")
+            for i, text in zip(missing, fresh):
+                texts[i] = text
+            row = "[" + ", ".join(texts) + "]"
+        with self._lock:
+            if first and mostly_new and len(self._texts) >= _MAX_ENCODED_FLOATS:
+                self._texts.clear()
+            room = _MAX_ENCODED_FLOATS - len(self._texts)
+            if room > 0:
+                if mostly_new:
+                    texts = row[1:-1].split(", ")
+                self._texts.update((keys[i], texts[i]) for i in missing[:room])
+        return row
+
+    def _lines(self, op: str, X: np.ndarray):
+        """Yield ``(rows, line)`` for consecutive row chunks of ``X``: the
+        request ``json.dumps({"op": op, "x": chunk})`` would write, with
+        as many rows as fit in ``_MAX_REQUEST_BYTES``."""
+        head = f'{{"op": {json.dumps(op)}, "x": ['
+        # size: length of the line holding ``rows``, newline included
+        empty = len(head) + len("]}\n") - len(", ")
+        bits = X.view(np.uint64)
+        rows: list[str] = []
+        size = empty
+        for i in range(X.shape[0]):
+            row = self._encode_row(bits[i], X[i], i == 0)
+            if rows and size + len(", ") + len(row) > models._MAX_REQUEST_BYTES:
+                yield len(rows), head + ", ".join(rows) + "]}"
+                rows, size = [], empty
+            rows.append(row)
+            size += len(", ") + len(row)
+        yield len(rows), head + ", ".join(rows) + "]}"
+
+
+def _specials_at(X, rng, count):
+    """``X`` with ``count`` random cells set to values whose JSON text is
+    unusual: signed zeros, NaNs with payloads, infinities and the extremes."""
+    specials = np.concatenate([_special_values().ravel(), [0.0, -0.0, -5e-324]])
+    X = X.copy()
+    flat = X.reshape(-1)
+    flat[rng.integers(0, flat.size, count)] = rng.choice(specials, count)
+    return X
+
+
+def _base_matrix(rng, rows, width):
+    """Random values, a quarter of them coarsely rounded so that values
+    repeat, and a few special values."""
+    X = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-3, 4)
+    coarse = rng.random(X.shape) < 0.25
+    X[coarse] = np.round(X[coarse], 1)
+    return _specials_at(X, rng, max(1, X.size // 50))
+
+
+def _request_sequence(rng, width, steps):
+    """Matrices in the order an explain, PFI or faithfulness study might
+    send them: zone medians, permuted columns, cumulative zero masks,
+    deltas on cells a delta changed, unrelated matrices, shape switches
+    and other layouts of the same values. Some arrays are changed in
+    place and sent again."""
+    base = _base_matrix(rng, 169, width)
+    yield base
+    for _ in range(steps):
+        op = rng.integers(0, 10)
+        a = int(rng.integers(0, width))
+        b = int(rng.integers(a + 1, width + 1))
+        if op == 0:  # zone replaced by its medians
+            X = base.copy()
+            X[:, a:b] = np.median(base[:, a:b], axis=0)
+            yield X
+        elif op == 1:  # one permuted column
+            X = base.copy()
+            X[:, a] = rng.permutation(X[:, a])
+            yield X
+        elif op == 2:  # cumulative zero masks, zone by zone, in one array
+            X = base.copy()
+            for start in rng.permutation(np.arange(0, width, max(1, width // 4)))[:4]:
+                X[:, start : start + max(1, width // 4)] = 0.0
+                yield X
+        elif op == 3:  # a delta on cells the previous delta changed
+            X = base.copy()
+            X[:, a:b] = np.median(base[:, a:b], axis=0)
+            yield X
+            X = X.copy()
+            X[::2, a:b] = -0.0
+            X[1::3, max(0, a - 1) : b] = base[1::3, max(0, a - 1) : b]
+            yield X
+            yield base
+        elif op == 4:  # an unrelated matrix of the same shape, then changed in place
+            base = _base_matrix(rng, base.shape[0], width)
+            yield base
+            X = base.copy()
+            yield X
+            X[:, a] = rng.permutation(X[:, a])
+            yield X
+        elif op == 5:  # another shape
+            base = _base_matrix(rng, int(rng.choice([169, 73, 730])), width)
+            yield base
+        elif op == 6:  # special values at a few cells, or at most of them
+            yield _specials_at(base, rng, int(rng.choice([1, 5, base.size])))
+        elif op == 7:  # the same values in another layout
+            layout = int(rng.integers(0, 3))
+            if layout == 0:
+                with np.errstate(over="ignore"):  # the extremes become infinite
+                    single = base.astype(np.float32)
+                yield single
+            elif layout == 1:
+                yield np.asfortranarray(base)
+            else:
+                padded = np.zeros((2 * base.shape[0], width + 3))
+                padded[::2, 3:] = base
+                yield padded[::2, 3:]
+        elif op == 8:  # a single row, as a matrix or a vector
+            i = int(rng.integers(0, base.shape[0]))
+            yield base[i] if rng.random() < 0.5 else base[i : i + 1]
+        else:
+            yield base
+
+
+class TestDeltaEncoding:
+    """Request lines of the delta encoder against the capped-map encoder
+    it replaced, and against ``json.dumps``."""
+
+    def _check(self, width, matrices, monkeypatch):
+        old = _CappedMapEncoder()
+        # replies ignore the values, so sums of extremes cannot overflow
+        with ExternalModel([sys.executable, STUB, "fixed-proba", str(width), "0.25", "0.75"]) as model:
+            lines = _capture_lines(model, monkeypatch)
+            for X in matrices:
+                model.predict_proba(X)
+                X = np.asarray(X, dtype=float)
+                X = X[None, :] if X.ndim == 1 else X
+                expected = [line for _, line in old._lines("predict_proba", X)]
+                assert lines == expected
+                assert lines == _dumps_lines("predict_proba", X, lines)
+                lines.clear()
+
+    @pytest.mark.parametrize("cap", [None, 2000])
+    @pytest.mark.parametrize("width", [1, 12, 40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_sequences_match_old_encoder(self, monkeypatch, seed, width, cap):
+        if cap is not None:
+            monkeypatch.setattr(models, "_MAX_REQUEST_BYTES", cap)
+        rng = np.random.default_rng([seed, width])
+        self._check(width, _request_sequence(rng, width, 20), monkeypatch)
+
+    def test_delta_after_delta_on_the_same_cells(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        base = rng.normal(size=(20, 10))
+        replaced = base.copy()
+        replaced[:, 2:6] = np.median(base[:, 2:6], axis=0)
+        masked = replaced.copy()
+        masked[:, 4:8] = 0.0
+        restored = masked.copy()
+        restored[:, 2:4] = base[:, 2:4]
+        self._check(10, [base, replaced, masked, restored, base, replaced, base], monkeypatch)
