@@ -115,40 +115,28 @@ def _parse_list(text: str, cast, what: str) -> list:
 # ---------------------------------------------------------------------------
 # manifest handling
 
-class _Manifest(dict):
-    """A manifest's entries. Relative file entries resolve against ``base``,
-    the manifest's directory, except those of ``flag_keys``, set by flags."""
-
-    base: Path | None = None
-    flag_keys: frozenset[str] = frozenset()
-
-    def resolve(self, key: str, value) -> Path:
-        path = Path(str(value))
-        if self.base is not None and key not in self.flag_keys and not path.is_absolute():
-            path = self.base / path
-        return path
+# Manifest entries naming files; relative ones resolve against the manifest's directory.
+_FILE_ENTRIES = ("train", "test", "zones", "model", "out", "output_dir")
 
 
-def _load_manifest(args) -> _Manifest:
-    """Merge an optional manifest file with direct flags (flags win)."""
-    manifest = _Manifest()
+def _load_manifest(args) -> dict:
+    """Merge an optional manifest file with direct flags (flags win). File
+    entries become paths: a manifest's relative to its directory, a flag's
+    relative to the working directory."""
+    manifest = {}
     if getattr(args, "manifest", None):
         mpath = Path(args.manifest)
-        if not mpath.exists():
-            raise ConfigError(f"manifest not found: {mpath}")
-        try:
-            entries = json.loads(mpath.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{mpath}: invalid JSON ({exc})") from exc
-        if not isinstance(entries, dict):
-            raise ConfigError(f"{mpath}: manifest must be a JSON object, got {entries!r}")
-        manifest = _Manifest(entries)
-        manifest.base = mpath.parent
+        manifest = dataio.read_json(mpath, "manifest file")
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{mpath}: manifest must be a JSON object, got {manifest!r}")
+        for key in _FILE_ENTRIES:
+            value = manifest.get(key)
+            if value is not None and not (key == "model" and isinstance(value, dict)):  # a model spec
+                manifest[key] = mpath.parent / str(value)
     for key in ("train", "test", "zones", "model", "out"):
         flag = getattr(args, key, None)
         if flag is not None:
-            manifest[key] = flag
-            manifest.flag_keys |= {key}
+            manifest[key] = Path(flag)
     if getattr(args, "preprocess", None):
         manifest["preprocess"] = {
             "method": args.preprocess,
@@ -213,7 +201,7 @@ def _cast(section: str, key: str, cast, value):
         raise ConfigError(f"invalid {section} value {key}={value!r}: {exc}") from exc
 
 
-def _manifest_engine(manifest: _Manifest) -> EngineConfig:
+def _manifest_engine(manifest: dict) -> EngineConfig:
     """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
     engine = manifest.get("engine", {})
     unknown = sorted(set(engine) - set(_ENGINE_KEYS))
@@ -224,19 +212,23 @@ def _manifest_engine(manifest: _Manifest) -> EngineConfig:
     )
 
 
-def _manifest_path(manifest: _Manifest, key: str) -> Path:
-    value = manifest.get(key)
-    if value is None:
+def _manifest_path(manifest: dict, key: str) -> Path:
+    path = manifest.get(key)
+    if path is None:
         raise ConfigError(f"manifest is missing required entry '{key}'")
-    path = manifest.resolve(key, value)
-    if not path.exists():
-        raise ConfigError(f"{key} file not found: {path}")
     return path
 
 
-def _load_model_entry(manifest: _Manifest):
+@contextlib.contextmanager
+def _loaded_model(manifest: dict):
+    """The manifest's model, closed on exit if it is an external one."""
     spec = manifest.get("model")
-    return models.load_model(spec if isinstance(spec, dict) else _manifest_path(manifest, "model"))
+    model = models.load_model(spec if isinstance(spec, dict) else _manifest_path(manifest, "model"))
+    try:
+        yield model
+    finally:
+        if isinstance(model, models.ExternalModel):
+            model.close()
 
 
 def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
@@ -248,7 +240,7 @@ def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
     return test
 
 
-def _load_data(manifest: _Manifest, need_test: bool):
+def _load_data(manifest: dict, need_test: bool):
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
@@ -320,16 +312,14 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     manifest = _load_manifest(args)
-    out_dir = manifest.get("out") or manifest.get("output_dir")
-    if out_dir is None:
+    out = manifest.get("out") or manifest.get("output_dir")
+    if out is None:
         raise ConfigError("an output directory is required (--out or manifest output_dir)")
-    out = manifest.resolve("out", out_dir)
     _check_out_dir(out, _EXPLAIN_OWNS)
     cfg = _manifest_engine(manifest)
     train, _test, zones = _load_data(manifest, need_test=False)
-    model = _load_model_entry(manifest)
-
-    result = pipeline.explain(train, zones, model, cfg)
+    with _loaded_model(manifest) as model:
+        result = pipeline.explain(train, zones, model, cfg)
 
     with _replacing_dir(out) as stage:
         (stage / "predicate_ranking.csv").write_text(graphx.ranking_csv(result.ranking, result.predicate_set))
@@ -392,65 +382,65 @@ def _check_dataset_names(manifests: list[dict]) -> None:
         seen.add(name)
 
 
-def _evaluate_one(manifest: _Manifest, cfg: EngineConfig, methods: list[str], args) -> dict:
+def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -> dict:
     train, test, zones = _load_data(manifest, need_test=True)
-    model = _load_model_entry(manifest)
-    zone_sets = {
-        z.name: idx for z, idx in zip(zones.zones, dataio.resolve_zones(zones, train))
-    }
-    channel_zones = np.full(train.n_variables, None, dtype=object)
-    for name, idx in zone_sets.items():
-        channel_zones[idx] = name
-    plausible = zones.plausible_names()
+    with _loaded_model(manifest) as model:
+        zone_sets = {
+            z.name: idx for z, idx in zip(zones.zones, dataio.resolve_zones(zones, train))
+        }
+        channel_zones = np.full(train.n_variables, None, dtype=object)
+        for name, idx in zone_sets.items():
+            channel_zones[idx] = name
+        plausible = zones.plausible_names()
 
-    orders: dict[str, list[tuple[str, bool]]] = {}
-    importances: dict[str, np.ndarray] = {}
-    if "smx" in methods:
-        prepared = pipeline.prepare(train, zones, model, cfg)
-        result = pipeline.rank(prepared, cfg)
-        orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
-    if "pfi" in methods:
-        imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=args.pfi_seed)
-        orders["pfi"], importances["pfi"] = graphx.zone_ranking(imps, channel_zones, zones.names()), imps
-    rankings = {name: [zone for zone, ranked in order if ranked] for name, order in orders.items()}
-    per_method = {
-        name: {"zone_ranking": [{"zone": zone, "ranked": ranked} for zone, ranked in order]}
-        for name, order in orders.items()
-    }
+        orders: dict[str, list[tuple[str, bool]]] = {}
+        importances: dict[str, np.ndarray] = {}
+        if "smx" in methods:
+            prepared = pipeline.prepare(train, zones, model, cfg)
+            result = pipeline.rank(prepared, cfg)
+            orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
+        if "pfi" in methods:
+            imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=args.pfi_seed)
+            orders["pfi"], importances["pfi"] = graphx.zone_ranking(imps, channel_zones, zones.names()), imps
+        rankings = {name: [zone for zone, ranked in order if ranked] for name, order in orders.items()}
+        per_method = {
+            name: {"zone_ranking": [{"zone": zone, "ranked": ranked} for zone, ranked in order]}
+            for name, order in orders.items()
+        }
 
-    depth = min(len(r) for r in rankings.values())
-    if args.kmax:
-        depth = min(depth, args.kmax)
-    if depth < 1:
-        raise PipelineError("a method produced an empty zone ranking; nothing to evaluate")
+        depth = min(len(r) for r in rankings.values())
+        if args.kmax:
+            depth = min(depth, args.kmax)
+        if depth < 1:
+            raise PipelineError("a method produced an empty zone ranking; nothing to evaluate")
 
-    for name in methods:
-        section = per_method[name]
-        ranked = rankings[name][:depth]
-        section["faithfulness"] = _curve_dict(
-            evalkit.faithfulness_curve(model, test.intensities, ranked, zone_sets, depth)
-        )
-        section["alignment"] = _curve_dict(evalkit.agreement_curve(ranked, plausible))
-        section["simplicity"] = _curve_dict(evalkit.simplicity_curve(importances[name]))
+        for name in methods:
+            section = per_method[name]
+            ranked = rankings[name][:depth]
+            section["faithfulness"] = _curve_dict(
+                evalkit.faithfulness_curve(model, test.intensities, ranked, zone_sets, depth)
+            )
+            section["alignment"] = _curve_dict(evalkit.agreement_curve(ranked, plausible))
+            section["simplicity"] = _curve_dict(evalkit.simplicity_curve(importances[name]))
 
-    def smx_runner(seed: int):
-        reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
-        ranked = result if reruns == cfg else pipeline.rank(prepared, reruns)  # result: the main run above
-        return ranked.predicate_labels()
+        def smx_runner(seed: int):
+            reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
+            ranked = result if reruns == cfg else pipeline.rank(prepared, reruns)  # result: the main run above
+            return ranked.predicate_labels()
 
-    def pfi_runner(seed: int):
-        if seed == args.pfi_seed:
-            imps = importances["pfi"]  # the main run above, same seed and repeats
-        else:
-            imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
-        return list(np.argsort(-imps, kind="stable"))
+        def pfi_runner(seed: int):
+            if seed == args.pfi_seed:
+                imps = importances["pfi"]  # the main run above, same seed and repeats
+            else:
+                imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
+            return list(np.argsort(-imps, kind="stable"))
 
-    for name, runner in (("smx", smx_runner), ("pfi", pfi_runner)):
-        if args.stability_runs >= 2 and name in methods:
-            res = evalkit.stability_study(runner, list(range(args.stability_runs)), rho=args.rho, depth=args.depth)
-            per_method[name]["stability"] = {"instabilities": res.instabilities, "median": res.median}
+        for name, runner in (("smx", smx_runner), ("pfi", pfi_runner)):
+            if args.stability_runs >= 2 and name in methods:
+                res = evalkit.stability_study(runner, list(range(args.stability_runs)), rho=args.rho, depth=args.depth)
+                per_method[name]["stability"] = {"instabilities": res.instabilities, "median": res.median}
 
-    return {"name": _dataset_name(manifest), "depth": depth, "methods": per_method}
+        return {"name": _dataset_name(manifest), "depth": depth, "methods": per_method}
 
 
 def _metric_value(section: dict, metric: str) -> float | None:

@@ -7,12 +7,14 @@ save/load round trip reproduces every 64-bit value exactly, and ids as
 RFC 4180 fields. ``load_csv`` converts all numbers of a plain file (no
 quote, carriage return, NUL or \\x1c-\\x1f) in one ``np.loadtxt`` call and
 reads any other file cell by cell through ``csv.reader``; both give the
-same values bit for bit and the same errors.
+same values bit for bit and the same errors. Every input file smx reads
+goes through ``read_input``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,12 +148,31 @@ class ZoneConfig:
         return {z.name for z in self.zones if z.plausible}
 
 
+def read_input(path: str | Path, what: str) -> str:
+    """The text of the input file ``path``, read as UTF-8 with its line
+    ends kept. A file that cannot be opened raises ``ConfigError`` and
+    text that is not UTF-8 ``FormatError``, each naming ``what`` and ``path``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
+        raise ConfigError(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the input file ``path``; invalid JSON raises ``FormatError``."""
+    text = read_input(path, what)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON in {what} ({exc})") from exc
+
+
 def load_zone_config(path: str | Path) -> ZoneConfig:
     """Read a zone config from a JSON array of {name,start,end,plausible}."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "zones file")
     if not isinstance(raw, list):
         raise FormatError(f"{path}: zone config must be a JSON array")
     zones = []
@@ -226,7 +247,8 @@ def load_csv(path: str | Path) -> SpectralDataset:
     error comes from ``_read_rows``.
     """
     path = Path(path)
-    axis, data, labels, ids = _read_plain(path) or _read_rows(path)
+    text = read_input(path, "dataset file")
+    axis, data, labels, ids = _read_plain(path, text) or _read_rows(path, text)
     return SpectralDataset(axis=axis, intensities=data, labels=labels, sample_ids=ids)
 
 
@@ -239,7 +261,7 @@ _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 _Parsed = tuple[np.ndarray, np.ndarray, list[int], list[str]]  # axis, data, labels, ids
 
 
-def _read_plain(path: Path) -> _Parsed | None:
+def _read_plain(path: Path, text: str) -> _Parsed | None:
     """``_read_rows``'s result for a file ``_read_rows`` would accept whose
     text holds none of ``_NOT_PLAIN``'s characters, else None.
 
@@ -249,11 +271,6 @@ def _read_plain(path: Path) -> _Parsed | None:
     does, and refuses what only ``float()`` takes (underscores,
     non-ASCII digits, empty cells), so accepted values agree bit for bit.
     """
-    try:
-        with path.open(newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
     if any(c in text for c in _NOT_PLAIN):
         return None
     lines = text.split("\n")
@@ -298,10 +315,13 @@ def _header_axis(path: Path, header: list[str]) -> np.ndarray:
     return axis
 
 
-def _read_rows(path: Path) -> _Parsed:
+def _read_rows(path: Path, text: str) -> _Parsed:
     """The file's rows through csv.reader, each cell through ``float()``."""
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: empty file")
     axis = _header_axis(path, rows[0])

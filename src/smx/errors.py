@@ -10,11 +10,11 @@ class SmxError(Exception):
 
 
 class ConfigError(SmxError):
-    """Invalid configuration: zone files, engine parameters, manifests."""
+    """A file cannot be opened, or a setting (zones, engine, manifest, flag) is invalid."""
 
 
 class FormatError(SmxError):
-    """Malformed input data (CSV layout, JSON schema, axis ordering)."""
+    """Malformed input content: not UTF-8, invalid JSON, CSV layout, axis ordering."""
 
 
 class PipelineError(SmxError):

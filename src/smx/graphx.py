@@ -43,10 +43,6 @@ from .zonecore import ZoneModel
 
 logger = logging.getLogger(__name__)
 
-# Share of a seed's edge weight that cycle pruning may drop before the
-# pruning summary is logged as a WARNING rather than at INFO.
-PRUNED_WEIGHT_WARNING = 0.05
-
 
 @dataclass
 class ExplanationGraph:
@@ -148,14 +144,12 @@ def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
                 path.pop()
                 iters.pop()
     if dropped:
-        share = dropped_weight / total_weight
-        logger.log(
-            logging.WARNING if share > PRUNED_WEIGHT_WARNING else logging.INFO,
+        logger.info(
             "seed %s: %d lightest edge(s), %.2g%% of the edge weight, removed to "
             "break directed cycles that survived pair resolution",
             seed,
             dropped,
-            100.0 * share,
+            100.0 * dropped_weight / total_weight,
         )
 
 

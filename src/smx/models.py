@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .dataio import SpectralDataset
+from .dataio import SpectralDataset, read_json
 from .errors import ConfigError, ModelError
 
 CONTINUOUS = "continuous"
@@ -199,13 +199,8 @@ def load_model(spec: dict | str | Path):
     {"kind": "external", "argv": [...]} subprocess models.
     """
     if not isinstance(spec, dict):
-        path = Path(spec)
-        try:
-            spec = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"model file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid model JSON ({exc})") from exc
+        path = spec
+        spec = read_json(path, "model file")
         if not isinstance(spec, dict):
             raise ConfigError(f"{path}: model JSON must be an object, got {spec!r}")
     kind = spec.get("kind")
@@ -308,7 +303,8 @@ class ExternalModel:
                     f"external model {self.argv} exited with code {self._proc.returncode}"
                 )
             try:
-                self._proc.stdin.write(line + "\n")
+                self._proc.stdin.write(line)
+                self._proc.stdin.write("\n")
                 self._proc.stdin.flush()
                 reply = self._proc.stdout.readline()
             except (BrokenPipeError, OSError) as exc:

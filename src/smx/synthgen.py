@@ -7,13 +7,12 @@ classes differ in expectation but overlap sample to sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import SpectralDataset, Zone, ZoneConfig
+from .dataio import SpectralDataset, Zone, ZoneConfig, read_json
 from .errors import ConfigError, FormatError
 
 
@@ -153,10 +152,7 @@ def benchmark_zones() -> ZoneConfig:
 
 
 def load_config(path: str | Path) -> SyntheticConfig:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    obj = read_json(path, "synthetic config file")
     try:
         classes = tuple(
             ClassSpec(

@@ -1267,3 +1267,103 @@ class TestOutputDirectories:
         assert code == 2
         assert str(tmp_path / "blocker" / "te.csv") in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "raw.csv"]
+
+
+def _manifest_naming(work: Path, case: Path, **entries) -> str:
+    """``work/m.json``: a manifest of ``case``'s files, ``entries`` replacing some."""
+    manifest = {key: str(case / f"{key}.{ext}") for key, ext in
+                (("train", "csv"), ("test", "csv"), ("zones", "json"), ("model", "json"))}
+    manifest.update({key: str(value) for key, value in entries.items()}, engine={"bags": 3, "seeds": [1]})
+    (work / "m.json").write_text(json.dumps(manifest))
+    return str(work / "m.json")
+
+
+_SPECTRUM = ["threshold-spectrum", "--zone", "peak one", "--tau", "0.5"]
+# Every command's file inputs: (command, input) -> (is JSON, argv builder). The
+# builder takes the good case directory, the broken input, the output directory
+# and a work directory that may hold a manifest naming the broken input.
+INPUTS = {
+    ("synth", "--config"): (True, lambda c, bad, out, w: ["synth", "--config", bad, "--out", out / "d.csv"]),
+    ("split", "--input"): (
+        False, lambda c, bad, out, w: ["split", "--input", bad, "--out-train", out / "a.csv", "--out-test", out / "b.csv"]
+    ),
+    ("preprocess", "--train"): (
+        False, lambda c, bad, out, w: ["preprocess", "--method", "mean_center", "--train", bad, "--out-train", out / "a.csv"]
+    ),
+    ("preprocess", "--test"): (
+        False,
+        lambda c, bad, out, w: ["preprocess", "--method", "mean_center", "--train", c / "train.csv",
+                                "--out-train", out / "a.csv", "--test", bad, "--out-test", out / "b.csv"],
+    ),
+    ("train", "--train"): (False, lambda c, bad, out, w: ["train", "--train", bad, "--model", "ridge", "--out", out / "m.json"]),
+    ("explain", "--manifest"): (True, lambda c, bad, out, w: ["explain", "--manifest", bad, "--out", out]),
+    ("explain", "--train"): (False, lambda c, bad, out, w: ["explain", "--manifest", _manifest_naming(w, c, train=bad), "--out", out]),
+    ("explain", "--zones"): (True, lambda c, bad, out, w: ["explain", "--manifest", _manifest_naming(w, c), "--zones", bad, "--out", out]),
+    ("explain", "--model"): (True, lambda c, bad, out, w: ["explain", "--manifest", _manifest_naming(w, c, model=bad), "--out", out]),
+    ("evaluate", "--manifest"): (True, lambda c, bad, out, w: ["evaluate", "--manifest", bad, "--out", out]),
+    ("evaluate", "test"): (False, lambda c, bad, out, w: ["evaluate", "--manifest", _manifest_naming(w, c, test=bad), "--out", out]),
+    ("evaluate", "model"): (True, lambda c, bad, out, w: ["evaluate", "--manifest", _manifest_naming(w, c, model=bad), "--out", out]),
+    ("threshold-spectrum", "--train"): (
+        False, lambda c, bad, out, w: [*_SPECTRUM, "--train", bad, "--zones", c / "zones.json", "--out", out / "s.csv"]
+    ),
+    ("threshold-spectrum", "--zones"): (
+        True, lambda c, bad, out, w: [*_SPECTRUM, "--train", c / "train.csv", "--zones", bad, "--out", out / "s.csv"]
+    ),
+}
+
+
+def _break(path: Path, fault: str) -> None:
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not utf-8":
+        path.write_bytes(b'{"id": "\xff"}\n')
+    elif fault == "invalid json":
+        path.write_text('{"train": "train.csv",\n')
+    elif fault == "field over the csv limit":
+        path.write_text(f"id,label,1,2\n\"{'a' * (csv.field_size_limit() + 1)}\",0,1,2\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag, fault",
+    [
+        (command, flag, fault)
+        for (command, flag), (is_json, _) in INPUTS.items()
+        for fault in ("missing", "directory", "not utf-8", "invalid json" if is_json else "field over the csv limit")
+    ],
+)
+def test_unreadable_input_exit_2_names_file(explain_case, tmp_path, capsys, command, flag, fault):
+    """A missing, unreadable, non-UTF-8 or malformed input exits 2 with the
+    file named, and writes nothing."""
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    _break(bad, fault)
+    argv = INPUTS[command, flag][1](explain_case, bad, out, tmp_path)
+    assert main([str(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err, err
+    assert set(os.listdir(tmp_path)) <= {"bad", "m.json"}
+
+
+def test_runs_close_their_external_models(explain_case, tmp_path, monkeypatch):
+    """explain and evaluate stop the model server they start, whether the run
+    succeeds or fails."""
+    loaded = []
+    load_model = models.load_model
+
+    def recording(spec):
+        loaded.append(load_model(spec))
+        return loaded[-1]
+
+    monkeypatch.setattr(models, "load_model", recording)
+    helper = str(Path(__file__).parent / "helpers" / "external_model.py")
+    spec = {"kind": "external", "argv": [sys.executable, helper, "fixed-proba", "60", "0.25", "0.75"]}
+    mpath = _manifest_naming(tmp_path, explain_case)
+    (tmp_path / "ext.json").write_text(json.dumps(spec))
+    flags = ["--model", str(tmp_path / "ext.json")]
+    assert main(["explain", "--manifest", mpath, *flags, "--out", str(tmp_path / "o1")]) == 0
+    assert main(["explain", "--manifest", mpath, *flags, "--out", str(tmp_path / "o2"), "--quantiles", "2"]) == 2
+    manifest = json.loads(Path(mpath).read_text())
+    Path(mpath).write_text(json.dumps({**manifest, "model": spec}))
+    # a constant model ranks no zone, so the evaluate fails after using its model
+    assert main(["evaluate", "--manifest", mpath, "--out", str(tmp_path / "o3"), "--stability-runs", "0"]) == 1
+    assert len(loaded) == 3
+    assert [model._proc.poll() is not None for model in loaded] == [True] * 3

@@ -1,5 +1,7 @@
 """``dataio.load_csv`` against the csv.reader + per-cell ``float()`` reader
-it replaced on plain files: same arrays bit for bit, same errors."""
+it replaced on plain files: same arrays bit for bit, same errors, except
+that what the reference lets escape as a UnicodeDecodeError or csv.Error
+is a FormatError naming the file."""
 
 import csv
 from pathlib import Path
@@ -87,11 +89,19 @@ def _outcome(reader, path):
     )
 
 
-def _assert_same(tmp_path, data: bytes, name="case.csv"):
+def _assert_same(tmp_path, data: bytes, name="case.csv", refused=False):
+    """``load_csv`` and the reference agree on ``data``. With ``refused``, the
+    reference lets a UnicodeDecodeError or csv.Error escape, and ``load_csv``
+    must raise a FormatError naming the file instead."""
     path = tmp_path / name
     path.write_bytes(data)
-    got, want = _outcome(load_csv, path), _outcome(reference_load_csv, path)
-    assert got == want, data
+    got = _outcome(load_csv, path)
+    if refused:
+        with pytest.raises((UnicodeDecodeError, csv.Error)):
+            reference_load_csv(path)
+        assert got[:2] == ("raised", FormatError) and got[2].startswith(f"{path}: "), got
+        return got
+    assert got == _outcome(reference_load_csv, path), data
     return got
 
 
@@ -171,15 +181,17 @@ CASES = {
     "invalid utf-8": b"id,label,1,2\na\xff,0,1,2\n",
     "single column": _csv("id,label,7", "a,0,1", "b,1,2"),
 }
+# cases the reference reader lets escape as a UnicodeDecodeError
+REFUSED = {"invalid utf-8"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_named_case_matches_reference(tmp_path, name):
-    _assert_same(tmp_path, CASES[name])
+    _assert_same(tmp_path, CASES[name], refused=name in REFUSED)
 
 
 def test_named_cases_cover_both_outcomes(tmp_path):
-    kinds = [_assert_same(tmp_path, data)[0] for data in CASES.values()]
+    kinds = [_assert_same(tmp_path, data, refused=name in REFUSED)[0] for name, data in CASES.items()]
     assert kinds.count("read") >= 10 and kinds.count("raised") >= 30
 
 
@@ -244,22 +256,25 @@ def test_unmutated_random_files_match_reference(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, refused",
     [
-        _csv("id,label,1,2", "a,0,1,2"),  # every field within the limit
-        _csv("id,label,1,2", "abcdefghijklmnop,0,1,2"),  # a long id
-        _csv("id,label,1,2", "a,0,1.00000000000000000,2"),  # a long number
-        _csv("id,label,1.0000000000000000000,2", "a,0,1,2"),  # a long axis value
-        _csv("id,label,1,2,3,4,5,6,7", "a,0,1,2,3,4,5,6,7"),  # long lines, short fields
+        (_csv("id,label,1,2", "a,0,1,2"), False),  # every field within the limit
+        (_csv("id,label,1,2", "abcdefghijklmnop,0,1,2"), True),  # a long id
+        (_csv("id,label,1,2", "a,0,1.00000000000000000,2"), True),  # a long number
+        (_csv("id,label,1.0000000000000000000,2", "a,0,1,2"), True),  # a long axis value
+        (_csv("id,label,1,2,3,4,5,6,7", "a,0,1,2,3,4,5,6,7"), False),  # long lines, short fields
     ],
     ids=["short fields", "long id", "long number", "long axis value", "long lines"],
 )
-def test_field_size_limit_matches_reference(tmp_path, data):
+def test_field_size_limit_matches_reference(tmp_path, data, refused):
+    """A field over csv.field_size_limit() is a csv.Error to the reference."""
     old = csv.field_size_limit(12)
     try:
-        _assert_same(tmp_path, data)
+        got = _assert_same(tmp_path, data, refused=refused)
     finally:
         csv.field_size_limit(old)
+    if refused:
+        assert "field larger than field limit (12)" in got[2]
 
 
 class TestWhichPath:

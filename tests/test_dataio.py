@@ -476,3 +476,22 @@ class TestCsvFields:
     def test_always_quoted(self):
         assert dataio._csv_quote("Z01 <= 1.00") == '"Z01 <= 1.00"'
         assert next(csv.reader(io.StringIO(dataio._csv_quote('a "b", c') + "\n"))) == ['a "b", c']
+
+
+class TestReadInput:
+    def test_text_read_as_utf8_with_line_ends_kept(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes("a\r\nb\rc\né".encode())
+        assert dataio.read_input(path, "test file") == "a\r\nb\rc\né"
+
+    def test_path_holding_a_nul_is_a_config_error(self, tmp_path):
+        """A manifest entry can name such a path; open() refuses it with a ValueError."""
+        with pytest.raises(ConfigError, match="cannot read test file .*embedded null"):
+            dataio.read_input(f"{tmp_path}/a\0b", "test file")
+
+    def test_json_nested_too_deeply_is_a_format_error(self, tmp_path):
+        """json.loads raises RecursionError here, not JSONDecodeError."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(FormatError, match=f"{path}: invalid JSON in test file"):
+            dataio.read_json(path, "test file")
