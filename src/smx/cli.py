@@ -37,7 +37,11 @@ from .errors import ConfigError, FormatError, PipelineError, SmxError
 
 def _write_files(outputs) -> None:
     """Write each (path, text) to a temp sibling, then rename them all into
-    place, so a failed write leaves none of the new files behind."""
+    place, so a failed write leaves none of the new files behind. Outputs
+    naming one file are refused before anything is written."""
+    for k, (path, _) in enumerate(outputs):
+        if os.path.realpath(path) in [os.path.realpath(earlier) for earlier, _ in outputs[:k]]:
+            raise ConfigError(f"cannot write {path}: two outputs of this command name the same file")
     staged: list[tuple[Path, Path]] = []
     try:
         for path, text in outputs:
@@ -116,15 +120,33 @@ def _parse_list(text: str, cast, what: str) -> list:
 # manifest handling
 
 # Manifest entries naming files; relative ones resolve against the manifest's directory.
-_FILE_ENTRIES = ("train", "test", "zones", "model", "out", "output_dir")
+_FILE_ENTRIES = ("train", "test", "zones", "model", "out")
+
+# The one manifest entry each override flag replaces when given (a file entry,
+# or "section.key" for a key of the preprocess or engine object), and the
+# flag's argparse settings. A flag's path resolves against the working directory.
+_OVERRIDES = {
+    "--train": ("train", {"type": Path}),
+    "--zones": ("zones", {"type": Path}),
+    "--model": ("model", {"type": Path}),
+    "--preprocess": ("preprocess.method", {"choices": dataio.PREPROCESS_METHODS}),
+    "--window": ("preprocess.window", {"type": int}),
+    "--order": ("preprocess.order", {"type": int}),
+    "--bags": ("engine.bags", {"type": int}),
+    "--bag-fraction": ("engine.bag_fraction", {"type": float}),
+    "--min-support": ("engine.min_support_fraction", {"type": float}),
+    "--quantiles": ("engine.quantiles", {"type": lambda text: _parse_list(text, float, "numbers")}),
+    "--seeds": ("engine.seeds", {"type": lambda text: _parse_list(text, int, "integers")}),
+    "--out": ("out", {"type": Path, "help": "output directory"}),
+}
 
 
 def _load_manifest(args) -> dict:
-    """Merge an optional manifest file with direct flags (flags win). File
-    entries become paths: a manifest's relative to its directory, a flag's
-    relative to the working directory."""
+    """The manifest file ``args.manifest`` (none: an empty manifest), then
+    each flag of ``args.overrides`` that was given replaces its one entry.
+    The preprocess and engine entries come out as objects, empty if unset."""
     manifest = {}
-    if getattr(args, "manifest", None):
+    if args.manifest:
         mpath = Path(args.manifest)
         manifest = dataio.read_json(mpath, "manifest file")
         if not isinstance(manifest, dict):
@@ -133,38 +155,22 @@ def _load_manifest(args) -> dict:
             value = manifest.get(key)
             if value is not None and not (key == "model" and isinstance(value, dict)):  # a model spec
                 manifest[key] = mpath.parent / str(value)
-    for key in ("train", "test", "zones", "model", "out"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            manifest[key] = Path(flag)
-    if getattr(args, "preprocess", None):
-        manifest["preprocess"] = {
-            "method": args.preprocess,
-            "window": args.window,
-            "order": args.order,
-        }
-    pre = manifest.get("preprocess")
-    if pre is not None and not isinstance(pre, dict):
-        raise ConfigError(f"manifest preprocess must be a JSON object, got {pre!r}")
+    for section in ("preprocess", "engine"):
+        value = manifest.get(section)
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"manifest {section} must be a JSON object, got {value!r}")
+        manifest[section] = dict(value or {})
+    for flag in args.overrides:
+        entry = _OVERRIDES[flag][0]
+        section, _, key = entry.rpartition(".")
+        if (value := getattr(args, entry)) is not None:
+            (manifest[section] if section else manifest)[key] = value
+    pre = manifest["preprocess"]
+    unknown = sorted(set(pre) - {"method", "window", "order"})
+    if unknown:
+        raise ConfigError(f"unknown preprocess key(s) in manifest: {', '.join(unknown)}")
     if pre and "method" not in pre:
-        raise ConfigError("manifest preprocess lacks its 'method' key")
-    engine = manifest.get("engine", {})
-    if not isinstance(engine, dict):
-        raise ConfigError(f"manifest engine must be a JSON object, got {engine!r}")
-    engine = dict(engine)
-    for flag, key in (
-        ("bags", "bags"),
-        ("bag_fraction", "bag_fraction"),
-        ("min_support", "min_support_fraction"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            engine[key] = value
-    if getattr(args, "quantiles", None) is not None:
-        engine["quantiles"] = _parse_list(args.quantiles, float, "numbers")
-    if getattr(args, "seeds", None) is not None:
-        engine["seeds"] = _parse_list(args.seeds, int, "integers")
-    manifest["engine"] = engine
+        raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
     return manifest
 
 
@@ -203,7 +209,7 @@ def _cast(section: str, key: str, cast, value):
 
 def _manifest_engine(manifest: dict) -> EngineConfig:
     """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
-    engine = manifest.get("engine", {})
+    engine = manifest["engine"]
     unknown = sorted(set(engine) - set(_ENGINE_KEYS))
     if unknown:
         raise ConfigError(f"unknown engine key(s) in manifest: {', '.join(unknown)}")
@@ -244,14 +250,12 @@ def _load_data(manifest: dict, need_test: bool):
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
-    pre = manifest.get("preprocess")
+    pre = manifest["preprocess"]
     if pre:
-        state = dataio.fit_preprocess(
-            train,
-            pre["method"],
-            savgol_window=_cast("preprocess", "window", _integer, pre.get("window", 15)),
-            savgol_order=_cast("preprocess", "order", _integer, pre.get("order", 2)),
-        )
+        savgol = {
+            f"savgol_{key}": _cast("preprocess", key, _integer, value) for key, value in pre.items() if key != "method"
+        }
+        state = dataio.fit_preprocess(train, pre["method"], **savgol)
         train = dataio.apply_preprocess(state, train)
         if test is not None:
             test = dataio.apply_preprocess(state, test)
@@ -278,8 +282,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    if args.test and not args.out_test:
-        raise ConfigError("--out-test is required when --test is given")
+    if bool(args.test) != bool(args.out_test):
+        raise ConfigError("--test and --out-test go together: give both or neither")
     train = dataio.load_csv(args.train)
     test = _load_test(train, args.test) if args.test else None
     state = dataio.fit_preprocess(
@@ -295,15 +299,17 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    ridge = args.model == "ridge"
+    own = ("lam",) if ridge else ("l2", "max_iters", "tol")  # keywords of the model's fit function
+    params = {key: value for key in ("lam", "l2", "max_iters", "tol") if (value := getattr(args, key)) is not None}
+    foreign = [key for key in params if key not in own]
+    if foreign:
+        raise ConfigError(f"--{foreign[0].replace('_', '-')} does not apply to --model {args.model}")
     train = dataio.load_csv(args.train)
-    if args.model == "ridge":
-        model = models.fit_ridge(train, lam=args.lam)
-        extra = ""
-    else:
-        model = models.fit_logistic(train, l2=args.l2, max_iters=args.max_iters, tol=args.tol)
-        extra = f" converged={model.converged} iters={model.n_iters}"
+    model = (models.fit_ridge if ridge else models.fit_logistic)(train, **params)
+    extra = "" if ridge else f" converged={model.converged} iters={model.n_iters}"
     X = train.intensities
-    scores = model.predict(X) if args.model == "ridge" else model.predict_proba(X)[:, 1]
+    scores = model.predict(X) if ridge else model.predict_proba(X)[:, 1]
     acc = float(np.mean((scores > 0.5) == train.labels))
     _write_files([(args.out, models.model_json(model))])
     print(f"trained {args.model}: train accuracy {acc:.4f}{extra}")
@@ -312,9 +318,9 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     manifest = _load_manifest(args)
-    out = manifest.get("out") or manifest.get("output_dir")
+    out = manifest.get("out")
     if out is None:
-        raise ConfigError("an output directory is required (--out or manifest output_dir)")
+        raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, _EXPLAIN_OWNS)
     cfg = _manifest_engine(manifest)
     train, _test, zones = _load_data(manifest, need_test=False)
@@ -499,14 +505,11 @@ def _check_evaluate_flags(args) -> None:
 
 def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in ("smx", "pfi"):
-            raise ConfigError(f"unknown method '{m}' (expected smx and/or pfi)")
-    if not methods:
-        raise ConfigError("at least one method is required")
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= {"smx", "pfi"}:
+        raise ConfigError(f"--methods must name smx, pfi or both, each once; got {args.methods!r}")
     _check_evaluate_flags(args)
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
-    manifests = [_load_manifest(argparse.Namespace(manifest=mpath)) for mpath in args.manifest]
+    manifests = [_load_manifest(argparse.Namespace(manifest=mpath, overrides=())) for mpath in args.manifest]
     _check_dataset_names(manifests)
     cfgs = [_manifest_engine(manifest) for manifest in manifests]
     datasets = [_evaluate_one(manifest, cfg, methods, args) for manifest, cfg in zip(manifests, cfgs)]
@@ -558,38 +561,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test")
     p.add_argument("--out-test")
     p.add_argument("--state", help="write fitted parameters to this JSON file")
-    p.add_argument("--window", type=int, default=15)
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--window", type=int, help="Savitzky-Golay window (savgol_then_center only)")
+    p.add_argument("--order", type=int, help="Savitzky-Golay order (savgol_then_center only)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="fit a builtin reference model")
     p.add_argument("--train", required=True)
     p.add_argument("--model", required=True, choices=("ridge", "logistic"))
     p.add_argument("--out", required=True)
-    p.add_argument("--lam", type=float, default=1.0, help="ridge regularization")
-    p.add_argument("--l2", type=float, default=0.01, help="logistic regularization")
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--lam", type=float, help="ridge regularization")
+    p.add_argument("--l2", type=float, help="logistic regularization")
+    p.add_argument("--max-iters", type=int, help="logistic iteration cap")
+    p.add_argument("--tol", type=float, help="logistic gradient-norm tolerance")
     p.set_defaults(func=cmd_train)
 
-    def add_common(p):
-        p.add_argument("--manifest", help="JSON manifest; direct flags override it")
-        p.add_argument("--train")
-        p.add_argument("--test")
-        p.add_argument("--zones")
-        p.add_argument("--model")
-        p.add_argument("--preprocess", choices=dataio.PREPROCESS_METHODS)
-        p.add_argument("--window", type=int, default=15)
-        p.add_argument("--order", type=int, default=2)
-        p.add_argument("--bags", type=int)
-        p.add_argument("--bag-fraction", type=float, dest="bag_fraction")
-        p.add_argument("--min-support", type=float, dest="min_support")
-        p.add_argument("--quantiles")
-        p.add_argument("--seeds")
+    def add_overrides(p, *flags):
+        p.add_argument("--manifest", help="JSON manifest; a given flag replaces the one entry it names")
+        for flag in flags:
+            entry, settings = _OVERRIDES[flag]
+            p.add_argument(flag, dest=entry, **settings)
+        p.set_defaults(overrides=flags)
 
     p = sub.add_parser("explain", help="run the full explanation pipeline")
-    add_common(p)
-    p.add_argument("--out", help="output directory")
+    add_overrides(p, "--train", "--zones", "--model", "--preprocess", "--window", "--order",
+                  "--bags", "--bag-fraction", "--min-support", "--quantiles", "--seeds", "--out")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="score explanation quality for smx/pfi")
@@ -605,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("threshold-spectrum", help="back-project one score threshold")
-    add_common(p)
+    add_overrides(p, "--train", "--zones", "--preprocess", "--window", "--order")
     p.add_argument("--zone", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--out", required=True)
@@ -615,9 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --quantiles and --seeds raise ConfigError here
         return args.func(args)
     except SmxError as exc:
         print(f"error: {exc}", file=sys.stderr)

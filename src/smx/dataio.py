@@ -429,12 +429,16 @@ def kennard_stone_split(
 def fit_preprocess(
     ds: SpectralDataset,
     method: str,
-    savgol_window: int = 15,
-    savgol_order: int = 2,
+    savgol_window: int | None = None,
+    savgol_order: int | None = None,
 ) -> PreprocessState:
-    """Learn preprocessing parameters from ``ds`` only."""
+    """Learn preprocessing parameters from ``ds`` only. The Savitzky-Golay
+    window and order (15 and 2 when not given) apply to savgol_then_center
+    only; any other method refuses them."""
     if method not in PREPROCESS_METHODS:
         raise ConfigError(f"unknown preprocessing method '{method}'")
+    if method != SAVGOL_THEN_CENTER and (savgol_window, savgol_order) != (None, None):
+        raise ConfigError(f"a savgol window or order applies only to {SAVGOL_THEN_CENTER}, not {method}")
     if ds.n_samples == 0:
         raise ConfigError("cannot fit preprocessing on an empty dataset")
     X = ds.intensities
@@ -451,13 +455,11 @@ def fit_preprocess(
         scales = np.sqrt(raw_means)
         scaled = X / scales
         return PreprocessState(method=method, column_means=scaled.mean(axis=0), poisson_scales=scales)
-    if savgol_window > ds.n_variables:
+    window = 15 if savgol_window is None else int(savgol_window)
+    order = 2 if savgol_order is None else int(savgol_order)
+    if window > ds.n_variables:
         raise ConfigError("savgol window exceeds the number of variables")
-    state = PreprocessState(
-        method=method,
-        column_means=np.zeros(ds.n_variables),
-        savgol=(int(savgol_window), int(savgol_order)),
-    )
+    state = PreprocessState(method=method, column_means=np.zeros(ds.n_variables), savgol=(window, order))
     smoothed = _savgol_rows(X, state)
     state.column_means = smoothed.mean(axis=0)
     return state

@@ -209,6 +209,7 @@ class TestPipelineCommands:
         [
             (["--test", "raw.csv"], "--out-test"),
             (["--test", "bad.csv", "--out-test", "te.csv"], "bad.csv"),
+            (["--out-test", "te.csv"], "--test"),
         ],
     )
     def test_preprocess_failure_exit_2_no_outputs(self, tmp_path, capsys, test_args, message):
@@ -265,6 +266,25 @@ class TestPipelineCommands:
         code = main(["train", "--train", str(tmp_path / "train.csv"), "--out", str(out), *flags])
         assert code == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "logistic", "--lam", "-3"],
+            ["--model", "logistic", "--lam", "1"],
+            ["--model", "ridge", "--l2", "0.1"],
+            ["--model", "ridge", "--max-iters", "5"],
+            ["--model", "ridge", "--tol", "1e-3"],
+        ],
+        ids=lambda flags: " ".join(flags[1:3]),
+    )
+    def test_train_refuses_the_other_models_flags(self, tmp_path, capsys, flags):
+        """Checked before the train file is read: this one does not exist."""
+        out = tmp_path / "model.json"
+        code = main(["train", "--train", str(tmp_path / "missing.csv"), "--out", str(out), *flags])
+        assert code == 2
+        assert f"{flags[2]} does not apply to --model {flags[1]}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -713,6 +733,7 @@ class TestThresholdSpectrum:
         ("savgol_then_center", "preprocess"),
         (["savgol_then_center"], "preprocess"),
         (5, "preprocess"),
+        ({"method": "savgol_then_center", "windw": 31}, "windw"),
     ],
 )
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
@@ -783,7 +804,7 @@ class TestManifestState:
 
     @pytest.mark.parametrize("flag_keys", [5, ["train", "zones", "model", "out"], "train"])
     def test_flag_keys_entry_ignored(self, explain_case, tmp_path, monkeypatch, capsys, flag_keys):
-        mpath = self._case(explain_case, tmp_path, _flag_keys=flag_keys, _base="/nonexistent", output_dir="out")
+        mpath = self._case(explain_case, tmp_path, _flag_keys=flag_keys, _base="/nonexistent", out="out")
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
@@ -817,6 +838,108 @@ class TestManifestState:
         monkeypatch.setattr(dataio, "load_csv", counting)
         assert main([*command, "--manifest", str(mpath), "--out", str(tmp_path / "out")]) == 0
         assert loaded == ["train.csv"]
+
+
+_SAVGOL = "savgol_then_center"
+_EXPLAIN = ["explain", "--manifest", "m.json"]
+_SPECTRUM_RUN = ["threshold-spectrum", "--manifest", "m.json", "--zone", "peak one", "--tau", "0.5", "--out", "s.csv"]
+_SAVGOL_ONLY = "a savgol window or order applies only to savgol_then_center, not mean_center"
+
+
+def _engine(**keys):
+    return {"engine": {"bags": 3, "seeds": [1], **keys}}
+
+
+# name -> (argv, manifest entries, expected); see test_flag_surface.
+FLAG_SURFACE = {
+    "explain --test": ([*_EXPLAIN, "--test", "test.csv"], {}, "unrecognized arguments: --test"),
+    **{
+        f"threshold-spectrum {flag}": ([*_SPECTRUM_RUN, flag, "1"], {}, f"unrecognized arguments: {flag}")
+        for flag in ("--test", "--model", "--bags", "--bag-fraction", "--min-support", "--quantiles", "--seeds")
+    },
+    "output_dir": (_EXPLAIN, {"out": None, "output_dir": "run"}, "an output directory is required"),
+    "--train": ([*_EXPLAIN, "--train", "train.csv"], {"train": "missing.csv"}, {}),
+    "--zones": ([*_EXPLAIN, "--zones", "zones.json"], {"zones": "missing.json"}, {}),
+    "--model": ([*_EXPLAIN, "--model", "model.json"], {"model": "missing.json"}, {}),
+    "--out": ([*_EXPLAIN, "--out", "run"], {"out": "elsewhere"}, {}),
+    "--preprocess": (
+        [*_EXPLAIN, "--preprocess", _SAVGOL],
+        {"preprocess": {"method": "mean_center"}},
+        {"preprocess": {"method": _SAVGOL}},
+    ),
+    "--preprocess keeps the window": (
+        [*_EXPLAIN, "--preprocess", _SAVGOL],
+        {"preprocess": {"method": _SAVGOL, "window": 31}},
+        {"preprocess": {"method": _SAVGOL, "window": 31}},
+    ),
+    "--window": (
+        [*_EXPLAIN, "--window", "31"],
+        {"preprocess": {"method": _SAVGOL, "window": 15}},
+        {"preprocess": {"method": _SAVGOL, "window": 31}},
+    ),
+    "--order": (
+        [*_EXPLAIN, "--order", "3"],
+        {"preprocess": {"method": _SAVGOL}},
+        {"preprocess": {"method": _SAVGOL, "order": 3}},
+    ),
+    "--bags": ([*_EXPLAIN, "--bags", "4"], {}, _engine(bags=4)),
+    "--bag-fraction": ([*_EXPLAIN, "--bag-fraction", "0.6"], {}, _engine(bag_fraction=0.6)),
+    "--min-support": ([*_EXPLAIN, "--min-support", "0.3"], {}, _engine(min_support_fraction=0.3)),
+    "--quantiles": ([*_EXPLAIN, "--quantiles", "0.3,0.7"], {}, _engine(quantiles=[0.3, 0.7])),
+    "--seeds": ([*_EXPLAIN, "--seeds", "2,5"], {}, _engine(seeds=[2, 5])),
+    "--window without a method": ([*_EXPLAIN, "--window", "31"], {}, "preprocess lacks its 'method'"),
+    "--window over mean_center": (
+        [*_EXPLAIN, "--window", "7"], {"preprocess": {"method": "mean_center"}}, _SAVGOL_ONLY
+    ),
+    "--order with --preprocess mean_center": (
+        [*_EXPLAIN, "--preprocess", "mean_center", "--order", "2"], {}, _SAVGOL_ONLY
+    ),
+    "manifest order with mean_center": (_EXPLAIN, {"preprocess": {"method": "mean_center", "order": 2}}, _SAVGOL_ONLY),
+    "threshold-spectrum --window with mean_center": (
+        [*_SPECTRUM_RUN, "--preprocess", "mean_center", "--window", "7"], {}, _SAVGOL_ONLY
+    ),
+    "preprocess --window with mean_center": (
+        ["preprocess", "--method", "mean_center", "--train", "train.csv", "--out-train", "p.csv", "--window", "4",
+         "--order", "9"],
+        {},
+        _SAVGOL_ONLY,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, entries, expected", FLAG_SURFACE.values(), ids=FLAG_SURFACE.keys())
+def test_flag_surface(explain_case, tmp_path, monkeypatch, capsys, argv, entries, expected):
+    """Each command takes only the flags it reads, and a given flag replaces
+    exactly the one manifest entry it names. ``argv`` runs in a directory
+    holding the explain case's files and ``m.json``, their manifest with
+    ``entries`` over its own (None removes one). ``expected`` is either the
+    entries of a flagless manifest whose explain writes the same bytes, or
+    the message of an exit 2 that writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("train.csv", "zones.json", "model.json"):
+        (tmp_path / name).write_bytes((explain_case / name).read_bytes())
+
+    def write_manifest(name, entries):
+        manifest = {"train": "train.csv", "zones": "zones.json", "model": "model.json", "out": "run", **_engine()}
+        manifest.update(entries)
+        (tmp_path / name).write_text(json.dumps({key: value for key, value in manifest.items() if value is not None}))
+
+    write_manifest("m.json", entries)
+    inputs = sorted(os.listdir())
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag
+        code = exc.code
+    if isinstance(expected, str):
+        assert code == 2
+        assert expected in capsys.readouterr().err
+        assert sorted(os.listdir()) == inputs
+        return
+    assert code == 0
+    write_manifest("ref.json", {**expected, "out": "ref"})
+    assert main(["explain", "--manifest", "ref.json"]) == 0
+    assert _tree(tmp_path / "run") == _tree(tmp_path / "ref")
+    assert sorted(os.listdir()) == sorted([*inputs, "ref", "ref.json", "run"])
 
 
 class TestEvaluate:
@@ -1104,21 +1227,20 @@ class TestEvaluate:
         assert "'train'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_method_exit_2(self, eval_case, tmp_path, capsys):
-        case = eval_case
-        code = main(
-            [
-                "evaluate",
-                "--manifest",
-                str(case / "manifest.json"),
-                "--methods",
-                "shap",
-                "--out",
-                str(tmp_path / "r"),
-            ]
-        )
-        assert code == 2
-        assert "shap" in capsys.readouterr().err
+    def test_unknown_method_exit_2(self, eval_case, tmp_path, capsys, monkeypatch):
+        """An unknown or a repeated method is refused before any load."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data or a model was loaded before --methods was checked")
+
+        monkeypatch.setattr(dataio, "load_csv", refuse)
+        monkeypatch.setattr(models, "load_model", refuse)
+        for methods in ("shap", "smx,smx,pfi"):
+            code = main(["evaluate", "--manifest", str(eval_case / "manifest.json"), "--methods", methods,
+                         "--out", str(tmp_path / "r")])
+            assert code == 2
+            assert methods in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _tree(root: Path) -> dict:
@@ -1255,6 +1377,27 @@ class TestOutputDirectories:
         err = capsys.readouterr().err
         assert str(out) in err
         assert _tree(out) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--out", "dup.csv", "--zones-out", "dup.csv"],
+            ["split", "--input", "raw.csv", "--out-train", "dup.csv", "--out-test", "./dup.csv"],
+            ["preprocess", "--method", "mean_center", "--train", "raw.csv", "--out-train", "dup.csv",
+             "--test", "raw.csv", "--out-test", "sub/../dup.csv"],
+            ["preprocess", "--method", "mean_center", "--train", "raw.csv", "--out-train", "dup.csv",
+             "--state", "dup.csv"],
+        ],
+        ids=["synth", "split", "preprocess-out-test", "preprocess-state"],
+    )
+    def test_two_outputs_naming_one_file_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        dataio.save_csv(synthgen.generate(small_config()), tmp_path / "raw.csv")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "dup.csv: two outputs of this command name the same file" in capsys.readouterr().err
+        assert sorted(os.listdir()) == ["raw.csv", "sub"]
+        assert os.listdir("sub") == []
 
     def test_preprocess_unwritable_out_test_leaves_no_out_train(self, tmp_path, capsys):
         dataio.save_csv(synthgen.generate(small_config()), tmp_path / "raw.csv")

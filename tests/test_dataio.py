@@ -284,6 +284,23 @@ class TestPreprocess:
         state = fit_preprocess(ds, "savgol_then_center", savgol_window=15, savgol_order=2)
         assert state.savgol == (15, 2)
 
+    def test_savgol_defaults(self):
+        ds = SpectralDataset(
+            axis=np.arange(20.0),
+            intensities=np.random.default_rng(0).normal(size=(4, 20)),
+            labels=[0, 0, 1, 1],
+            sample_ids=list("abcd"),
+        )
+        assert fit_preprocess(ds, "savgol_then_center").savgol == (15, 2)
+        assert fit_preprocess(ds, "savgol_then_center", savgol_order=3).savgol == (15, 3)
+        assert fit_preprocess(ds, "savgol_then_center", savgol_window=7).savgol == (7, 2)
+
+    @pytest.mark.parametrize("params", [{"savgol_window": 15}, {"savgol_order": 2}])
+    @pytest.mark.parametrize("method", ["mean_center", "poisson_then_center"])
+    def test_savgol_settings_refused_for_other_methods(self, small_dataset, method, params):
+        with pytest.raises(ConfigError, match=f"applies only to savgol_then_center, not {method}"):
+            fit_preprocess(small_dataset, method, **params)
+
     def test_poisson_zero_mean_column_names_column(self):
         ds = SpectralDataset(
             axis=[1.0, 2.0],
