@@ -488,8 +488,16 @@ def _compare(datasets: list[dict], methods: list[str]) -> list[dict]:
     return comparisons
 
 
-def _check_evaluate_flags(args) -> None:
-    """Reject out-of-range evaluate flags before any data or model is loaded."""
+def _check_evaluate_flags(args, methods: list[str]) -> None:
+    """Reject flags the run would not read and out-of-range values before
+    any data or model is loaded. Unset flags take their defaults here."""
+    pfi_run, study = ("pfi" in methods, "--methods includes pfi"), (args.stability_runs != 0, "--stability-runs is not 0")
+    for key, default, (read, when) in (("pfi_repeats", 10, pfi_run), ("pfi_seed", 0, pfi_run),
+                                       ("rho", 0.7, study), ("depth", 20, study)):
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif not read:
+            raise ConfigError(f"--{key.replace('_', '-')} is only read when {when}")
     for flag, value, ok, rule in (
         ("--kmax", args.kmax, args.kmax >= 0, ">= 0 (0 = auto)"),
         ("--pfi-repeats", args.pfi_repeats, args.pfi_repeats >= 1, ">= 1"),
@@ -507,7 +515,7 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= {"smx", "pfi"}:
         raise ConfigError(f"--methods must name smx, pfi or both, each once; got {args.methods!r}")
-    _check_evaluate_flags(args)
+    _check_evaluate_flags(args, methods)
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
     manifests = [_load_manifest(argparse.Namespace(manifest=mpath, overrides=())) for mpath in args.manifest]
     _check_dataset_names(manifests)
@@ -593,10 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--kmax", type=int, default=0, help="cap the masking depth (0 = auto)")
     p.add_argument("--stability-runs", type=int, default=10, dest="stability_runs")
-    p.add_argument("--rho", type=float, default=0.7)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--pfi-repeats", type=int, default=10, dest="pfi_repeats")
-    p.add_argument("--pfi-seed", type=int, default=0, dest="pfi_seed")
+    p.add_argument("--rho", type=float)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--pfi-repeats", type=int, dest="pfi_repeats")
+    p.add_argument("--pfi-seed", type=int, dest="pfi_seed")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("threshold-spectrum", help="back-project one score threshold")

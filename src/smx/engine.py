@@ -6,12 +6,15 @@ zone replaced by full-training-set column medians for the satisfying
 samples; the mean change in model output over those samples, divided by
 the zone width, is the predicate's normalized impact.
 
+``output_shifts`` is the one place a model's output is compared with
+its intact output: the zone responses below, ``evalkit``'s faithfulness
+curve and its PFI all ask the model through it.
+
 Because the replacement values are full-training medians, a sample's
 perturbed output depends only on the zone, not on the seed, the bag or
 the predicate. ``responses`` therefore evaluates the model once on the
 training matrix and once per zone with that zone median-replaced for
-every sample, and keeps the per-sample impacts ``D[i, m]`` (absolute
-output shift, or class-averaged absolute probability shift) with the
+every sample, and keeps the per-sample shifts ``D[i, m]`` with the
 predicted classes: zones + 1 model calls per training set, however
 many seeds, bags and predicates are ranked from it. ``run_bags`` scores
 one bag as one masked reduction over ``D``: a predicate's impact is the
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,33 +98,35 @@ def draw_bag(seed: int, bag_index: int, n: int, n_b: int) -> np.ndarray:
     return np.array(idx[:n_b])
 
 
-def perturb_zone(X: np.ndarray, zone_indices: np.ndarray, medians: np.ndarray) -> np.ndarray:
-    """Replace the zone's columns with training medians; all else untouched."""
+def output_shifts(model, X: np.ndarray, edits: Iterable) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The model's outputs on ``X``, and an iterator that makes one model
+    call per edit ``(columns, values)``, on ``X`` with ``X[:, columns] =
+    values``, and yields each row's shift from the intact outputs: the
+    absolute difference of continuous outputs, or the class-averaged
+    absolute probability shift. ``X`` is edited in place; each edit is
+    undone before its shift is yielded or the model's error propagates.
+    The intact outputs are copied: they may be views of ``X``."""
+    if model.kind not in (CONTINUOUS, PROBABILISTIC):
+        raise ModelError(f"unknown model kind {model.kind!r}")
+    continuous = model.kind == CONTINUOUS
+    ask = model.predict if continuous else model.predict_proba
     X = np.asarray(X, dtype=float)
-    zone_indices = np.asarray(zone_indices, dtype=int)
-    if zone_indices.size and (zone_indices.min() < 0 or zone_indices.max() >= X.shape[1]):
-        raise ConfigError("zone index out of range")
-    out = X.copy()
-    out[:, zone_indices] = medians[zone_indices]
-    return out
+    outputs = np.array(ask(X))
 
+    def shifts():
+        for columns, values in edits:
+            cols = np.asarray(columns, dtype=int)
+            if cols.size and (cols.min() < 0 or cols.max() >= X.shape[1]):
+                raise ConfigError("zone index out of range")
+            saved = X[:, cols].copy()
+            X[:, cols] = values
+            try:
+                diff = np.abs(outputs - ask(X))
+            finally:
+                X[:, cols] = saved
+            yield diff if continuous else diff.sum(axis=1) / diff.shape[1]
 
-def row_impacts(kind: str, orig: np.ndarray, pert: np.ndarray) -> np.ndarray:
-    """Per-sample output shift: the absolute difference of continuous
-    outputs, or the class-averaged absolute probability shift."""
-    diff = np.abs(np.asarray(orig) - np.asarray(pert))
-    if kind == CONTINUOUS:
-        return diff
-    return diff.sum(axis=1) / diff.shape[1]
-
-
-def model_outputs(model, X: np.ndarray) -> np.ndarray:
-    """``predict`` of a continuous model, ``predict_proba`` of a probabilistic one."""
-    if model.kind == CONTINUOUS:
-        return model.predict(X)
-    if model.kind == PROBABILISTIC:
-        return model.predict_proba(X)
-    raise ModelError(f"unknown model kind {model.kind!r}")
+    return outputs, shifts()
 
 
 def _predicted_classes(kind: str, outputs: np.ndarray) -> np.ndarray:
@@ -151,16 +156,12 @@ class Responses:
 def responses(model, X_train: np.ndarray, zone_models: Sequence[ZoneModel]) -> Responses:
     """Query the model on the full training matrix ``len(zone_models) + 1``
     times: once intact and once per zone median-replaced."""
-    X = np.asarray(X_train, dtype=float)
+    X = np.array(X_train, dtype=float)  # output_shifts edits it
     medians = np.median(X, axis=0)
-    outputs = model_outputs(model, X)
-    shifts = np.column_stack(
-        [
-            row_impacts(model.kind, outputs, model_outputs(model, perturb_zone(X, zm.indices, medians)))
-            for zm in zone_models
-        ]
-    )
-    return Responses(shifts=shifts, classes=_predicted_classes(model.kind, outputs))
+    # clipped: a zone index outside X reaches output_shifts' range check, not an IndexError
+    edits = ((zm.indices, medians.take(zm.indices, mode="clip")) for zm in zone_models)
+    outputs, shifts = output_shifts(model, X, edits)
+    return Responses(shifts=np.column_stack(list(shifts)), classes=_predicted_classes(model.kind, outputs))
 
 
 def run_bags(

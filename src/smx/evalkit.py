@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .engine import model_outputs, row_impacts
+from .engine import output_shifts
 from .errors import ConfigError, PipelineError
 
 
@@ -60,15 +60,10 @@ def faithfulness_curve(
     for name in zone_order:
         if name not in zone_sets:
             raise ConfigError(f"ranked zone '{name}' is not in the zone config")
-    X = np.asarray(X_test, dtype=float)
     depth = len(zone_order) if k_max is None else min(int(k_max), len(zone_order))
-    base = model_outputs(model, X)
-    masked = X.copy()
-    ys = []
-    for k in range(depth):
-        masked[:, np.asarray(zone_sets[zone_order[k]], dtype=int)] = 0.0
-        ys.append(float(np.mean(row_impacts(model.kind, base, model_outputs(model, masked)))))
-    return make_curve(ys)
+    edits = ((np.concatenate([zone_sets[name] for name in zone_order[: k + 1]]), 0.0) for k in range(depth))
+    _, shifts = output_shifts(model, np.array(X_test, dtype=float), edits)
+    return make_curve([float(np.mean(shift)) for shift in shifts])
 
 
 def agreement_curve(zone_order: Sequence[str], plausible: set[str]) -> EvalCurve:
@@ -190,20 +185,15 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
         raise ConfigError(f"pfi seed must be >= 0, got {seed}")
     X = np.asarray(X_test, dtype=float)
     m, p = X.shape
-    blocks = np.broadcast_to(X, (repeats, m, p)).copy()
-    work = blocks.reshape(repeats * m, p)
-    base = model_outputs(model, work)
     rows = np.broadcast_to(np.arange(m), (repeats, m))
+    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j))) for j in range(p))
+    edits = ((j, X[:, j][rng.permuted(rows, axis=1)].ravel()) for j, rng in enumerate(rngs))
+    _, shifts = output_shifts(model, np.tile(X, (repeats, 1)), edits)  # the stacked work buffer
     out = np.zeros(p)
-    for j in range(p):
-        column = X[:, j]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j)))
-        blocks[:, :, j] = column[rng.permuted(rows, axis=1)]
-        impacts = row_impacts(model.kind, base, model_outputs(model, work))
+    for j, shift in enumerate(shifts):
         acc = 0.0
-        for mean in impacts.reshape(repeats, m).mean(axis=1).tolist():
+        for mean in shift.reshape(repeats, m).mean(axis=1).tolist():
             acc += mean  # sequential, in repeat order: a pairwise sum rounds differently
-        blocks[:, :, j] = column
         out[j] = acc / repeats
     return out
 

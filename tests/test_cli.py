@@ -1089,6 +1089,12 @@ class TestEvaluate:
             (["--stability-runs", "1"], "--stability-runs"),
             (["--stability-runs", "-1"], "--stability-runs"),
             (["--stability-runs", "-10"], "--stability-runs"),
+            (["--methods", "smx", "--pfi-repeats", "7"], "--pfi-repeats"),
+            (["--methods", "smx", "--pfi-seed", "0"], "--pfi-seed"),
+            (["--stability-runs", "0", "--rho", "0.2"], "--rho"),
+            (["--stability-runs", "0", "--depth", "20"], "--depth"),
+            (["--methods", "smx", "--stability-runs", "0", "--pfi-repeats", "7", "--pfi-seed", "3",
+              "--rho", "0.2", "--depth", "3"], "--pfi-repeats"),
         ],
     )
     def test_invalid_flag_exit_2_before_model_load(self, eval_case, tmp_path, capsys, monkeypatch, flags, flag):
@@ -1262,7 +1268,7 @@ class TestOutputDirectories:
 
     def _evaluate(self, case, out, *flags):
         argv = ["evaluate", "--manifest", str(case / "manifest.json"), "--out", str(out)]
-        return main([*argv, "--stability-runs", "0", "--pfi-repeats", "2", *flags])
+        return main([*argv, "--stability-runs", "0", *flags])
 
     def test_explain_rerun_leaves_exactly_the_new_files(self, explain_case, tmp_path):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -1293,7 +1299,7 @@ class TestOutputDirectories:
 
     def test_evaluate_rerun_leaves_no_stale_curves(self, eval_case, tmp_path):
         out, fresh = tmp_path / "report", tmp_path / "fresh"
-        assert self._evaluate(eval_case, out, "--methods", "smx,pfi") == 0
+        assert self._evaluate(eval_case, out, "--methods", "smx,pfi", "--pfi-repeats", "2") == 0
         assert len(list((out / "curves").iterdir())) == 6
         assert self._evaluate(eval_case, out, "--methods", "smx") == 0
         assert self._evaluate(eval_case, fresh, "--methods", "smx") == 0

@@ -1,5 +1,6 @@
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -15,18 +16,18 @@ from smx.engine import (
     bag_size,
     draw_bag,
     min_support,
-    model_outputs,
-    perturb_zone,
+    output_shifts,
     responses,
-    row_impacts,
     run_bags,
     trace_lines,
 )
-from smx.errors import ConfigError
+from smx.errors import ConfigError, ModelError
 from smx.models import CONTINUOUS, PROBABILISTIC, LogisticModel, RidgeModel, fit_logistic
 from smx.parallel import run_ordered
 from smx.predicates import Predicate, PredicateSet, build_predicates
 from smx.zonecore import fit_zone_models
+
+from parent_loops import model_outputs, perturb_zone, row_impacts
 
 
 class TestEngineConfig:
@@ -74,11 +75,38 @@ class TestDrawBag:
             draw_bag(0, 0, 3, 4)
 
 
+class _Recording:
+    """A model of the given kind answering ``answer(X)``; it keeps a copy
+    of every matrix it is sent."""
+
+    def __init__(self, kind, answer):
+        self.kind, self.answer, self.sent = kind, answer, []
+
+    def _call(self, X):
+        self.sent.append(X.copy())
+        return self.answer(X)
+
+    predict = predict_proba = _call
+
+
+def _probabilities(X):
+    """Class-1 probability column 0, class-0 its complement."""
+    return np.column_stack([1.0 - X[:, 0], X[:, 0]])
+
+
+def _shifts(model, X, edits):
+    return list(output_shifts(model, X, edits)[1])
+
+
 class TestPerturb:
+    """The edits ``output_shifts`` makes to the matrix it sends."""
+
     def test_empty_zone_is_identity(self):
         X = np.random.default_rng(0).normal(size=(4, 5))
-        out = perturb_zone(X, np.array([], dtype=int), np.zeros(5))
-        np.testing.assert_array_equal(out, X)
+        model = _Recording(CONTINUOUS, lambda A: A.sum(axis=1))
+        (shift,) = _shifts(model, X, [(np.array([], dtype=int), np.zeros(0))])
+        np.testing.assert_array_equal(model.sent[1], X)
+        np.testing.assert_array_equal(shift, np.zeros(4))
 
     def test_odd_median(self):
         col = np.array([1.0, 2.0, 100.0])
@@ -92,37 +120,78 @@ class TestPerturb:
         X = rng.normal(size=(6, 8))
         med = rng.normal(size=8)
         zone = np.array([2, 3, 4])
-        out = perturb_zone(X, zone, med)
-        np.testing.assert_array_equal(np.delete(out, zone, axis=1), np.delete(X, zone, axis=1))
-        np.testing.assert_array_equal(out[:, zone], np.tile(med[zone], (6, 1)))
+        model = _Recording(CONTINUOUS, lambda A: A.sum(axis=1))
+        _shifts(model, X, [(zone, med[zone]), ([7], 0.0)])
+        intact, edited, zeroed = model.sent
+        np.testing.assert_array_equal(intact, X)
+        np.testing.assert_array_equal(np.delete(edited, zone, axis=1), np.delete(X, zone, axis=1))
+        np.testing.assert_array_equal(edited[:, zone], np.tile(med[zone], (6, 1)))
+        np.testing.assert_array_equal(zeroed[:, :7], X[:, :7])
+        np.testing.assert_array_equal(zeroed[:, 7], np.zeros(6))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            perturb_zone(np.zeros((2, 3)), np.array([3]), np.zeros(3))
+        """Also through ``responses``: a library caller can pass zone
+        models fitted on a wider dataset."""
+        for columns in ([3], [0, -1], 3, [2, 7]):
+            model = _Recording(CONTINUOUS, lambda A: A.sum(axis=1))
+            with pytest.raises(ConfigError, match="zone index out of range"):
+                _shifts(model, np.zeros((2, 3)), [(columns, 0.0)])
+            assert len(model.sent) == 1
+            with pytest.raises(ConfigError, match="zone index out of range"):
+                responses(model, np.zeros((2, 3)), [SimpleNamespace(indices=np.atleast_1d(columns))])
 
+    @pytest.mark.parametrize("kind", [CONTINUOUS, PROBABILISTIC])
+    def test_matrix_unchanged_after_the_call_and_after_a_model_error(self, kind):
+        X = np.random.default_rng(2).normal(size=(5, 4))
+        before = X.copy()
+        answer = (lambda A: A[:, 0]) if kind == CONTINUOUS else _probabilities
+        model = _Recording(kind, answer)
+        outputs, shifts = output_shifts(model, X, [([0, 1], 9.0), ([2], -3.0)])
+        for _ in shifts:
+            np.testing.assert_array_equal(X, before)
+        np.testing.assert_array_equal(X, before)
+        np.testing.assert_array_equal(outputs, answer(before))
 
-def _mean_impact(kind, orig, pert):
-    return float(np.mean(row_impacts(kind, orig, pert)))
+        def fail_second(A):
+            if len(model.sent) == 2:
+                raise ModelError("model failed")
+            return answer(A)
+
+        model = _Recording(kind, fail_second)
+        with pytest.raises(ModelError):
+            _shifts(model, X, [([1, 3], 5.0)])
+        np.testing.assert_array_equal(model.sent[1][:, [1, 3]], np.full((5, 2), 5.0))
+        np.testing.assert_array_equal(X, before)
 
 
 class TestImpacts:
+    """The per-row shifts ``output_shifts`` yields."""
+
     def test_identical_vectors_zero(self):
-        assert _mean_impact(CONTINUOUS, np.ones(4), np.ones(4)) == 0.0
-        assert _mean_impact(PROBABILISTIC, np.full((3, 2), 0.5), np.full((3, 2), 0.5)) == 0.0
+        X = np.random.default_rng(3).uniform(size=(6, 3))
+        same = [(1, X[:, 1]), ([0, 2], X[:, [0, 2]])]
+        for model in (_Recording(CONTINUOUS, lambda A: A @ [1.0, -2.0, 0.5]), _Recording(PROBABILISTIC, _probabilities)):
+            for shift in _shifts(model, X, same):
+                np.testing.assert_array_equal(shift, np.zeros(6))
 
     def test_continuous_direct_value(self):
-        assert _mean_impact(CONTINUOUS, np.array([1.0, 0.0]), np.zeros(2)) == 0.5
+        (shift,) = _shifts(_Recording(CONTINUOUS, lambda A: A[:, 0].copy()), np.array([[1.0], [0.0]]), [([0], 0.0)])
+        assert float(np.mean(shift)) == 0.5
 
     def test_continuous_absolute_homogeneity(self):
-        a, b = np.array([1.0, -2.0, 0.5]), np.array([0.0, 1.0, 2.0])
-        assert _mean_impact(CONTINUOUS, 3 * a, 3 * b) == pytest.approx(3 * _mean_impact(CONTINUOUS, a, b))
+        X = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.0]])
+        w = np.array([0.7, -1.3])
+        (a,) = _shifts(RidgeModel(weights=w, intercept=0.0), X, [([0, 1], [0.25, 2.0])])
+        (b,) = _shifts(RidgeModel(weights=3 * w, intercept=0.0), X, [([0, 1], [0.25, 2.0])])
+        np.testing.assert_allclose(b, 3 * a, rtol=1e-15)
 
     def test_probabilistic_single_row(self):
-        got = _mean_impact(PROBABILISTIC, np.array([[0.9, 0.1]]), np.array([[0.6, 0.4]]))
-        assert got == pytest.approx(0.3, abs=1e-15)
+        (shift,) = _shifts(_Recording(PROBABILISTIC, _probabilities), np.array([[0.1]]), [([0], 0.4)])
+        assert float(shift[0]) == pytest.approx(0.3, abs=1e-15)
 
     def test_probabilistic_bound_attained(self):
-        assert _mean_impact(PROBABILISTIC, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == 1.0
+        (shift,) = _shifts(_Recording(PROBABILISTIC, _probabilities), np.array([[0.0]]), [([0], 1.0)])
+        assert float(shift[0]) == 1.0
 
 
 class TestSizing:
@@ -375,7 +444,7 @@ def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
                 continue
             zm = zone_models[pred.zone_index]
             pert = query(perturb_zone(X[sat], zm.indices, medians))
-            raw = _mean_impact(model.kind, outputs[sat], pert)
+            raw = float(np.mean(row_impacts(model.kind, outputs[sat], pert)))
             scored.append(_Entry(predicate=j, impact=raw / zm.width, raw_impact=raw, support=int(sat.size)))
         scored.sort(key=lambda e: (-e.impact, e.predicate))
         result = _Bag(bag_index=b, entries=scored)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from smx import dataio, models, synthgen
-from smx.engine import model_outputs, row_impacts
 from smx.errors import ConfigError, PipelineError
 from smx.evalkit import (
     agreement_curve,
@@ -22,6 +21,8 @@ from smx.evalkit import (
     wilcoxon_signed_rank,
 )
 from smx.models import ExternalModel, LogisticModel, RidgeModel
+
+from parent_loops import model_outputs, row_impacts
 
 STUB = str(Path(__file__).parent / "helpers" / "external_model.py")
 
