@@ -1,10 +1,12 @@
-"""Command-line surface: synth, split, preprocess, train, explain,
-evaluate and threshold-spectrum.
+"""Command-line surface: synth, split, preprocess, train, explain and
+evaluate.
 
 ``explain`` writes into ``--out`` the predicate and zone rankings, the
 zone models, one DOT and one JSON graph per seed, the bag trace and one
 ``threshold_spectra.csv`` table holding every predicate's threshold
-spectrum, a row per (predicate, zone channel).
+spectrum, a row per (predicate, zone channel), in the train file's units:
+with a preprocess entry, the table is mapped back through the fitted
+preprocessing, while the zone models stay in the space they were fitted in.
 
 Exit codes: 0 success, 1 pipeline/model error, 2 usage/config error
 (an unwritable output path included). Outputs are published only after
@@ -122,9 +124,10 @@ def _parse_list(text: str, cast, what: str) -> list:
 # Manifest entries naming files; relative ones resolve against the manifest's directory.
 _FILE_ENTRIES = ("train", "test", "zones", "model", "out")
 
-# The one manifest entry each override flag replaces when given (a file entry,
-# or "section.key" for a key of the preprocess or engine object), and the
-# flag's argparse settings. A flag's path resolves against the working directory.
+# explain's flags besides --manifest: the one manifest entry each replaces when
+# given (a file entry, or "section.key" for a key of the preprocess or engine
+# object), and its argparse settings. A flag's path resolves against the
+# working directory.
 _OVERRIDES = {
     "--train": ("train", {"type": Path}),
     "--zones": ("zones", {"type": Path}),
@@ -141,13 +144,13 @@ _OVERRIDES = {
 }
 
 
-def _load_manifest(args) -> dict:
-    """The manifest file ``args.manifest`` (none: an empty manifest), then
-    each flag of ``args.overrides`` that was given replaces its one entry.
-    The preprocess and engine entries come out as objects, empty if unset."""
+def _load_manifest(mpath, args=None) -> dict:
+    """The manifest file ``mpath`` (none: an empty manifest), then each
+    ``_OVERRIDES`` flag given in ``args`` replaces its one entry. The
+    preprocess and engine entries come out as objects, empty if unset."""
     manifest = {}
-    if args.manifest:
-        mpath = Path(args.manifest)
+    if mpath:
+        mpath = Path(mpath)
         manifest = dataio.read_json(mpath, "manifest file")
         if not isinstance(manifest, dict):
             raise ConfigError(f"{mpath}: manifest must be a JSON object, got {manifest!r}")
@@ -160,8 +163,7 @@ def _load_manifest(args) -> dict:
         if value is not None and not isinstance(value, dict):
             raise ConfigError(f"manifest {section} must be a JSON object, got {value!r}")
         manifest[section] = dict(value or {})
-    for flag in args.overrides:
-        entry = _OVERRIDES[flag][0]
+    for entry, _ in _OVERRIDES.values() if args else ():
         section, _, key = entry.rpartition(".")
         if (value := getattr(args, entry)) is not None:
             (manifest[section] if section else manifest)[key] = value
@@ -247,10 +249,13 @@ def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
 
 
 def _load_data(manifest: dict, need_test: bool):
+    """(train, test, zones, state): the data preprocessed by ``state``, the
+    preprocessing fitted on train, or as read with no preprocess entry
+    (state None)."""
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
-    pre = manifest["preprocess"]
+    pre, state = manifest["preprocess"], None
     if pre:
         savgol = {
             f"savgol_{key}": _cast("preprocess", key, _integer, value) for key, value in pre.items() if key != "method"
@@ -259,7 +264,7 @@ def _load_data(manifest: dict, need_test: bool):
         train = dataio.apply_preprocess(state, train)
         if test is not None:
             test = dataio.apply_preprocess(state, test)
-    return train, test, zones
+    return train, test, zones, state
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +322,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = _load_manifest(args.manifest, args)
     out = manifest.get("out")
     if out is None:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, _EXPLAIN_OWNS)
     cfg = _manifest_engine(manifest)
-    train, _test, zones = _load_data(manifest, need_test=False)
+    train, _test, zones, state = _load_data(manifest, need_test=False)
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, cfg)
 
@@ -338,24 +343,8 @@ def cmd_explain(args) -> int:
             trace.extend(trace_lines(seed, result.bag_results[seed], result.predicate_set))
         (stage / "bag_trace.jsonl").write_text("\n".join(trace + [""]))
         (stage / "threshold_spectra.csv").write_text(
-            zonecore.threshold_table_csv(result.predicate_set.predicates, result.zone_models, train.axis)
+            zonecore.threshold_table_csv(result.predicate_set.predicates, result.zone_models, train.axis, state)
         )
-    return 0
-
-
-def cmd_threshold_spectrum(args) -> int:
-    if not np.isfinite(args.tau):
-        raise ConfigError(f"threshold tau must be finite, got {args.tau}")
-    manifest = _load_manifest(args)
-    train, _test, zones = _load_data(manifest, need_test=False)
-    names = zones.names()
-    if args.zone not in names:
-        raise ConfigError(f"zone '{args.zone}' is not defined in the zone config")
-    m = names.index(args.zone)
-    idx = dataio.resolve_zones(zones, train)[m]
-    model = zonecore.fit_zone(train.intensities[:, idx], zone_name=args.zone, zone_index=m, indices=idx)
-    spectrum = zonecore.threshold_spectrum(model, args.tau)
-    _write_files([(args.out, zonecore.threshold_spectrum_csv(spectrum, train.axis, model.indices))])
     return 0
 
 
@@ -389,7 +378,7 @@ def _check_dataset_names(manifests: list[dict]) -> None:
 
 
 def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -> dict:
-    train, test, zones = _load_data(manifest, need_test=True)
+    train, test, zones, _state = _load_data(manifest, need_test=True)
     with _loaded_model(manifest) as model:
         zone_sets = {
             z.name: idx for z, idx in zip(zones.zones, dataio.resolve_zones(zones, train))
@@ -517,7 +506,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--methods must name smx, pfi or both, each once; got {args.methods!r}")
     _check_evaluate_flags(args, methods)
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
-    manifests = [_load_manifest(argparse.Namespace(manifest=mpath, overrides=())) for mpath in args.manifest]
+    manifests = [_load_manifest(mpath) for mpath in args.manifest]
     _check_dataset_names(manifests)
     cfgs = [_manifest_engine(manifest) for manifest in manifests]
     datasets = [_evaluate_one(manifest, cfg, methods, args) for manifest, cfg in zip(manifests, cfgs)]
@@ -583,16 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="logistic gradient-norm tolerance")
     p.set_defaults(func=cmd_train)
 
-    def add_overrides(p, *flags):
-        p.add_argument("--manifest", help="JSON manifest; a given flag replaces the one entry it names")
-        for flag in flags:
-            entry, settings = _OVERRIDES[flag]
-            p.add_argument(flag, dest=entry, **settings)
-        p.set_defaults(overrides=flags)
-
     p = sub.add_parser("explain", help="run the full explanation pipeline")
-    add_overrides(p, "--train", "--zones", "--model", "--preprocess", "--window", "--order",
-                  "--bags", "--bag-fraction", "--min-support", "--quantiles", "--seeds", "--out")
+    p.add_argument("--manifest", help="JSON manifest; a given flag replaces the one entry it names")
+    for flag, (entry, settings) in _OVERRIDES.items():
+        p.add_argument(flag, dest=entry, **settings)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="score explanation quality for smx/pfi")
@@ -606,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pfi-repeats", type=int, dest="pfi_repeats")
     p.add_argument("--pfi-seed", type=int, dest="pfi_seed")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("threshold-spectrum", help="back-project one score threshold")
-    add_overrides(p, "--train", "--zones", "--preprocess", "--window", "--order")
-    p.add_argument("--zone", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_threshold_spectrum)
 
     return parser
 

@@ -30,6 +30,7 @@ MEAN_CENTER = "mean_center"
 POISSON_THEN_CENTER = "poisson_then_center"
 SAVGOL_THEN_CENTER = "savgol_then_center"
 PREPROCESS_METHODS = (MEAN_CENTER, POISSON_THEN_CENTER, SAVGOL_THEN_CENTER)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _fmt(x: float) -> str:
@@ -121,7 +122,9 @@ class Zone:
 
 @dataclass
 class ZoneConfig:
-    """Ordered, non-overlapping zone definitions."""
+    """Non-overlapping zone definitions, kept in axis order: ``zones`` is
+    sorted by (start, end), so an explanation does not depend on the order
+    in which a config lists its zones."""
 
     zones: list[Zone]
 
@@ -134,8 +137,8 @@ class ZoneConfig:
         for z in self.zones:
             if not (z.start < z.end):
                 raise ConfigError(f"zone '{z.name}': start must be < end")
-        ordered = sorted(self.zones, key=lambda z: (z.start, z.end))
-        for prev, cur in zip(ordered, ordered[1:]):
+        self.zones = sorted(self.zones, key=lambda z: (z.start, z.end))
+        for prev, cur in zip(self.zones, self.zones[1:]):
             if cur.start < prev.end:
                 raise ConfigError(
                     f"zones '{prev.name}' and '{cur.name}' overlap"
@@ -170,24 +173,30 @@ def read_json(path: str | Path, what: str):
         raise FormatError(f"{path}: invalid JSON in {what} ({exc})") from exc
 
 
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float64 (not NaN, an infinity, or an
+    integer too large for a float); booleans are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
 def load_zone_config(path: str | Path) -> ZoneConfig:
-    """Read a zone config from a JSON array of {name,start,end,plausible}."""
+    """Read a zone config from a JSON array of {name,start,end,plausible}:
+    a string, two finite numbers and a JSON boolean."""
     raw = read_json(path, "zones file")
     if not isinstance(raw, list):
         raise FormatError(f"{path}: zone config must be a JSON array")
     zones = []
     for i, obj in enumerate(raw):
-        try:
-            zones.append(
-                Zone(
-                    name=str(obj["name"]),
-                    start=float(obj["start"]),
-                    end=float(obj["end"]),
-                    plausible=bool(obj["plausible"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad zone entry {i}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}: bad zone entry {i}: expected a JSON object, got {obj!r}")
+        for key, ok, kind in (("name", lambda v: isinstance(v, str), "a string"),
+                              ("start", _is_number, "a finite number"),
+                              ("end", _is_number, "a finite number"),
+                              ("plausible", lambda v: isinstance(v, bool), "true or false")):
+            if key not in obj or not ok(obj[key]):
+                got = f"got {obj[key]!r}" if key in obj else "missing"
+                raise FormatError(f"{path}: bad zone entry {i}: '{key}' must be {kind}, {got}")
+        zones.append(Zone(obj["name"], float(obj["start"]), float(obj["end"]), obj["plausible"]))
     return ZoneConfig(zones)
 
 
@@ -450,7 +459,7 @@ def fit_preprocess(
         if bad.size:
             raise ConfigError(
                 f"poisson scaling requires positive column means; column {int(bad[0])} "
-                f"has mean {raw_means[bad[0]]!r}"
+                f"has mean {float(raw_means[bad[0]])!r}"
             )
         scales = np.sqrt(raw_means)
         scaled = X / scales
@@ -487,6 +496,18 @@ def apply_preprocess(state: PreprocessState, ds: SpectralDataset) -> SpectralDat
     return SpectralDataset(
         axis=ds.axis, intensities=out, labels=ds.labels, sample_ids=list(ds.sample_ids)
     )
+
+
+def to_input_units(state: PreprocessState, values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``values`` at the channels ``indices`` of data ``state`` preprocessed,
+    mapped back through the affine part of ``state`` into the units of the
+    data it was fitted on: ``values + column_means``, times ``poisson_scales``
+    for poisson_then_center. Smoothing has no inverse, so under
+    savgol_then_center the result is smoothed intensities."""
+    out = values + state.column_means[indices]
+    if state.method == POISSON_THEN_CENTER:
+        out = out * state.poisson_scales[indices]
+    return out
 
 
 def resolve_zones(cfg: ZoneConfig, ds: SpectralDataset) -> list[np.ndarray]:

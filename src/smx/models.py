@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .dataio import SpectralDataset, read_json
+from .dataio import SpectralDataset, _is_number, read_json
 from .errors import ConfigError, ModelError
 
 CONTINUOUS = "continuous"
@@ -192,11 +192,20 @@ def save_model(model, path: str | Path) -> None:
     Path(path).write_text(model_json(model))
 
 
+def _finite(value, key: str):
+    """A builtin model's ``key``: a JSON list of finite numbers, or one
+    finite number; null, booleans, NaN and infinities are refused."""
+    if not all(map(_is_number, value if isinstance(value, list) else [value])):
+        raise ValueError(f"'{key}' must be finite numbers, got {value!r}")
+    return value
+
+
 def load_model(spec: dict | str | Path):
     """Build a model handle from a spec dict or a JSON file path.
 
-    Accepted kinds: "ridge" / "logistic" weight dumps and
-    {"kind": "external", "argv": [...]} subprocess models.
+    Accepted kinds: "ridge" / "logistic" weight dumps, whose weights and
+    intercept must be finite numbers, and {"kind": "external", "argv": [...]}
+    subprocess models.
     """
     if not isinstance(spec, dict):
         path = spec
@@ -204,21 +213,13 @@ def load_model(spec: dict | str | Path):
         if not isinstance(spec, dict):
             raise ConfigError(f"{path}: model JSON must be an object, got {spec!r}")
     kind = spec.get("kind")
-    try:
-        if kind == "ridge":
-            return RidgeModel(
-                weights=np.asarray(spec["weights"], dtype=float),
-                intercept=float(spec["intercept"]),
-                lam=float(spec.get("lambda", 0.0)),
-            )
-        if kind == "logistic":
-            return LogisticModel(
-                weights=np.asarray(spec["weights"], dtype=float),
-                intercept=float(spec["intercept"]),
-                l2=float(spec.get("l2", 0.0)),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind} model spec: {exc}") from exc
+    if kind in ("ridge", "logistic"):
+        cls, regularization = (RidgeModel, "lambda") if kind == "ridge" else (LogisticModel, "l2")
+        try:
+            weights, intercept = (_finite(spec[key], key) for key in ("weights", "intercept"))
+            return cls(np.asarray(weights, dtype=float), float(intercept), float(spec.get(regularization, 0.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {kind} model spec: {exc}") from exc
     if kind == "external":
         argv = spec.get("argv")
         if not isinstance(argv, list) or not argv:

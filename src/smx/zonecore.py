@@ -9,6 +9,11 @@ the smaller Gram form of the centred zone: the d x d covariance when
 d <= n, otherwise the n x n sample Gram matrix, whose top eigenvector u
 gives the loading Xc.T @ u / ||Xc.T @ u||. Loading signs follow a fixed
 convention so every fit is bit-reproducible.
+
+A threshold spectrum is ``mean + tau * loading``, the zone profile whose
+score is tau, in the space the zone was fitted in. ``threshold_table_csv``
+writes one for every predicate, mapped into the input file's units through
+``dataio.to_input_units`` when the data was preprocessed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import SpectralDataset, ZoneConfig, resolve_zones, _csv_quote, _fmt
+from .dataio import PreprocessState, SpectralDataset, ZoneConfig, resolve_zones, to_input_units, _csv_quote, _fmt
 from .errors import ConfigError, PipelineError
 
 
@@ -34,15 +39,6 @@ class ZoneModel:
     @property
     def width(self) -> int:
         return int(self.indices.size)
-
-
-@dataclass
-class ThresholdSpectrum:
-    """A score-space threshold mapped back to measurement units."""
-
-    zone_name: str
-    tau: float
-    profile: np.ndarray
 
 
 def _fix_sign(w: np.ndarray) -> np.ndarray:
@@ -112,12 +108,12 @@ def score_zone(model: ZoneModel, X_zone: np.ndarray) -> np.ndarray:
     return (X - model.mean) @ model.loading
 
 
-def threshold_spectrum(model: ZoneModel, tau: float) -> ThresholdSpectrum:
-    """Back-project a score threshold into measurement units: mean + tau * loading."""
+def threshold_spectrum(model: ZoneModel, tau: float) -> np.ndarray:
+    """Back-project a score threshold onto the zone's channels, in the space
+    the zone model was fitted in: mean + tau * loading."""
     if not np.isfinite(tau):
         raise ConfigError(f"threshold tau must be finite, got {tau}")
-    profile = model.mean + float(tau) * model.loading
-    return ThresholdSpectrum(zone_name=model.zone_name, tau=float(tau), profile=profile)
+    return model.mean + float(tau) * model.loading
 
 
 def fit_zone_models(
@@ -150,27 +146,22 @@ def zone_models_to_json(models: list[ZoneModel]) -> str:
     return "[\n" + ",\n".join("  " + zone_model_to_json(m) for m in models) + "\n]\n"
 
 
-def threshold_spectrum_lines(spectrum: ThresholdSpectrum, axis: np.ndarray, indices: np.ndarray) -> list[str]:
-    """One ``axis,value`` CSV line per zone channel, in zone order, both at
-    17 significant digits (``"%.17g" % x`` is the text ``_fmt(x)`` gives)."""
-    return ["%.17g,%.17g" % pair for pair in zip(axis[indices].tolist(), spectrum.profile.tolist())]
-
-
-def threshold_spectrum_csv(spectrum: ThresholdSpectrum, axis: np.ndarray, indices: np.ndarray) -> str:
-    """CSV text (axis value, profile value) for overlaying on measured spectra."""
-    return "\n".join(["axis,value", *threshold_spectrum_lines(spectrum, axis, indices)]) + "\n"
-
-
-def threshold_table_csv(predicates, models: list[ZoneModel], axis: np.ndarray) -> str:
+def threshold_table_csv(
+    predicates, models: list[ZoneModel], axis: np.ndarray, state: PreprocessState | None = None
+) -> str:
     """Every predicate's threshold spectrum as one CSV table with columns
     ``predicate,label,axis,value``: one row per (predicate, zone channel),
     predicates in the given order, channels in zone order. ``predicate``
-    is the position in ``predicates``, ``label`` is quoted, and the
-    ``axis,value`` text of a row is its ``threshold_spectrum_csv`` line."""
+    is the position in ``predicates``, ``label`` is quoted, and axis and
+    value have 17 significant digits (``"%.17g" % x`` is the text
+    ``_fmt(x)`` gives). With ``state``, the preprocessing the zones were
+    fitted after, values are in the units of the data it was fitted on."""
     lines = ["predicate,label,axis,value"]
     for j, pred in enumerate(predicates):
         model = models[pred.zone_index]
         prefix = f"{j},{_csv_quote(pred.label)},"
-        spectrum = threshold_spectrum(model, pred.tau)
-        lines.extend(prefix + line for line in threshold_spectrum_lines(spectrum, axis, model.indices))
+        profile = threshold_spectrum(model, pred.tau)
+        if state is not None:
+            profile = to_input_units(state, profile, model.indices)
+        lines.extend(prefix + "%.17g,%.17g" % pair for pair in zip(axis[model.indices].tolist(), profile.tolist()))
     return "\n".join(lines) + "\n"

@@ -138,7 +138,7 @@ def test_criterion_4_threshold_round_trip(bench):
     worst = 0.0
     for pred in bench.result.predicate_set.predicates:
         model = bench.result.zone_models[pred.zone_index]
-        profile = threshold_spectrum(model, pred.tau).profile
+        profile = threshold_spectrum(model, pred.tau)
         recovered = score_zone(model, profile[None, :])[0]
         worst = max(worst, abs(recovered - pred.tau))
     count = len(bench.result.predicate_set.predicates)

@@ -557,11 +557,11 @@ class TestExplain:
         assert {t["bag"] for t in trace} <= {0, 1, 2}
 
 
-def _reference_threshold_spectrum_csv(spectrum, axis, indices):
+def _reference_threshold_spectrum_csv(profile, axis, indices):
     """The per-predicate ``threshold_spectra/predicate_NNN.csv`` text that
     explain wrote before the single table, kept as the reference."""
     lines = ["axis,value"]
-    for j, v in zip(indices, spectrum.profile):
+    for j, v in zip(indices, profile):
         lines.append(f"{_fmt(axis[j])},{_fmt(v)}")
     return "\n".join(lines) + "\n"
 
@@ -613,10 +613,8 @@ class TestThresholdTable:
         assert [prefix for prefix, _ in groups] == [f'{j},"{p.label}"' for j, p in enumerate(pset.predicates)]
         for (_, lines), pred in zip(groups, pset.predicates):
             zm = zone_models[pred.zone_index]
-            spectrum = zonecore.threshold_spectrum(zm, pred.tau)
-            want = _reference_threshold_spectrum_csv(spectrum, train.axis, zm.indices)
+            want = _reference_threshold_spectrum_csv(zonecore.threshold_spectrum(zm, pred.tau), train.axis, zm.indices)
             assert "\n".join(["axis,value", *lines]) + "\n" == want
-            assert zonecore.threshold_spectrum_csv(spectrum, train.axis, zm.indices) == want
 
     def test_file_list(self, benchmark_explain):
         """Five files plus one DOT and one JSON graph per seed, no directory."""
@@ -629,101 +627,73 @@ class TestThresholdTable:
         assert all(p.is_file() for p in out.iterdir())
         assert len(names) == 13
 
+    def test_zone_listing_order_changes_no_byte(self, benchmark_explain, tmp_path):
+        """Zones are kept in axis order, so the same zones listed reversed or
+        shuffled give the artifacts of the ascending listing."""
+        root, out, quantiles = benchmark_explain
+        zones = json.loads((root / "zones.json").read_text())
+        rng = np.random.default_rng(3)
+        for k, order in enumerate([zones[::-1], *(list(rng.permutation(zones)) for _ in range(2))]):
+            assert order != zones
+            (tmp_path / f"zones_{k}.json").write_text(json.dumps(order))
+            argv = ["explain", "--train", str(root / "train.csv"), "--zones", str(tmp_path / f"zones_{k}.json"),
+                    "--model", str(root / "model.json"), "--quantiles", ",".join(map(str, quantiles)),
+                    "--out", str(tmp_path / f"out_{k}")]
+            assert main(argv) == 0
+            assert _changed_files(_tree(tmp_path / f"out_{k}"), _tree(out)) == []
 
-class TestThresholdSpectrum:
-    def _argv(self, case, tau, out):
-        return ["threshold-spectrum", "--train", str(case / "train.csv"), "--zones", str(case / "zones.json"),
-                "--zone", "peak two", f"--tau={tau}", "--out", str(out)]
 
-    def test_fits_only_the_named_zone(self, explain_case, tmp_path, monkeypatch):
-        """One fit on success, none for a refused tau; the CSV is the one the
-        full zone fit gives."""
-        train = dataio.load_csv(explain_case / "train.csv")
-        zones = dataio.load_zone_config(explain_case / "zones.json")
-        zone_models, _ = zonecore.fit_zone_models(train, zones)
-        model = zone_models[zones.names().index("peak two")]
-        expected = zonecore.threshold_spectrum_csv(zonecore.threshold_spectrum(model, 0.75), train.axis, model.indices)
-        calls = []
-        fit_zone = zonecore.fit_zone
+def _walkthrough_raw_train() -> dataio.SpectralDataset:
+    """The README walkthrough's train split at seed 42, before preprocessing."""
+    return dataio.kennard_stone_split(synthgen.generate(synthgen.benchmark_config(42)), 0.7)[0]
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("zone_name"))
-            return fit_zone(*args, **kwargs)
 
-        monkeypatch.setattr(zonecore, "fit_zone", counting)
-        out = tmp_path / "s.csv"
-        assert main(self._argv(explain_case, 0.75, out)) == 0
-        assert calls == ["peak two"]
-        assert out.read_text() == expected
-        calls.clear()
-        assert main(self._argv(explain_case, "nan", tmp_path / "n.csv")) == 2
-        assert calls == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+class TestInputUnits:
+    """With a preprocess entry, threshold spectra are mapped back into the
+    units of the train file."""
 
-    def test_writes_profile(self, tmp_path):
-        case = build_small_case(tmp_path / "case")
-        out = tmp_path / "spectrum.csv"
-        code = main(
-            [
-                "threshold-spectrum",
-                "--train",
-                str(case / "train.csv"),
-                "--zones",
-                str(case / "zones.json"),
-                "--zone",
-                "peak one",
-                "--tau",
-                "1.5",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "axis,value"
-        assert len(lines) > 2
+    @pytest.mark.parametrize("method", ["mean_center", "savgol_then_center"])
+    def test_top_predicate_lies_between_the_raw_class_means(self, method):
+        """At its zone's most class-separating channel, the top predicate's
+        threshold spectrum lies between the measured class means."""
+        raw = _walkthrough_raw_train()
+        state = dataio.fit_preprocess(raw, method)
+        train = dataio.apply_preprocess(state, raw)
+        result = pipeline.explain(train, synthgen.benchmark_zones(), models.fit_logistic(train), EngineConfig())
+        top = result.predicate_set.predicates[result.ranking.order[0]]
+        zm = result.zone_models[top.zone_index]
+        profile = dataio.to_input_units(state, zonecore.threshold_spectrum(zm, top.tau), zm.indices)
+        X = raw.intensities[:, zm.indices]
+        a, b = X[raw.labels == 0].mean(axis=0), X[raw.labels == 1].mean(axis=0)
+        c = int(np.argmax(np.abs(a - b)))
+        assert min(a[c], b[c]) < profile[c] < max(a[c], b[c])
 
-    def test_unknown_zone_exit_2(self, tmp_path, capsys):
-        case = build_small_case(tmp_path / "case")
-        code = main(
-            [
-                "threshold-spectrum",
-                "--train",
-                str(case / "train.csv"),
-                "--zones",
-                str(case / "zones.json"),
-                "--zone",
-                "nope",
-                "--tau",
-                "0.0",
-                "--out",
-                str(tmp_path / "s.csv"),
-            ]
-        )
-        assert code == 2
-        assert "nope" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
-    def test_non_finite_tau_exit_2_no_output(self, tmp_path, capsys, tau):
-        case = build_small_case(tmp_path / "case")
-        out = tmp_path / "s.csv"
-        code = main(
-            [
-                "threshold-spectrum",
-                "--train",
-                str(case / "train.csv"),
-                "--zones",
-                str(case / "zones.json"),
-                "--zone",
-                "peak one",
-                f"--tau={tau}",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 2
-        assert "tau" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("method", ["mean_center", "savgol_then_center"])
+    def test_explain_maps_only_the_table(self, tmp_path, method):
+        """Explaining the raw file with ``--preprocess`` writes every file of
+        the explain of the preprocessed file byte for byte, except the table,
+        whose values are the preprocessed table's mapped into input units."""
+        raw = _walkthrough_raw_train()
+        state = dataio.fit_preprocess(raw, method)
+        train = dataio.apply_preprocess(state, raw)
+        dataio.save_csv(raw, tmp_path / "raw.csv")
+        dataio.save_csv(train, tmp_path / "train.csv")
+        models.save_model(models.fit_logistic(train), tmp_path / "model.json")
+        (tmp_path / "zones.json").write_text(dataio.zone_config_json(synthgen.benchmark_zones()))
+        common = ["--zones", str(tmp_path / "zones.json"), "--model", str(tmp_path / "model.json")]
+        assert main(["explain", "--train", str(tmp_path / "raw.csv"), "--preprocess", method, *common,
+                     "--out", str(tmp_path / "raw_out")]) == 0
+        assert main(["explain", "--train", str(tmp_path / "train.csv"), *common, "--out", str(tmp_path / "out")]) == 0
+        mapped, ref = _tree(tmp_path / "raw_out"), _tree(tmp_path / "out")
+        tables = [list(csv.reader(t.pop("threshold_spectra.csv").decode().splitlines())) for t in (mapped, ref)]
+        assert _changed_files(mapped, ref) == []
+        assert [row[:3] for row in tables[0]] == [row[:3] for row in tables[1]]
+        axis = np.array([float(row[2]) for row in tables[1][1:]])
+        channels = np.searchsorted(raw.axis, axis)
+        np.testing.assert_array_equal(raw.axis[channels], axis)
+        values, model_space = (np.array([float(row[3]) for row in table[1:]]) for table in tables)
+        np.testing.assert_array_equal(values, dataio.to_input_units(state, model_space, channels))
+        assert not np.array_equal(values, model_space)
 
 
 @pytest.mark.parametrize(
@@ -780,6 +750,45 @@ def test_non_object_model_file_exit_2_no_outputs(explain_case, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights, intercept", [("[null, 1.0]", "0.5"), ("[1.0, NaN]", "0.5"), ("[1.0, 2.0]", "Infinity")])
+def test_non_finite_model_file_exit_2_no_outputs(explain_case, tmp_path, capsys, weights, intercept):
+    """A builtin model with a weight or intercept that is not a finite number
+    is refused before any ranking, instead of leaving every zone unranked."""
+    mpath = tmp_path / "m.json"
+    mpath.write_text(f'{{"kind": "logistic", "weights": {weights}, "intercept": {intercept}}}')
+    out = tmp_path / "out"
+    code = main(
+        ["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
+         "--model", str(mpath), "--out", str(out)]
+    )
+    assert code == 2
+    assert "must be finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_untyped_zone_value_exit_2_no_outputs(explain_case, tmp_path, capsys):
+    """A quoted "false" is no JSON boolean: it would have counted as plausible."""
+    zones = json.loads((explain_case / "zones.json").read_text())
+    zones[0]["plausible"] = "false"
+    (tmp_path / "zones.json").write_text(json.dumps(zones))
+    out = tmp_path / "out"
+    code = main(
+        ["explain", "--train", str(explain_case / "train.csv"), "--zones", str(tmp_path / "zones.json"),
+         "--model", str(explain_case / "model.json"), "--out", str(out)]
+    )
+    assert code == 2
+    assert f"{tmp_path / 'zones.json'}: bad zone entry 0: 'plausible' must be true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threshold_spectrum_command_is_gone(capsys):
+    """explain's threshold_spectra.csv is the one place threshold spectra are written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold-spectrum", "--help"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'threshold-spectrum'" in capsys.readouterr().err
+
+
 class TestManifestState:
     """Which entries came from flags, and the manifest's directory, are
     not manifest entries: a manifest holding keys of the same names
@@ -820,12 +829,10 @@ class TestManifestState:
         assert main(["explain", "--manifest", str(mpath), "--out", "o"]) == 0
         assert (tmp_path / "o" / "predicate_ranking.csv").exists()
 
-    @pytest.mark.parametrize(
-        "command", [["explain"], ["threshold-spectrum", "--zone", "peak one", "--tau", "1.5"]], ids=lambda c: c[0]
-    )
+    @pytest.mark.parametrize("command", ["explain"])
     def test_test_entry_not_loaded(self, explain_case, tmp_path, monkeypatch, command):
-        """Neither command uses a test set: a manifest's ``test`` entry is
-        not read, so one on another axis is no error."""
+        """explain uses no test set: a manifest's ``test`` entry is not
+        read, so one on another axis is no error."""
         mpath = self._case(explain_case, tmp_path, test="other.csv")
         _save_other_axis(dataio.load_csv(explain_case / "train.csv"), mpath.parent / "other.csv", 1000.0)
         loaded = []
@@ -836,13 +843,12 @@ class TestManifestState:
             return load_csv(path)
 
         monkeypatch.setattr(dataio, "load_csv", counting)
-        assert main([*command, "--manifest", str(mpath), "--out", str(tmp_path / "out")]) == 0
+        assert main([command, "--manifest", str(mpath), "--out", str(tmp_path / "out")]) == 0
         assert loaded == ["train.csv"]
 
 
 _SAVGOL = "savgol_then_center"
 _EXPLAIN = ["explain", "--manifest", "m.json"]
-_SPECTRUM_RUN = ["threshold-spectrum", "--manifest", "m.json", "--zone", "peak one", "--tau", "0.5", "--out", "s.csv"]
 _SAVGOL_ONLY = "a savgol window or order applies only to savgol_then_center, not mean_center"
 
 
@@ -853,10 +859,6 @@ def _engine(**keys):
 # name -> (argv, manifest entries, expected); see test_flag_surface.
 FLAG_SURFACE = {
     "explain --test": ([*_EXPLAIN, "--test", "test.csv"], {}, "unrecognized arguments: --test"),
-    **{
-        f"threshold-spectrum {flag}": ([*_SPECTRUM_RUN, flag, "1"], {}, f"unrecognized arguments: {flag}")
-        for flag in ("--test", "--model", "--bags", "--bag-fraction", "--min-support", "--quantiles", "--seeds")
-    },
     "output_dir": (_EXPLAIN, {"out": None, "output_dir": "run"}, "an output directory is required"),
     "--train": ([*_EXPLAIN, "--train", "train.csv"], {"train": "missing.csv"}, {}),
     "--zones": ([*_EXPLAIN, "--zones", "zones.json"], {"zones": "missing.json"}, {}),
@@ -895,9 +897,6 @@ FLAG_SURFACE = {
         [*_EXPLAIN, "--preprocess", "mean_center", "--order", "2"], {}, _SAVGOL_ONLY
     ),
     "manifest order with mean_center": (_EXPLAIN, {"preprocess": {"method": "mean_center", "order": 2}}, _SAVGOL_ONLY),
-    "threshold-spectrum --window with mean_center": (
-        [*_SPECTRUM_RUN, "--preprocess", "mean_center", "--window", "7"], {}, _SAVGOL_ONLY
-    ),
     "preprocess --window with mean_center": (
         ["preprocess", "--method", "mean_center", "--train", "train.csv", "--out-train", "p.csv", "--window", "4",
          "--order", "9"],
@@ -1254,6 +1253,12 @@ def _tree(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _changed_files(tree: dict, ref: dict) -> list[str]:
+    """Files of two ``_tree`` results that only one holds or whose bytes
+    differ (a short failure report, where comparing the dicts diffs all bytes)."""
+    return sorted(name for name in tree.keys() | ref.keys() if tree.get(name) != ref.get(name))
+
+
 def _leftovers(root: Path) -> list[str]:
     """Temp or set-aside siblings that a publish step left behind."""
     return [p.name for p in root.rglob("*") if ".tmp" in p.name or ".old-" in p.name]
@@ -1427,7 +1432,6 @@ def _manifest_naming(work: Path, case: Path, **entries) -> str:
     return str(work / "m.json")
 
 
-_SPECTRUM = ["threshold-spectrum", "--zone", "peak one", "--tau", "0.5"]
 # Every command's file inputs: (command, input) -> (is JSON, argv builder). The
 # builder takes the good case directory, the broken input, the output directory
 # and a work directory that may hold a manifest naming the broken input.
@@ -1452,12 +1456,6 @@ INPUTS = {
     ("evaluate", "--manifest"): (True, lambda c, bad, out, w: ["evaluate", "--manifest", bad, "--out", out]),
     ("evaluate", "test"): (False, lambda c, bad, out, w: ["evaluate", "--manifest", _manifest_naming(w, c, test=bad), "--out", out]),
     ("evaluate", "model"): (True, lambda c, bad, out, w: ["evaluate", "--manifest", _manifest_naming(w, c, model=bad), "--out", out]),
-    ("threshold-spectrum", "--train"): (
-        False, lambda c, bad, out, w: [*_SPECTRUM, "--train", bad, "--zones", c / "zones.json", "--out", out / "s.csv"]
-    ),
-    ("threshold-spectrum", "--zones"): (
-        True, lambda c, bad, out, w: [*_SPECTRUM, "--train", c / "train.csv", "--zones", bad, "--out", out / "s.csv"]
-    ),
 }
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from smx import dataio
+from smx import dataio, synthgen
 from smx.dataio import (
     SpectralDataset,
     Zone,
@@ -308,8 +308,10 @@ class TestPreprocess:
             labels=[0, 1],
             sample_ids=list("ab"),
         )
-        with pytest.raises(ConfigError, match="column 1"):
+        with pytest.raises(ConfigError, match="column 1") as exc:
             fit_preprocess(ds, "poisson_then_center")
+        assert str(exc.value).endswith("has mean 0.0")  # a plain number, not np.float64(0.0)
+        assert "np.float64" not in str(exc.value)
 
     def test_centering_zeroes_training_columns(self, small_dataset):
         for method in ("mean_center", "poisson_then_center"):
@@ -363,6 +365,21 @@ class TestPreprocess:
         np.testing.assert_array_equal(
             apply_preprocess(state, ds2).intensities, 2.0 * apply_preprocess(state, ds).intensities
         )
+
+    @pytest.mark.parametrize("method", ["mean_center", "poisson_then_center"])
+    def test_input_units_invert_apply_preprocess(self, method):
+        """A profile mapped into input units at some channels comes back
+        through ``apply_preprocess`` at those channels."""
+        raw = synthgen.generate(synthgen.benchmark_config(42))
+        # the offset makes every column mean positive, as Poisson scaling needs
+        ds = SpectralDataset(raw.axis, raw.intensities + 1.0, raw.labels, raw.sample_ids)
+        state = fit_preprocess(ds, method)
+        idx = np.arange(40, 90)
+        profile = np.random.default_rng(3).normal(size=idx.size)
+        row = dataio.to_input_units(state, np.zeros(ds.n_variables), np.arange(ds.n_variables))
+        row[idx] = dataio.to_input_units(state, profile, idx)
+        back = apply_preprocess(state, SpectralDataset(ds.axis, row[None, :], [0], ["x"])).intensities[0]
+        np.testing.assert_allclose(back[idx], profile, rtol=1e-12, atol=1e-12)
 
     def test_width_mismatch(self, small_dataset):
         state = fit_preprocess(small_dataset, "mean_center")
@@ -455,6 +472,39 @@ class TestZones:
         sets = resolve_zones(small_zones, small_dataset)
         merged = np.concatenate(sets)
         assert np.unique(merged).size == merged.size <= small_dataset.n_variables
+
+    def test_zones_kept_in_axis_order(self):
+        a, b, c = Zone("a", 1.0, 2.0, True), Zone("b", 2.0, 3.0, False), Zone("c", 5.0, 6.0, True)
+        assert ZoneConfig([c, a, b]).zones == [a, b, c]
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("plausible", "false", "true or false"),
+            ("plausible", 0, "true or false"),
+            ("plausible", None, "true or false"),
+            ("name", 5, "a string"),
+            ("name", None, "a string"),
+            ("start", "1", "a finite number"),
+            ("start", True, "a finite number"),
+            ("start", math.nan, "a finite number"),
+            ("end", math.inf, "a finite number"),
+            pytest.param("end", 10**400, "a finite number", id="end-10**400-a finite number"),
+        ],
+    )
+    def test_untyped_entry_value_rejected(self, tmp_path, key, value, rule):
+        entry = {"name": "b", "start": 3.0, "end": 4.0, "plausible": True, key: value}
+        path = tmp_path / "zones.json"
+        path.write_text(json.dumps([{"name": "a", "start": 1.0, "end": 2.0, "plausible": False}, entry]))
+        with pytest.raises(FormatError, match=f"zones.json: bad zone entry 1: '{key}' must be {rule}, got "):
+            load_zone_config(path)
+
+    @pytest.mark.parametrize("entry", [{"name": "a", "start": 1.0, "end": 2.0}, ["a", 1.0, 2.0, True]])
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "zones.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(FormatError, match="zones.json: bad zone entry 0: "):
+            load_zone_config(path)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigError, match="unique"):

@@ -347,6 +347,30 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="unknown model kind"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["ridge", "logistic"])
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("weights", "[1.0, null]"),
+            ("weights", "[NaN, 1.0]"),
+            ("weights", "[1.0, Infinity]"),
+            ("weights", "[-Infinity, 1.0]"),
+            ("weights", "[true, 1.0]"),
+            ("intercept", "null"),
+            ("intercept", "NaN"),
+            ("intercept", "-Infinity"),
+            ("intercept", "false"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, tmp_path, kind, key, text):
+        """A weight or intercept that is not a finite number is refused, as
+        an external model's non-finite reply is."""
+        fields = {"weights": "[1.0, 2.0]", "intercept": "0.5", key: text}
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"kind": "{kind}", "weights": {fields["weights"]}, "intercept": {fields["intercept"]}}}')
+        with pytest.raises(ConfigError, match=f"bad {kind} model spec: '{key}' must be finite numbers"):
+            load_model(path)
+
     def test_incomplete_spec_rejected(self):
         with pytest.raises(ConfigError, match="ridge"):
             load_model({"kind": "ridge"})

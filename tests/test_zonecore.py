@@ -244,18 +244,18 @@ class TestScore:
 class TestThresholdSpectrum:
     def test_tau_zero_gives_zone_mean(self):
         model = fit_zone(np.random.default_rng(9).normal(size=(8, 3)))
-        np.testing.assert_array_equal(threshold_spectrum(model, 0.0).profile, model.mean)
+        np.testing.assert_array_equal(threshold_spectrum(model, 0.0), model.mean)
 
     def test_tau_one_offsets_by_loading(self):
         model = fit_zone(np.random.default_rng(10).normal(size=(8, 3)))
         np.testing.assert_allclose(
-            threshold_spectrum(model, 1.0).profile - model.mean, model.loading, atol=1e-15
+            threshold_spectrum(model, 1.0) - model.mean, model.loading, atol=1e-15
         )
 
     @pytest.mark.parametrize("tau", [-3.7, -0.1, 0.25, 12.0])
     def test_round_trip_through_scoring(self, tau):
         model = fit_zone(np.random.default_rng(11).normal(size=(9, 4)))
-        profile = threshold_spectrum(model, tau).profile
+        profile = threshold_spectrum(model, tau)
         assert score_zone(model, profile[None, :])[0] == pytest.approx(tau, abs=1e-9)
 
 
