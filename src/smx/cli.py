@@ -28,6 +28,7 @@ import re
 import shutil
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -111,9 +112,9 @@ def _check_out_dir(out: Path, owns: re.Pattern) -> None:
         raise ConfigError(f"{out} holds {foreign[0]!r}, which this command does not write; use a new or empty --out")
 
 
-def _parse_list(text: str, cast, what: str) -> list:
+def _parse_list(text: str, cast, what: str) -> tuple:
     try:
-        return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        return tuple(cast(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
 
@@ -144,80 +145,45 @@ _OVERRIDES = {
 }
 
 
+# The keys of the manifest's objects and the type each value is read as.
+_SECTIONS = {"preprocess": {"method": str, "window": int, "order": int}, "engine": get_type_hints(EngineConfig)}
+
+
 def _load_manifest(mpath, args=None) -> dict:
     """The manifest file ``mpath`` (none: an empty manifest), then each
-    ``_OVERRIDES`` flag given in ``args`` replaces its one entry. The
-    preprocess and engine entries come out as objects, empty if unset."""
+    ``_OVERRIDES`` flag given in ``args`` replaces its one entry. In the
+    file, file entries and ``name`` must be strings (``model`` may be a
+    spec object), and the preprocess and engine objects hold only their
+    ``_SECTIONS`` keys, each of its type. The preprocess and engine
+    entries come out as objects, empty if unset."""
     manifest = {}
     if mpath:
         mpath = Path(mpath)
-        manifest = dataio.read_json(mpath, "manifest file")
+        manifest, where = dataio.read_json(mpath, "manifest file"), f"{mpath}: bad manifest entry"
         if not isinstance(manifest, dict):
             raise ConfigError(f"{mpath}: manifest must be a JSON object, got {manifest!r}")
-        for key in _FILE_ENTRIES:
-            value = manifest.get(key)
-            if value is not None and not (key == "model" and isinstance(value, dict)):  # a model spec
-                manifest[key] = mpath.parent / str(value)
-    for section in ("preprocess", "engine"):
-        value = manifest.get(section)
-        if value is not None and not isinstance(value, dict):
-            raise ConfigError(f"manifest {section} must be a JSON object, got {value!r}")
-        manifest[section] = dict(value or {})
+        for key in (*_FILE_ENTRIES, "name"):
+            if key in manifest and not (key == "model" and isinstance(manifest[key], dict)):  # a model spec
+                value = dataio.json_value(manifest[key], str, where, key, ConfigError)
+                manifest[key] = value if key == "name" else mpath.parent / value
+        for section, hints in _SECTIONS.items():
+            entries = dataio.json_value(manifest.get(section, {}), dict, where, section, ConfigError)
+            unknown = sorted(set(entries) - set(hints))
+            if unknown:
+                raise ConfigError(f"unknown {section} key(s) in manifest: {', '.join(unknown)}")
+            manifest[section] = {
+                key: dataio.json_value(value, hints[key], where, f"{section}.{key}", ConfigError)
+                for key, value in entries.items()
+            }
+    for section in _SECTIONS:
+        manifest.setdefault(section, {})
     for entry, _ in _OVERRIDES.values() if args else ():
         section, _, key = entry.rpartition(".")
         if (value := getattr(args, entry)) is not None:
             (manifest[section] if section else manifest)[key] = value
-    pre = manifest["preprocess"]
-    unknown = sorted(set(pre) - {"method", "window", "order"})
-    if unknown:
-        raise ConfigError(f"unknown preprocess key(s) in manifest: {', '.join(unknown)}")
-    if pre and "method" not in pre:
+    if manifest["preprocess"] and "method" not in manifest["preprocess"]:
         raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
     return manifest
-
-
-def _integer(value) -> int:
-    """``int(value)``, refusing what it would round or reinterpret: JSON
-    booleans and non-integral numbers."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("expected an integer")
-    return int(value)
-
-
-def _list_of(cast):
-    def parse(values):
-        if not isinstance(values, list):
-            raise TypeError("expected a JSON list")
-        return tuple(cast(v) for v in values)
-
-    return parse
-
-
-_ENGINE_KEYS = {
-    "bags": _integer,
-    "bag_fraction": float,
-    "min_support_fraction": float,
-    "quantiles": _list_of(float),
-    "seeds": _list_of(_integer),
-}
-
-
-def _cast(section: str, key: str, cast, value):
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section} value {key}={value!r}: {exc}") from exc
-
-
-def _manifest_engine(manifest: dict) -> EngineConfig:
-    """EngineConfig from the manifest's engine keys; unset keys keep its defaults."""
-    engine = manifest["engine"]
-    unknown = sorted(set(engine) - set(_ENGINE_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown engine key(s) in manifest: {', '.join(unknown)}")
-    return EngineConfig(
-        **{key: _cast("engine", key, cast, engine[key]) for key, cast in _ENGINE_KEYS.items() if key in engine}
-    )
 
 
 def _manifest_path(manifest: dict, key: str) -> Path:
@@ -257,9 +223,7 @@ def _load_data(manifest: dict, need_test: bool):
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
     pre, state = manifest["preprocess"], None
     if pre:
-        savgol = {
-            f"savgol_{key}": _cast("preprocess", key, _integer, value) for key, value in pre.items() if key != "method"
-        }
+        savgol = {f"savgol_{key}": value for key, value in pre.items() if key != "method"}
         state = dataio.fit_preprocess(train, pre["method"], **savgol)
         train = dataio.apply_preprocess(state, train)
         if test is not None:
@@ -327,7 +291,7 @@ def cmd_explain(args) -> int:
     if out is None:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, _EXPLAIN_OWNS)
-    cfg = _manifest_engine(manifest)
+    cfg = EngineConfig(**manifest["engine"])
     train, _test, zones, state = _load_data(manifest, need_test=False)
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, cfg)
@@ -360,8 +324,7 @@ def _curve_dict(curve: evalkit.EvalCurve) -> dict:
 
 def _dataset_name(manifest: dict) -> str:
     """The manifest's ``name``, or its train file's stem when it has none."""
-    name = manifest.get("name")
-    return str(Path(str(manifest.get("train"))).stem if name is None else name)
+    return manifest["name"] if "name" in manifest else _manifest_path(manifest, "train").stem
 
 
 def _check_dataset_names(manifests: list[dict]) -> None:
@@ -508,7 +471,7 @@ def cmd_evaluate(args) -> int:
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
     manifests = [_load_manifest(mpath) for mpath in args.manifest]
     _check_dataset_names(manifests)
-    cfgs = [_manifest_engine(manifest) for manifest in manifests]
+    cfgs = [EngineConfig(**manifest["engine"]) for manifest in manifests]
     datasets = [_evaluate_one(manifest, cfg, methods, args) for manifest, cfg in zip(manifests, cfgs)]
     report = {
         "methods": methods,

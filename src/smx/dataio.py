@@ -8,7 +8,7 @@ RFC 4180 fields. ``load_csv`` converts all numbers of a plain file (no
 quote, carriage return, NUL or \\x1c-\\x1f) in one ``np.loadtxt`` call and
 reads any other file cell by cell through ``csv.reader``; both give the
 same values bit for bit and the same errors. Every input file smx reads
-goes through ``read_input``.
+goes through ``read_input``, and every JSON value through ``json_value``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.signal import savgol_filter
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, SmxError
 
 MEAN_CENTER = "mean_center"
 POISSON_THEN_CENTER = "poisson_then_center"
@@ -173,31 +174,85 @@ def read_json(path: str | Path, what: str):
         raise FormatError(f"{path}: invalid JSON in {what} ({exc})") from exc
 
 
-def _is_number(value) -> bool:
-    """A JSON number that is a finite float64 (not NaN, an infinity, or an
-    integer too large for a float); booleans are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+# How an error names each type a JSON value is read as: (one value, a list of them).
+_KINDS = {
+    float: ("a finite number", "finite numbers"),
+    int: ("an integer", "integers"),
+    bool: ("true or false", "true or false values"),
+    str: ("a string", "strings"),
+    dict: ("a JSON object", "JSON objects"),
+}
+
+
+def _kind(hint, plural: bool = False) -> str:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):
+        count = f"{len(args)} " if origin is tuple and Ellipsis not in args else ""
+        return f"a list of {count}{_kind(args[0], plural=True)}"
+    return _KINDS.get(hint, _KINDS[dict])[plural]
+
+
+def json_value(value, hint, where: str, key: str, error: type[SmxError] = FormatError):
+    """``value``, read from a JSON document at ``key``, as the type ``hint``:
+
+    - ``float``: a finite float64 number (an integer beyond float64's range
+      is not one), returned as a float;
+    - ``int``: such a number with an integral value, ``3.0`` included,
+      returned as an int;
+    - ``bool``, ``str``, ``dict``: a JSON true/false, string or object;
+    - ``list[X]``, ``tuple[X, ...]`` or ``tuple[X, X]``: a JSON list of
+      ``X`` values (exactly as many for a fixed tuple), returned as that type;
+    - a dataclass: a JSON object read by ``json_object``.
+
+    Booleans are never numbers. Anything else, or ``dataclasses.MISSING``
+    for an absent key, raises ``error``:
+    ``<where>: '<key>' must be <kind>, got <value>`` (or ``, missing``)."""
+    if hint is float or hint is int:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX:
+            if hint is float:
+                return float(value)
+            if isinstance(value, int) or value.is_integer():
+                return int(value)
+    elif hint in (bool, str, dict):
+        if isinstance(value, hint):
+            return value
+    elif is_dataclass(hint):
+        if isinstance(value, dict):
+            return json_object(value, hint, where, error, prefix=f"{key}.")
+    else:  # a list or tuple type
+        origin, args = get_origin(hint), get_args(hint)
+        if isinstance(value, list) and (Ellipsis in args or origin is list or len(value) == len(args)):
+            return origin(json_value(v, args[0], where, f"{key}[{k}]", error) for k, v in enumerate(value))
+    got = "missing" if value is MISSING else f"got {value!r}"
+    raise error(f"{where}: '{key}' must be {_kind(hint)}, {got}")
+
+
+def json_object(obj, cls, where: str, error: type[SmxError] = FormatError, prefix: str = ""):
+    """The dataclass ``cls`` built from the JSON object ``obj``: each field
+    is read by ``json_value`` as its annotated type, and may be absent only
+    if it has a default. Keys that are not fields are ignored."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object, got {obj!r}")
+    return cls(**{
+        name: json_value(obj.get(name, MISSING), hint, where, prefix + name, error)
+        for name, hint, required in _schema(cls)
+        if required or name in obj
+    })
+
+
+@cache
+def _schema(cls) -> list[tuple[str, object, bool]]:
+    """(name, annotated type, no default) of each field of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name], f.default is MISSING) for f in fields(cls)]
 
 
 def load_zone_config(path: str | Path) -> ZoneConfig:
-    """Read a zone config from a JSON array of {name,start,end,plausible}:
-    a string, two finite numbers and a JSON boolean."""
+    """Read a zone config from a JSON array of ``Zone`` objects."""
     raw = read_json(path, "zones file")
     if not isinstance(raw, list):
         raise FormatError(f"{path}: zone config must be a JSON array")
-    zones = []
-    for i, obj in enumerate(raw):
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}: bad zone entry {i}: expected a JSON object, got {obj!r}")
-        for key, ok, kind in (("name", lambda v: isinstance(v, str), "a string"),
-                              ("start", _is_number, "a finite number"),
-                              ("end", _is_number, "a finite number"),
-                              ("plausible", lambda v: isinstance(v, bool), "true or false")):
-            if key not in obj or not ok(obj[key]):
-                got = f"got {obj[key]!r}" if key in obj else "missing"
-                raise FormatError(f"{path}: bad zone entry {i}: '{key}' must be {kind}, {got}")
-        zones.append(Zone(obj["name"], float(obj["start"]), float(obj["end"]), obj["plausible"]))
-    return ZoneConfig(zones)
+    return ZoneConfig([json_object(obj, Zone, f"{path}: bad zone entry {i}") for i, obj in enumerate(raw)])
 
 
 def zone_config_json(cfg: ZoneConfig) -> str:
@@ -464,8 +519,8 @@ def fit_preprocess(
         scales = np.sqrt(raw_means)
         scaled = X / scales
         return PreprocessState(method=method, column_means=scaled.mean(axis=0), poisson_scales=scales)
-    window = 15 if savgol_window is None else int(savgol_window)
-    order = 2 if savgol_order is None else int(savgol_order)
+    window = 15 if savgol_window is None else savgol_window
+    order = 2 if savgol_order is None else savgol_order
     if window > ds.n_variables:
         raise ConfigError("savgol window exceeds the number of variables")
     state = PreprocessState(method=method, column_means=np.zeros(ds.n_variables), savgol=(window, order))

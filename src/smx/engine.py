@@ -45,6 +45,10 @@ from .zonecore import ZoneModel
 
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
 DEFAULT_SEEDS = (1, 2, 3, 4)
+# Every bag's ranking is held in memory and written to the bag trace, so a
+# count far beyond what a ranking needs is refused up front rather than
+# run out of memory: 100 times the default.
+MAX_BAGS = 1000
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,8 @@ class EngineConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self):
-        if self.bags < 1:
-            raise ConfigError("bag count must be >= 1")
+        if not 1 <= self.bags <= MAX_BAGS:
+            raise ConfigError(f"bag count must be in [1, {MAX_BAGS}], got {self.bags}")
         if not (0.0 < self.bag_fraction <= 1.0):
             raise ConfigError("bag_fraction must be in (0, 1]")
         if not (0.0 < self.min_support_fraction < 1.0):

@@ -13,12 +13,13 @@ import json
 import logging
 import subprocess
 import threading
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .dataio import SpectralDataset, _is_number, read_json
+from .dataio import SpectralDataset, json_value, read_json
 from .errors import ConfigError, ModelError
 
 CONTINUOUS = "continuous"
@@ -192,40 +193,36 @@ def save_model(model, path: str | Path) -> None:
     Path(path).write_text(model_json(model))
 
 
-def _finite(value, key: str):
-    """A builtin model's ``key``: a JSON list of finite numbers, or one
-    finite number; null, booleans, NaN and infinities are refused."""
-    if not all(map(_is_number, value if isinstance(value, list) else [value])):
-        raise ValueError(f"'{key}' must be finite numbers, got {value!r}")
-    return value
-
-
 def load_model(spec: dict | str | Path):
     """Build a model handle from a spec dict or a JSON file path.
 
-    Accepted kinds: "ridge" / "logistic" weight dumps, whose weights and
-    intercept must be finite numbers, and {"kind": "external", "argv": [...]}
-    subprocess models.
+    Accepted kinds: "ridge" / "logistic" weight dumps, whose ``weights``
+    are a list of finite numbers and ``intercept`` and optional ``lambda``
+    (ridge) or ``l2`` (logistic) finite numbers, and
+    {"kind": "external", "argv": [...]} subprocess models, whose ``argv``
+    is a non-empty list of strings.
     """
+    source = ""  # the file's name and a colon, for a model file
     if not isinstance(spec, dict):
-        path = spec
-        spec = read_json(path, "model file")
+        source = f"{spec}: "
+        spec = read_json(spec, "model file")
         if not isinstance(spec, dict):
-            raise ConfigError(f"{path}: model JSON must be an object, got {spec!r}")
+            raise ConfigError(f"{source}model JSON must be an object, got {spec!r}")
     kind = spec.get("kind")
+    where = f"{source}bad {kind} model spec"
+
+    def read(key, hint, default=MISSING):
+        return json_value(spec.get(key, default), hint, where, key, ConfigError)
+
     if kind in ("ridge", "logistic"):
         cls, regularization = (RidgeModel, "lambda") if kind == "ridge" else (LogisticModel, "l2")
-        try:
-            weights, intercept = (_finite(spec[key], key) for key in ("weights", "intercept"))
-            return cls(np.asarray(weights, dtype=float), float(intercept), float(spec.get(regularization, 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {kind} model spec: {exc}") from exc
+        return cls(np.array(read("weights", list[float])), read("intercept", float), read(regularization, float, 0.0))
     if kind == "external":
-        argv = spec.get("argv")
-        if not isinstance(argv, list) or not argv:
-            raise ConfigError("external model spec requires a non-empty 'argv' list")
-        return ExternalModel([str(a) for a in argv])
-    raise ConfigError(f"unknown model kind {kind!r}")
+        argv = read("argv", list[str])
+        if not argv:
+            raise ConfigError(f"{where}: 'argv' must be a non-empty list")
+        return ExternalModel(argv)
+    raise ConfigError(f"{source}unknown model kind {kind!r}")
 
 
 def _patched(text: str, starts, ends, cells: np.ndarray, bits: np.ndarray, width: int) -> str:
@@ -283,16 +280,10 @@ class ExternalModel:
         kind = info.get("kind")
         if kind not in (CONTINUOUS, PROBABILISTIC):
             raise ModelError(f"external model reported unknown kind {kind!r}")
-        try:
-            n_features = int(info["n_features"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError("external model info lacks a valid 'n_features'") from exc
+        where = f"external model {self.argv} info reply"
+        n_features = json_value(info.get("n_features", MISSING), int, where, "n_features", ModelError)
         if kind == PROBABILISTIC:
-            try:
-                n_classes = int(info.get("n_classes", 0))
-            except (TypeError, ValueError):
-                n_classes = 0
-            if n_classes != 2:
+            if json_value(info.get("n_classes", MISSING), int, where, "n_classes", ModelError) != 2:
                 raise ModelError("probabilistic external models must report n_classes = 2")
         return kind, n_features
 

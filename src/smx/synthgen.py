@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import SpectralDataset, Zone, ZoneConfig, read_json
-from .errors import ConfigError, FormatError
+from .dataio import SpectralDataset, Zone, ZoneConfig, json_object, read_json
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -152,34 +152,8 @@ def benchmark_zones() -> ZoneConfig:
 
 
 def load_config(path: str | Path) -> SyntheticConfig:
-    obj = read_json(path, "synthetic config file")
-    try:
-        classes = tuple(
-            ClassSpec(
-                label=int(cls["label"]),
-                name=str(cls["name"]),
-                n_samples=int(cls["n_samples"]),
-                noise_std=float(cls["noise_std"]),
-                peaks=tuple(
-                    PeakSpec(
-                        center=float(pk["center"]),
-                        amp_mean=float(pk["amp_mean"]),
-                        amp_std=float(pk["amp_std"]),
-                        width_mean=float(pk["width_mean"]),
-                        width_std=float(pk["width_std"]),
-                    )
-                    for pk in cls["peaks"]
-                ),
-            )
-            for cls in obj["classes"]
-        )
-        cfg = SyntheticConfig(
-            n_points=int(obj["n_points"]),
-            axis_range=(float(obj["axis_range"][0]), float(obj["axis_range"][1])),
-            classes=classes,
-            seed=int(obj["seed"]),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise FormatError(f"bad synthetic config: {exc}") from exc
+    """Read a ``SyntheticConfig`` from a JSON object of its fields, classes
+    and their peaks as nested objects, and validate it."""
+    cfg = json_object(read_json(path, "synthetic config file"), SyntheticConfig, f"{path}: bad synthetic config")
     cfg.validate()
     return cfg

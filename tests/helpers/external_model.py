@@ -8,6 +8,7 @@ Usage: python external_model.py MODE N_FEATURES [ARGS...]
   error-info N          answers every request, info included, with an error object
   proba-reply N JSON    probabilistic; every predict_proba answers {"p": JSON}
   predict-reply N JSON  continuous; every predict answers {"y": JSON}
+  info-reply N JSON     answers info with the object JSON
 """
 
 import json
@@ -25,7 +26,7 @@ def main() -> int:
         if mode == "error-info":
             reply = {"error": "no info"}
         elif op == "info":
-            reply = {"kind": kind, "n_features": n_features, "n_classes": 2}
+            reply = json.loads(sys.argv[3]) if mode == "info-reply" else {"kind": kind, "n_features": n_features, "n_classes": 2}
         elif op == "predict":
             if mode == "sum":
                 reply = {"y": [sum(v for v in row if math.isfinite(v)) for row in req["x"]]}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smx
-from smx import cli, dataio, evalkit, models, pipeline, synthgen, zonecore
+from smx import cli, dataio, engine, evalkit, models, pipeline, synthgen, zonecore
 from smx.cli import main
 from smx.dataio import Zone, ZoneConfig, _fmt
 from smx.engine import EngineConfig
@@ -490,6 +490,30 @@ class TestExplain:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_bag_count_over_the_bound_exit_2_before_any_load(self, explain_case, tmp_path, capsys, monkeypatch,
+                                                             source):
+        """A bag count no run could hold is refused up front: no file is
+        loaded and no bag is drawn, where it used to end in a MemoryError."""
+        manifest = {key: str(explain_case / f"{key}.json") for key in ("zones", "model")}
+        manifest["train"] = str(explain_case / "train.csv")
+        flags = ["--bags", "1000000000000"] if source == "flag" else []
+        if source == "manifest":
+            manifest["engine"] = {"bags": 1e12}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded a file or ran a bag")
+
+        for module, name in ((dataio, "load_csv"), (dataio, "load_zone_config"), (models, "load_model"),
+                             (engine, "run_bags")):
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out"
+        assert main(["explain", "--manifest", str(mpath), *flags, "--out", str(out)]) == 2
+        assert "bag count must be in [1, 1000], got 1000000000000" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
     def test_integral_manifest_numbers_accepted(self, explain_case, tmp_path):
         case = explain_case
         manifest = {
@@ -762,7 +786,8 @@ def test_non_finite_model_file_exit_2_no_outputs(explain_case, tmp_path, capsys,
          "--model", str(mpath), "--out", str(out)]
     )
     assert code == 2
-    assert "must be finite numbers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{mpath}: bad logistic model spec: '" in err and "' must be a finite number, got " in err
     assert not out.exists()
 
 
@@ -937,7 +962,7 @@ def test_flag_surface(explain_case, tmp_path, monkeypatch, capsys, argv, entries
     assert code == 0
     write_manifest("ref.json", {**expected, "out": "ref"})
     assert main(["explain", "--manifest", "ref.json"]) == 0
-    assert _tree(tmp_path / "run") == _tree(tmp_path / "ref")
+    assert _changed_files(_tree(tmp_path / "run"), _tree(tmp_path / "ref")) == []
     assert sorted(os.listdir()) == sorted([*inputs, "ref", "ref.json", "run"])
 
 
@@ -1281,7 +1306,7 @@ class TestOutputDirectories:
         assert (out / "graph_seed_3.json").exists()
         assert self._explain(explain_case, out, "--seeds", "1,2", "--quantiles", "0.5") == 0
         assert self._explain(explain_case, fresh, "--seeds", "1,2", "--quantiles", "0.5") == 0
-        assert _tree(out) == _tree(fresh)
+        assert _changed_files(_tree(out), _tree(fresh)) == []
         assert not (out / "graph_seed_3.json").exists()
         table = (out / "threshold_spectra.csv").read_text().splitlines()[1:]
         assert len({row.split(",", 1)[0] for row in table}) == 10  # 5 zones x 1 quantile x 2 directions
@@ -1298,7 +1323,7 @@ class TestOutputDirectories:
             (out / "threshold_spectra" / f"predicate_{j:03d}.csv").write_text("axis,value\n1,2\n")
         assert self._explain(explain_case, out) == 0
         assert self._explain(explain_case, fresh) == 0
-        assert _tree(out) == _tree(fresh)
+        assert _changed_files(_tree(out), _tree(fresh)) == []
         assert not (out / "threshold_spectra").exists()
         assert _leftovers(tmp_path) == []
 
@@ -1308,7 +1333,7 @@ class TestOutputDirectories:
         assert len(list((out / "curves").iterdir())) == 6
         assert self._evaluate(eval_case, out, "--methods", "smx") == 0
         assert self._evaluate(eval_case, fresh, "--methods", "smx") == 0
-        assert _tree(out) == _tree(fresh)
+        assert _changed_files(_tree(out), _tree(fresh)) == []
         assert sorted(p.name for p in (out / "curves").iterdir()) == [
             f"small__smx__{metric}.csv" for metric in ("alignment", "faithfulness", "simplicity")
         ]
@@ -1322,7 +1347,7 @@ class TestOutputDirectories:
         code = self._explain(explain_case, out, "--model", str(tmp_path / "narrow.json"), "--seeds", "5")
         assert code == 1
         assert "width" in capsys.readouterr().err
-        assert _tree(out) == before
+        assert _changed_files(_tree(out), before) == []
         assert _leftovers(tmp_path) == []
 
     def test_failed_swap_restores_previous_outputs(self, explain_case, tmp_path, capsys, monkeypatch):
@@ -1341,7 +1366,7 @@ class TestOutputDirectories:
         monkeypatch.setattr(cli.os, "rename", refuse_stage)
         assert self._explain(explain_case, out, "--seeds", "5") == 2
         assert str(out) in capsys.readouterr().err
-        assert _tree(out) == before
+        assert _changed_files(_tree(out), before) == []
         assert _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["explain", "evaluate", "preprocess", "train"])
@@ -1387,7 +1412,7 @@ class TestOutputDirectories:
         assert main([command, "--manifest", str(eval_case / "manifest.json"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out) in err
-        assert _tree(out) == before
+        assert _changed_files(_tree(out), before) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -1488,6 +1513,20 @@ def test_unreadable_input_exit_2_names_file(explain_case, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err, err
     assert set(os.listdir(tmp_path)) <= {"bad", "m.json"}
+
+
+def test_untyped_info_reply_exit_1_no_outputs(explain_case, tmp_path, capsys):
+    """An external model whose info reply gives n_features as text is a model fault (exit 1)."""
+    helper = str(Path(__file__).parent / "helpers" / "external_model.py")
+    reply = json.dumps({"kind": "continuous", "n_features": "60"})
+    spec = {"kind": "external", "argv": [sys.executable, helper, "info-reply", "60", reply]}
+    (tmp_path / "external.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code = main(["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
+                 "--model", str(tmp_path / "external.json"), "--out", str(out)])
+    assert code == 1
+    assert "info reply: 'n_features' must be an integer, got '60'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runs_close_their_external_models(explain_case, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from smx.dataio import kennard_stone_split
 from smx.engine import (
     ENTRY_DTYPE,
     BagResult,
+    MAX_BAGS,
     EngineConfig,
     _predicted_classes,
     bag_size,
@@ -41,6 +42,7 @@ class TestEngineConfig:
         "kwargs",
         [
             {"bags": 0},
+            {"bags": MAX_BAGS + 1},
             {"bag_fraction": 0.0},
             {"bag_fraction": 1.5},
             {"min_support_fraction": 0.0},
@@ -51,6 +53,9 @@ class TestEngineConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
+
+    def test_bag_count_bound_is_inclusive(self):
+        assert EngineConfig(bags=MAX_BAGS).bags == MAX_BAGS
 
 
 class TestDrawBag:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 import subprocess
 import sys
 import threading
@@ -368,7 +369,7 @@ class TestPersistence:
         fields = {"weights": "[1.0, 2.0]", "intercept": "0.5", key: text}
         path = tmp_path / "model.json"
         path.write_text(f'{{"kind": "{kind}", "weights": {fields["weights"]}, "intercept": {fields["intercept"]}}}')
-        with pytest.raises(ConfigError, match=f"bad {kind} model spec: '{key}' must be finite numbers"):
+        with pytest.raises(ConfigError, match=rf"model.json: bad {kind} model spec: '{key}(\[\d\])?' must be a finite number, got "):
             load_model(path)
 
     def test_incomplete_spec_rejected(self):
@@ -621,6 +622,34 @@ class TestExternal:
         with pytest.raises(ModelError, match="no info"):
             ExternalModel([sys.executable, STUB, "error-info", "2"])
         assert len(started) == 1 and started[0].poll() is not None
+
+    @pytest.mark.parametrize(
+        "info, key, got",
+        [
+            ({"kind": "continuous", "n_features": "3"}, "n_features", "'3'"),
+            ({"kind": "continuous", "n_features": True}, "n_features", "True"),
+            ({"kind": "continuous", "n_features": 3.9}, "n_features", "3.9"),
+            ({"kind": "continuous", "n_features": None}, "n_features", "None"),
+            ({"kind": "continuous"}, "n_features", None),
+            ({"kind": "probabilistic", "n_features": 3, "n_classes": "2"}, "n_classes", "'2'"),
+            ({"kind": "probabilistic", "n_features": 3, "n_classes": True}, "n_classes", "True"),
+            ({"kind": "probabilistic", "n_features": 3, "n_classes": 2.5}, "n_classes", "2.5"),
+            ({"kind": "probabilistic", "n_features": 3}, "n_classes", None),
+        ],
+        ids=["n_features-text", "n_features-true", "n_features-fraction", "n_features-null", "n_features-missing",
+             "n_classes-text", "n_classes-true", "n_classes-fraction", "n_classes-missing"],
+    )
+    def test_untyped_info_reply_rejected(self, info, key, got):
+        """n_features and n_classes are integers: "300", true and 300.9 are
+        not read as 300, 1 and 300."""
+        rest = f"got {got}" if got else "missing"
+        with pytest.raises(ModelError, match=re.escape(f"info reply: '{key}' must be an integer, {rest}")):
+            ExternalModel([sys.executable, STUB, "info-reply", "3", json.dumps(info)])
+
+    def test_integral_info_reply_accepted(self):
+        info = {"kind": "probabilistic", "n_features": 3.0, "n_classes": 2.0}
+        with ExternalModel([sys.executable, STUB, "info-reply", "3", json.dumps(info)]) as model:
+            assert model.n_features == 3 and isinstance(model.n_features, int)
 
     def test_load_model_external_spec(self):
         spec = {"kind": "external", "argv": [sys.executable, STUB, "sum", "2"]}
