@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import re
@@ -141,7 +140,7 @@ _OVERRIDES = {
     "--min-support": ("engine.min_support_fraction", {"type": float}),
     "--quantiles": ("engine.quantiles", {"type": lambda text: _parse_list(text, float, "numbers")}),
     "--seeds": ("engine.seeds", {"type": lambda text: _parse_list(text, int, "integers")}),
-    "--out": ("out", {"type": Path, "help": "output directory"}),
+    "--out": ("out", {"type": Path}),
 }
 
 
@@ -154,8 +153,9 @@ def _load_manifest(mpath, args=None) -> dict:
     ``_OVERRIDES`` flag given in ``args`` replaces its one entry. In the
     file, file entries and ``name`` must be strings (``model`` may be a
     spec object), and the preprocess and engine objects hold only their
-    ``_SECTIONS`` keys, each of its type. The preprocess and engine
-    entries come out as objects, empty if unset."""
+    ``_SECTIONS`` keys, each of its type. The preprocess entry comes out as
+    an object, empty if unset, and the engine entry as an ``EngineConfig``:
+    both settings are checked here, before any file they apply to is read."""
     manifest = {}
     if mpath:
         mpath = Path(mpath)
@@ -181,8 +181,11 @@ def _load_manifest(mpath, args=None) -> dict:
         section, _, key = entry.rpartition(".")
         if (value := getattr(args, entry)) is not None:
             (manifest[section] if section else manifest)[key] = value
-    if manifest["preprocess"] and "method" not in manifest["preprocess"]:
-        raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
+    if manifest["preprocess"]:
+        if "method" not in manifest["preprocess"]:
+            raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
+        dataio.preprocess_setting(**manifest["preprocess"])
+    manifest["engine"] = EngineConfig(**manifest["engine"])
     return manifest
 
 
@@ -223,8 +226,7 @@ def _load_data(manifest: dict, need_test: bool):
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
     pre, state = manifest["preprocess"], None
     if pre:
-        savgol = {f"savgol_{key}": value for key, value in pre.items() if key != "method"}
-        state = dataio.fit_preprocess(train, pre["method"], **savgol)
+        state = dataio.fit_preprocess(train, **pre)
         train = dataio.apply_preprocess(state, train)
         if test is not None:
             test = dataio.apply_preprocess(state, test)
@@ -253,11 +255,10 @@ def cmd_split(args) -> int:
 def cmd_preprocess(args) -> int:
     if bool(args.test) != bool(args.out_test):
         raise ConfigError("--test and --out-test go together: give both or neither")
+    dataio.preprocess_setting(args.method, args.window, args.order)
     train = dataio.load_csv(args.train)
     test = _load_test(train, args.test) if args.test else None
-    state = dataio.fit_preprocess(
-        train, args.method, savgol_window=args.window, savgol_order=args.order
-    )
+    state = dataio.fit_preprocess(train, args.method, args.window, args.order)
     outputs = [(args.out_train, dataio.dataset_csv_text(dataio.apply_preprocess(state, train)))]
     if test is not None:
         outputs.append((args.out_test, dataio.dataset_csv_text(dataio.apply_preprocess(state, test))))
@@ -291,20 +292,19 @@ def cmd_explain(args) -> int:
     if out is None:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, _EXPLAIN_OWNS)
-    cfg = EngineConfig(**manifest["engine"])
     train, _test, zones, state = _load_data(manifest, need_test=False)
     with _loaded_model(manifest) as model:
-        result = pipeline.explain(train, zones, model, cfg)
+        result = pipeline.explain(train, zones, model, manifest["engine"])
 
     with _replacing_dir(out) as stage:
         (stage / "predicate_ranking.csv").write_text(graphx.ranking_csv(result.ranking, result.predicate_set))
         (stage / "zone_ranking.csv").write_text(graphx.zone_ranking_csv(result.zone_order))
         (stage / "zone_models.json").write_text(zonecore.zone_models_to_json(result.zone_models))
         trace: list[str] = []
-        for seed, graph in zip(cfg.seeds, result.graphs):
-            (stage / f"graph_seed_{seed}.dot").write_text(graphx.to_dot(graph, result.predicate_set))
-            (stage / f"graph_seed_{seed}.json").write_text(graphx.to_json(graph, result.predicate_set))
-            trace.extend(trace_lines(seed, result.bag_results[seed], result.predicate_set))
+        for graph in result.graphs:
+            (stage / f"graph_seed_{graph.seed}.dot").write_text(graphx.to_dot(graph, result.predicate_set))
+            (stage / f"graph_seed_{graph.seed}.json").write_text(graphx.to_json(graph, result.predicate_set))
+            trace.extend(trace_lines(graph.seed, result.bag_results[graph.seed], result.predicate_set))
         (stage / "bag_trace.jsonl").write_text("\n".join(trace + [""]))
         (stage / "threshold_spectra.csv").write_text(
             zonecore.threshold_table_csv(result.predicate_set.predicates, result.zone_models, train.axis, state)
@@ -340,7 +340,7 @@ def _check_dataset_names(manifests: list[dict]) -> None:
         seen.add(name)
 
 
-def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -> dict:
+def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
     train, test, zones, _state = _load_data(manifest, need_test=True)
     with _loaded_model(manifest) as model:
         zone_sets = {
@@ -354,8 +354,8 @@ def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -
         orders: dict[str, list[tuple[str, bool]]] = {}
         importances: dict[str, np.ndarray] = {}
         if "smx" in methods:
-            prepared = pipeline.prepare(train, zones, model, cfg)
-            result = pipeline.rank(prepared, cfg)
+            prepared = pipeline.prepare(train, zones, model, manifest["engine"])
+            result = pipeline.rank(prepared)
             orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
         if "pfi" in methods:
             imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=args.pfi_seed)
@@ -382,8 +382,8 @@ def _evaluate_one(manifest: dict, cfg: EngineConfig, methods: list[str], args) -
             section["simplicity"] = _curve_dict(evalkit.simplicity_curve(importances[name]))
 
         def smx_runner(seed: int):
-            reruns = dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(cfg.seeds)))
-            ranked = result if reruns == cfg else pipeline.rank(prepared, reruns)  # result: the main run above
+            seeds = pipeline.derive_seeds(seed, len(prepared.cfg.seeds))
+            ranked = result if seeds == prepared.cfg.seeds else pipeline.rank(prepared, seeds)  # result: the main run
             return ranked.predicate_labels()
 
         def pfi_runner(seed: int):
@@ -471,8 +471,7 @@ def cmd_evaluate(args) -> int:
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
     manifests = [_load_manifest(mpath) for mpath in args.manifest]
     _check_dataset_names(manifests)
-    cfgs = [EngineConfig(**manifest["engine"]) for manifest in manifests]
-    datasets = [_evaluate_one(manifest, cfg, methods, args) for manifest, cfg in zip(manifests, cfgs)]
+    datasets = [_evaluate_one(manifest, methods, args) for manifest in manifests]
     report = {
         "methods": methods,
         "datasets": datasets,
@@ -538,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="run the full explanation pipeline")
     p.add_argument("--manifest", help="JSON manifest; a given flag replaces the one entry it names")
     for flag, (entry, settings) in _OVERRIDES.items():
-        p.add_argument(flag, dest=entry, **settings)
+        metavar = None if "choices" in settings else flag[2:].replace("-", "_").upper()
+        p.add_argument(flag, dest=entry, metavar=metavar, help=f"replaces the manifest's {entry}", **settings)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="score explanation quality for smx/pfi")

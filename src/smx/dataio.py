@@ -273,8 +273,6 @@ class PreprocessState:
     savgol: tuple[int, int] | None = None  # (window, order)
 
     def __post_init__(self):
-        if self.method not in PREPROCESS_METHODS:
-            raise ConfigError(f"unknown preprocessing method '{self.method}'")
         self.column_means = np.asarray(self.column_means, dtype=float)
         if self.poisson_scales is not None:
             self.poisson_scales = np.asarray(self.poisson_scales, dtype=float)
@@ -284,12 +282,6 @@ class PreprocessState:
             raise ConfigError("poisson scales must all be positive")
         if (self.method == SAVGOL_THEN_CENTER) != (self.savgol is not None):
             raise ConfigError("savgol params present iff method is savgol_then_center")
-        if self.savgol is not None:
-            window, order = self.savgol
-            if window % 2 == 0 or window < 3:
-                raise ConfigError("savgol window must be an odd integer >= 3")
-            if not (0 <= order < window):
-                raise ConfigError("savgol order must satisfy 0 <= order < window")
 
     def to_dict(self) -> dict:
         out = {"method": self.method, "column_means": [float(v) for v in self.column_means]}
@@ -490,19 +482,33 @@ def kennard_stone_split(
     return train, test
 
 
-def fit_preprocess(
-    ds: SpectralDataset,
-    method: str,
-    savgol_window: int | None = None,
-    savgol_order: int | None = None,
-) -> PreprocessState:
-    """Learn preprocessing parameters from ``ds`` only. The Savitzky-Golay
-    window and order (15 and 2 when not given) apply to savgol_then_center
-    only; any other method refuses them."""
+def preprocess_setting(method: str, window: int | None = None, order: int | None = None):
+    """The Savitzky-Golay (window, order) of the preprocess setting
+    ``method``, ``window``, ``order``: for savgol_then_center the given
+    values, 15 and 2 when not given, an odd window >= 3 and 0 <= order <
+    window; None for the other methods, which refuse a window or order.
+    An invalid setting raises ``ConfigError``."""
     if method not in PREPROCESS_METHODS:
         raise ConfigError(f"unknown preprocessing method '{method}'")
-    if method != SAVGOL_THEN_CENTER and (savgol_window, savgol_order) != (None, None):
-        raise ConfigError(f"a savgol window or order applies only to {SAVGOL_THEN_CENTER}, not {method}")
+    if method != SAVGOL_THEN_CENTER:
+        if (window, order) != (None, None):
+            raise ConfigError(f"a savgol window or order applies only to {SAVGOL_THEN_CENTER}, not {method}")
+        return None
+    window = 15 if window is None else window
+    order = 2 if order is None else order
+    if window % 2 == 0 or window < 3:
+        raise ConfigError("savgol window must be an odd integer >= 3")
+    if not (0 <= order < window):
+        raise ConfigError("savgol order must satisfy 0 <= order < window")
+    return window, order
+
+
+def fit_preprocess(
+    ds: SpectralDataset, method: str, window: int | None = None, order: int | None = None
+) -> PreprocessState:
+    """Learn preprocessing parameters from ``ds`` only, for the setting
+    ``preprocess_setting`` checks."""
+    savgol = preprocess_setting(method, window, order)
     if ds.n_samples == 0:
         raise ConfigError("cannot fit preprocessing on an empty dataset")
     X = ds.intensities
@@ -519,11 +525,9 @@ def fit_preprocess(
         scales = np.sqrt(raw_means)
         scaled = X / scales
         return PreprocessState(method=method, column_means=scaled.mean(axis=0), poisson_scales=scales)
-    window = 15 if savgol_window is None else savgol_window
-    order = 2 if savgol_order is None else savgol_order
-    if window > ds.n_variables:
+    if savgol[0] > ds.n_variables:
         raise ConfigError("savgol window exceeds the number of variables")
-    state = PreprocessState(method=method, column_means=np.zeros(ds.n_variables), savgol=(window, order))
+    state = PreprocessState(method=method, column_means=np.zeros(ds.n_variables), savgol=savgol)
     smoothed = _savgol_rows(X, state)
     state.column_means = smoothed.mean(axis=0)
     return state

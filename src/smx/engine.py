@@ -49,6 +49,10 @@ DEFAULT_SEEDS = (1, 2, 3, 4)
 # count far beyond what a ranking needs is refused up front rather than
 # run out of memory: 100 times the default.
 MAX_BAGS = 1000
+# Each level adds up to two predicates per zone, and LRC holds an N x N
+# array for N predicates: every percentile is allowed, which on the widest
+# shipped layout (forage_xrf.json, 22 zones) is N <= 4,356, about 19 MB.
+MAX_QUANTILES = 99
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,15 @@ class EngineConfig:
     def __post_init__(self):
         if not 1 <= self.bags <= MAX_BAGS:
             raise ConfigError(f"bag count must be in [1, {MAX_BAGS}], got {self.bags}")
+        q = self.quantiles
+        if not q:
+            raise ConfigError("quantile set is empty")
+        if len(q) > MAX_QUANTILES:
+            raise ConfigError(f"at most {MAX_QUANTILES} quantile levels are allowed, got {len(q)}")
+        if any(not (0.0 < level < 1.0) for level in q):
+            raise ConfigError("quantile levels must lie in (0, 1)")
+        if any(b <= a for a, b in zip(q, q[1:])):
+            raise ConfigError("quantile levels must be strictly increasing")
         if not (0.0 < self.bag_fraction <= 1.0):
             raise ConfigError("bag_fraction must be in (0, 1]")
         if not (0.0 < self.min_support_fraction < 1.0):

@@ -1,8 +1,8 @@
 """End-to-end wiring of the explanation pipeline, in two stages.
 
 ``prepare`` is the seed-free stage. Given preprocessed training data, a
-zone config, a model handle and the engine's quantile levels, it fits
-the zone summaries, builds the predicates and asks the model for its
+zone config, a model handle and an ``EngineConfig``, it fits the zone
+summaries, builds the predicates and asks the model for its
 ``Responses`` (zones + 1 calls on the training matrix). ``rank`` is the
 per-seed stage. It scores the bags of every seed from those responses,
 assembles the per-seed graphs and aggregates the final predicate and
@@ -13,11 +13,10 @@ zone rankings, without calling the model. ``explain`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dataio import SpectralDataset, ZoneConfig
 from .engine import BagResult, EngineConfig, Responses, responses, run_bags
-from .errors import ConfigError
 from .graphx import (
     ExplanationGraph,
     PredicateRanking,
@@ -48,37 +47,30 @@ class ExplainResult:
 class Prepared:
     """Everything the per-seed stage needs that no seed changes."""
 
+    cfg: EngineConfig
     zone_names: list[str]
-    quantiles: tuple[float, ...]
     zone_models: list[ZoneModel]
     predicate_set: PredicateSet
     responses: Responses
 
 
-def prepare(
-    train: SpectralDataset,
-    zones: ZoneConfig,
-    model,
-    cfg: EngineConfig | None = None,
-) -> Prepared:
+def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> Prepared:
     """The seed-free stage: zone models, predicates and model responses."""
-    cfg = cfg or EngineConfig()
     zone_models, scores = fit_zone_models(train, zones)
-    pset = build_predicates(scores, zone_models, cfg.quantiles)
     return Prepared(
+        cfg=cfg,
         zone_names=zones.names(),
-        quantiles=cfg.quantiles,
         zone_models=zone_models,
-        predicate_set=pset,
+        predicate_set=build_predicates(scores, zone_models, cfg),
         responses=responses(model, train.intensities, zone_models),
     )
 
 
-def rank(prepared: Prepared, cfg: EngineConfig | None = None) -> ExplainResult:
-    """The per-seed stage: bags, graph and LRC for every seed of ``cfg``."""
-    cfg = cfg or EngineConfig()
-    if tuple(cfg.quantiles) != tuple(prepared.quantiles):
-        raise ConfigError("the engine quantiles differ from the ones the predicates were built with")
+def rank(prepared: Prepared, seeds: tuple[int, ...] | None = None) -> ExplainResult:
+    """The per-seed stage: bags, graph and LRC for each of ``seeds`` (checked
+    as ``EngineConfig`` checks its own), by default the seeds of the config
+    ``prepared`` was built with."""
+    cfg = prepared.cfg if seeds is None else replace(prepared.cfg, seeds=tuple(seeds))
     workers = thread_count()
     pset = prepared.predicate_set
     bag_results: dict[int, list[BagResult]] = {}
@@ -108,15 +100,9 @@ def rank(prepared: Prepared, cfg: EngineConfig | None = None) -> ExplainResult:
     )
 
 
-def explain(
-    train: SpectralDataset,
-    zones: ZoneConfig,
-    model,
-    cfg: EngineConfig | None = None,
-) -> ExplainResult:
+def explain(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> ExplainResult:
     """Run the full explanation pipeline on one training set."""
-    cfg = cfg or EngineConfig()
-    return rank(prepare(train, zones, model, cfg), cfg)
+    return rank(prepare(train, zones, model, cfg))
 
 
 def derive_seeds(base_seed: int, count: int = 4) -> tuple[int, ...]:

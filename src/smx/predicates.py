@@ -8,12 +8,15 @@ the first occurrence, so at most 2*M*K predicates survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .zonecore import ZoneModel
+
+if TYPE_CHECKING:
+    from .engine import EngineConfig
 
 LE = "<="
 GT = ">"
@@ -43,7 +46,6 @@ class Predicate:
     zone_name: str
     direction: str  # LE or GT
     tau: float
-    quantile_level: float
 
     @property
     def label(self) -> str:
@@ -66,25 +68,10 @@ class PredicateSet:
     def __len__(self) -> int:
         return len(self.predicates)
 
-    def support(self, j: int, rows: np.ndarray | None = None) -> np.ndarray:
-        col = self.indicator[:, j]
-        if rows is None:
-            return np.flatnonzero(col)
-        rows = np.asarray(rows, dtype=int)
-        return rows[col[rows]]
 
-
-def build_predicates(
-    scores: np.ndarray, zone_models: Sequence[ZoneModel], quantile_levels: Sequence[float]
-) -> PredicateSet:
-    """Enumerate and deduplicate predicates over the training score matrix."""
-    q_levels = [float(q) for q in quantile_levels]
-    if not q_levels:
-        raise ConfigError("quantile set is empty")
-    if any(not (0.0 < q < 1.0) for q in q_levels):
-        raise ConfigError("quantile levels must lie in (0, 1)")
-    if any(b <= a for a, b in zip(q_levels, q_levels[1:])):
-        raise ConfigError("quantile levels must be strictly increasing")
+def build_predicates(scores: np.ndarray, zone_models: Sequence[ZoneModel], cfg: EngineConfig) -> PredicateSet:
+    """Enumerate and deduplicate predicates over the training score matrix,
+    at the quantile levels of ``cfg``."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] != len(zone_models):
         raise ConfigError("score matrix width must equal the number of zone models")
@@ -94,21 +81,13 @@ def build_predicates(
     seen: set[tuple[str, str, float]] = set()
     for m, model in enumerate(zone_models):
         t = scores[:, m]
-        for q in q_levels:
+        for q in cfg.quantiles:
             tau = quantile(t, q)
             for direction in (LE, GT):
                 ident = (model.zone_name, direction, tau)
                 if ident in seen:
                     continue
                 seen.add(ident)
-                predicates.append(
-                    Predicate(
-                        zone_index=m,
-                        zone_name=model.zone_name,
-                        direction=direction,
-                        tau=tau,
-                        quantile_level=q,
-                    )
-                )
+                predicates.append(Predicate(zone_index=m, zone_name=model.zone_name, direction=direction, tau=tau))
                 columns.append(t <= tau if direction == LE else t > tau)
     return PredicateSet(predicates=predicates, indicator=np.column_stack(columns))

@@ -36,17 +36,29 @@ class ClassSpec:
     noise_std: float
 
 
+# A dataset is drawn whole in memory: at most 4 times the widest shipped
+# layout's 2,048 channels and 10,000 samples a class (a 1.3 GB matrix).
+MAX_POINTS = 8192
+MAX_CLASS_SAMPLES = 10_000
+# Draws of a non-positive width after which a peak is refused.
+MAX_WIDTH_DRAWS = 1000
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """A synthetic dataset's description, checked when it is made."""
+
     n_points: int
     axis_range: tuple[float, float]
     classes: tuple[ClassSpec, ...]
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         lo, hi = self.axis_range
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
+        if self.n_points > MAX_POINTS:
+            raise ConfigError(f"n_points must be at most {MAX_POINTS}, got {self.n_points}")
         if not lo < hi:
             raise ConfigError("axis_range must satisfy low < high")
         if not self.classes:
@@ -59,24 +71,28 @@ class SyntheticConfig:
         for cls in self.classes:
             if cls.n_samples < 1:
                 raise ConfigError(f"class '{cls.name}': n_samples must be >= 1")
+            if cls.n_samples > MAX_CLASS_SAMPLES:
+                raise ConfigError(f"class '{cls.name}': n_samples must be at most {MAX_CLASS_SAMPLES}")
             if cls.noise_std < 0:
                 raise ConfigError(f"class '{cls.name}': noise_std must be >= 0")
-            for pk in cls.peaks:
+            for k, pk in enumerate(cls.peaks):
                 if pk.amp_std < 0 or pk.width_std < 0:
                     raise ConfigError(f"class '{cls.name}': std fields must be >= 0")
                 if not (lo <= pk.center <= hi):
                     raise ConfigError(
                         f"class '{cls.name}': peak center {pk.center} outside axis range"
                     )
+                if pk.width_std == 0 and pk.width_mean <= 0:
+                    raise ConfigError(f"class '{cls.name}': peaks[{k}] can never draw a positive width")
 
 
 def generate(cfg: SyntheticConfig) -> SpectralDataset:
     """Draw the dataset described by ``cfg``; bit-identical for a fixed seed.
 
     Widths sampled at or below zero are redrawn until positive, since a
-    non-positive Gaussian width is undefined.
+    non-positive Gaussian width is undefined; a peak that draws
+    ``MAX_WIDTH_DRAWS`` in a row at or below zero raises ``ConfigError``.
     """
-    cfg.validate()
     lo, hi = cfg.axis_range
     axis = np.linspace(lo, hi, cfg.n_points)
     rng = np.random.default_rng(cfg.seed)
@@ -87,11 +103,14 @@ def generate(cfg: SyntheticConfig) -> SpectralDataset:
     for cls in cfg.classes:
         for i in range(cls.n_samples):
             y = np.zeros(cfg.n_points)
-            for pk in cls.peaks:
+            for k, pk in enumerate(cls.peaks):
                 amp = rng.normal(pk.amp_mean, pk.amp_std)
-                width = rng.normal(pk.width_mean, pk.width_std)
-                while width <= 0:
+                for _ in range(MAX_WIDTH_DRAWS):
                     width = rng.normal(pk.width_mean, pk.width_std)
+                    if width > 0:
+                        break
+                else:
+                    raise ConfigError(f"class '{cls.name}': peaks[{k}] drew {MAX_WIDTH_DRAWS} non-positive widths")
                 y += amp * np.exp(-((axis - pk.center) ** 2) / (2.0 * width**2))
             if cls.noise_std > 0:
                 y = y + rng.normal(0.0, cls.noise_std, cfg.n_points)
@@ -153,7 +172,5 @@ def benchmark_zones() -> ZoneConfig:
 
 def load_config(path: str | Path) -> SyntheticConfig:
     """Read a ``SyntheticConfig`` from a JSON object of its fields, classes
-    and their peaks as nested objects, and validate it."""
-    cfg = json_object(read_json(path, "synthetic config file"), SyntheticConfig, f"{path}: bad synthetic config")
-    cfg.validate()
-    return cfg
+    and their peaks as nested objects."""
+    return json_object(read_json(path, "synthetic config file"), SyntheticConfig, f"{path}: bad synthetic config")

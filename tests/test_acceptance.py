@@ -318,7 +318,7 @@ def test_prepared_reruns_match_fresh_explains(bench):
     prepared = pipeline.prepare(bench.train, bench.zones, bench.model, cfg)
     for base in (0, 3, 9):
         rerun = EngineConfig(seeds=pipeline.derive_seeds(base, len(cfg.seeds)))
-        ranked = pipeline.rank(prepared, rerun)
+        ranked = pipeline.rank(prepared, rerun.seeds)
         fresh = pipeline.explain(bench.train, bench.zones, bench.model, rerun)
         assert ranked.predicate_labels() == fresh.predicate_labels()
         assert ranked.zone_order == fresh.zone_order

@@ -626,7 +626,7 @@ class TestThresholdTable:
         root, out, quantiles = benchmark_explain
         train = dataio.load_csv(root / "train.csv")
         zone_models, scores = zonecore.fit_zone_models(train, dataio.load_zone_config(root / "zones.json"))
-        pset = build_predicates(scores, zone_models, quantiles)
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=tuple(quantiles)))
         text = (out / "threshold_spectra.csv").read_text()
         header, *rows = text.removesuffix("\n").split("\n")
         assert header == "predicate,label,axis,value"
@@ -966,6 +966,86 @@ def test_flag_surface(explain_case, tmp_path, monkeypatch, capsys, argv, entries
     assert sorted(os.listdir()) == sorted([*inputs, "ref", "ref.json", "run"])
 
 
+# name -> (manifest entries holding one invalid setting, its message); see
+# test_settings_refused_before_any_file_is_read.
+BAD_SETTINGS = {
+    "no quantiles": ({"engine": {"quantiles": []}}, "quantile set is empty"),
+    "quantile 0": ({"engine": {"quantiles": [0.0, 0.5]}}, "quantile levels must lie in (0, 1)"),
+    "quantile 1": ({"engine": {"quantiles": [0.5, 1.0]}}, "quantile levels must lie in (0, 1)"),
+    "decreasing quantiles": ({"engine": {"quantiles": [0.5, 0.4]}}, "quantile levels must be strictly increasing"),
+    "too many quantiles": (
+        {"engine": {"quantiles": [k / (engine.MAX_QUANTILES + 2) for k in range(1, engine.MAX_QUANTILES + 2)]}},
+        f"at most {engine.MAX_QUANTILES} quantile levels are allowed, got {engine.MAX_QUANTILES + 1}",
+    ),
+    "unknown method": ({"preprocess": {"method": "smooth"}}, "unknown preprocessing method 'smooth'"),
+    "window on mean_center": ({"preprocess": {"method": "mean_center", "window": 5}}, _SAVGOL_ONLY),
+    "order on poisson": (
+        {"preprocess": {"method": "poisson_then_center", "order": 2}},
+        "a savgol window or order applies only to savgol_then_center, not poisson_then_center",
+    ),
+    "even window": ({"preprocess": {"method": _SAVGOL, "window": 4}}, "savgol window must be an odd integer >= 3"),
+    "window 1": ({"preprocess": {"method": _SAVGOL, "window": 1}}, "savgol window must be an odd integer >= 3"),
+    "order = window": (
+        {"preprocess": {"method": _SAVGOL, "window": 5, "order": 5}}, "savgol order must satisfy 0 <= order < window"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate", "evaluate pfi"])
+@pytest.mark.parametrize("entries, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_settings_refused_before_any_file_is_read(tmp_path, capsys, command, entries, message):
+    """Every engine and preprocess setting of every manifest is checked
+    before any file is read: with input files that do not exist, the run
+    exits 2 with the setting's message. evaluate's first manifest is valid,
+    so its missing files would be read first if the check came later."""
+
+    def manifest(name, **more):
+        missing = {key: f"missing_{key}" for key in ("train", "test", "zones", "model")}
+        (tmp_path / f"{name}.json").write_text(json.dumps({"name": name, **missing, **more}))
+        return str(tmp_path / f"{name}.json")
+
+    out = str(tmp_path / "out")
+    if command == "explain":
+        argv = ["explain", "--manifest", manifest("bad", **entries), "--out", out]
+    else:
+        argv = ["evaluate", "--manifest", manifest("good"), manifest("bad", **entries), "--out", out]
+        argv += ["--methods", "pfi"] if command == "evaluate pfi" else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "cannot read" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["bad.json"] + ["good.json"] * (command != "explain"))
+
+
+PREPROCESS_FLAGS = {
+    name: (entries["preprocess"], message)
+    for name, (entries, message) in BAD_SETTINGS.items()
+    if entries.get("preprocess", {}).get("method") in dataio.PREPROCESS_METHODS  # the flag refuses others
+}
+
+
+@pytest.mark.parametrize("setting, message", PREPROCESS_FLAGS.values(), ids=PREPROCESS_FLAGS.keys())
+def test_preprocess_setting_refused_before_train_is_read(tmp_path, capsys, setting, message):
+    argv = ["preprocess", "--train", str(tmp_path / "missing.csv"), "--out-train", str(tmp_path / "p.csv")]
+    argv += [arg for key, value in setting.items() for arg in (f"--{key}", str(value))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "cannot read" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_explain_help_metavars_are_plain(capsys):
+    """Each flag's value is shown by a plain name, and its help names the
+    manifest entry it replaces."""
+    with pytest.raises(SystemExit):
+        main(["explain", "--help"])
+    text = capsys.readouterr().out
+    usage = text.split("\n\n")[0]
+    metavars = [word for word in usage.replace("[", " ").replace("]", " ").split() if not word.startswith("-")]
+    assert "WINDOW" in metavars and "QUANTILES" in metavars
+    assert [m for m in metavars if "." in m] == []
+    assert "replaces the manifest's preprocess.window" in text
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("shift, width", [(1000.0, None), (0.0, 59)], ids=["shifted", "narrower"])
     def test_test_axis_differs_exit_2_before_model_loads(self, eval_case, tmp_path, capsys, monkeypatch, shift, width):
@@ -1172,9 +1252,9 @@ class TestEvaluate:
         rank = pipeline.rank
         calls = []
 
-        def counting(prepared, cfg):
-            calls.append(cfg.seeds)
-            return rank(prepared, cfg)
+        def counting(prepared, seeds=None):
+            calls.append(seeds)
+            return rank(prepared, seeds)
 
         monkeypatch.setattr(pipeline, "rank", counting)
         out = tmp_path / "report"
@@ -1188,9 +1268,7 @@ class TestEvaluate:
             cfg,
         )
         recomputed = evalkit.stability_study(
-            lambda seed: rank(
-                prepared, dataclasses.replace(cfg, seeds=pipeline.derive_seeds(seed, len(seeds)))
-            ).predicate_labels(),
+            lambda seed: rank(prepared, pipeline.derive_seeds(seed, len(seeds))).predicate_labels(),
             list(range(10)),
         )
         stability = json.loads((out / "report.json").read_text())["datasets"][0]["methods"]["smx"]["stability"]
@@ -1544,9 +1622,11 @@ def test_runs_close_their_external_models(explain_case, tmp_path, monkeypatch):
     spec = {"kind": "external", "argv": [sys.executable, helper, "fixed-proba", "60", "0.25", "0.75"]}
     mpath = _manifest_naming(tmp_path, explain_case)
     (tmp_path / "ext.json").write_text(json.dumps(spec))
+    (tmp_path / "err.json").write_text(json.dumps({**spec, "argv": [sys.executable, helper, "error", "60"]}))
     flags = ["--model", str(tmp_path / "ext.json")]
     assert main(["explain", "--manifest", mpath, *flags, "--out", str(tmp_path / "o1")]) == 0
-    assert main(["explain", "--manifest", mpath, *flags, "--out", str(tmp_path / "o2"), "--quantiles", "2"]) == 2
+    # the server answers its first predict with an error
+    assert main(["explain", "--manifest", mpath, "--model", str(tmp_path / "err.json"), "--out", str(tmp_path / "o2")]) == 1
     manifest = json.loads(Path(mpath).read_text())
     Path(mpath).write_text(json.dumps({**manifest, "model": spec}))
     # a constant model ranks no zone, so the evaluate fails after using its model

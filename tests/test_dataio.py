@@ -270,7 +270,7 @@ class TestPreprocess:
 
     def test_savgol_records_window_and_order(self, small_dataset):
         # the default window (15) exceeds this toy width, so use 7
-        state = fit_preprocess(small_dataset, "savgol_then_center", savgol_window=7, savgol_order=2)
+        state = fit_preprocess(small_dataset, "savgol_then_center", window=7, order=2)
         assert state.savgol == (7, 2)
 
     def test_savgol_paper_default_shape(self):
@@ -281,7 +281,7 @@ class TestPreprocess:
             labels=[0, 0, 1, 1],
             sample_ids=list("abcd"),
         )
-        state = fit_preprocess(ds, "savgol_then_center", savgol_window=15, savgol_order=2)
+        state = fit_preprocess(ds, "savgol_then_center", window=15, order=2)
         assert state.savgol == (15, 2)
 
     def test_savgol_defaults(self):
@@ -292,10 +292,10 @@ class TestPreprocess:
             sample_ids=list("abcd"),
         )
         assert fit_preprocess(ds, "savgol_then_center").savgol == (15, 2)
-        assert fit_preprocess(ds, "savgol_then_center", savgol_order=3).savgol == (15, 3)
-        assert fit_preprocess(ds, "savgol_then_center", savgol_window=7).savgol == (7, 2)
+        assert fit_preprocess(ds, "savgol_then_center", order=3).savgol == (15, 3)
+        assert fit_preprocess(ds, "savgol_then_center", window=7).savgol == (7, 2)
 
-    @pytest.mark.parametrize("params", [{"savgol_window": 15}, {"savgol_order": 2}])
+    @pytest.mark.parametrize("params", [{"window": 15}, {"order": 2}])
     @pytest.mark.parametrize("method", ["mean_center", "poisson_then_center"])
     def test_savgol_settings_refused_for_other_methods(self, small_dataset, method, params):
         with pytest.raises(ConfigError, match=f"applies only to savgol_then_center, not {method}"):
@@ -336,7 +336,7 @@ class TestPreprocess:
             labels=[0, 1],
             sample_ids=["a", "b"],
         )
-        state = fit_preprocess(ds, "savgol_then_center", savgol_window=5, savgol_order=2)
+        state = fit_preprocess(ds, "savgol_then_center", window=5, order=2)
         state.column_means = np.zeros(20)  # isolate the smoothing stage
         out = apply_preprocess(state, ds)
         np.testing.assert_allclose(out.intensities[0][2:-2], row[2:-2], atol=1e-9)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -12,6 +13,7 @@ from smx.engine import (
     ENTRY_DTYPE,
     BagResult,
     MAX_BAGS,
+    MAX_QUANTILES,
     EngineConfig,
     _predicted_classes,
     bag_size,
@@ -48,6 +50,12 @@ class TestEngineConfig:
             {"min_support_fraction": 0.0},
             {"seeds": ()},
             {"seeds": (1, 1)},
+            {"quantiles": ()},
+            {"quantiles": (0.0, 0.5)},
+            {"quantiles": (0.5, 1.0)},
+            {"quantiles": (0.5, 0.4)},
+            {"quantiles": (0.5, 0.5)},
+            {"quantiles": tuple((k + 1) / (MAX_QUANTILES + 2) for k in range(MAX_QUANTILES + 1))},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -56,6 +64,14 @@ class TestEngineConfig:
 
     def test_bag_count_bound_is_inclusive(self):
         assert EngineConfig(bags=MAX_BAGS).bags == MAX_BAGS
+
+    def test_quantile_count_bound_is_inclusive(self):
+        """Every percentile is allowed. On the widest shipped layout that
+        bounds the predicates, and LRC's N x N array, at N = 4,356."""
+        levels = tuple((k + 1) / 100 for k in range(MAX_QUANTILES))
+        assert EngineConfig(quantiles=levels).quantiles == levels
+        layouts = (Path(__file__).parents[1] / "zone_configs").glob("*.json")
+        assert 2 * max(len(json.loads(p.read_text())) for p in layouts) * MAX_QUANTILES == 4356
 
 
 class TestDrawBag:
@@ -249,7 +265,7 @@ class TestRunBags:
     def test_low_support_predicates_filtered(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=3, min_support_fraction=0.45, seeds=(1,))
         results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
@@ -257,14 +273,14 @@ class TestRunBags:
         for bag in results:
             subset = draw_bag(1, bag.bag_index, ds.n_samples, bag_size(ds.n_samples, 0.8))
             for j in range(len(pset)):
-                support = pset.support(j, subset).size
+                support = _support(pset, j, subset).size
                 present = j in bag.entries["predicate"]
                 assert present == (support >= n_min)
 
     def test_zero_weight_zone_scores_exactly_zero(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.5])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.5,)))
         weights = np.zeros(6)
         weights[0:3] = [1.0, -0.5, 2.0]  # the 'noise' zone columns carry no weight
         model = RidgeModel(weights=weights, intercept=0.3)
@@ -282,7 +298,7 @@ class TestRunBags:
     def test_normalization_factor_is_zone_width(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.3, 0.7])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.3, 0.7)))
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=2, seeds=(1,))
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
@@ -293,7 +309,7 @@ class TestRunBags:
     def test_ranking_descending_with_stable_ties(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.2, 0.5, 0.8])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.2, 0.5, 0.8)))
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=3, seeds=(2,))
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=2):
@@ -307,7 +323,7 @@ class TestRunBags:
     def test_workers_do_not_change_results(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         model = fit_logistic(ds, l2=0.1, max_iters=200)
         cfg = EngineConfig(bags=6, seeds=(3,))
         serial = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=3, workers=1)
@@ -317,7 +333,7 @@ class TestRunBags:
     def test_benchmark_feature1_leads_most_bags(self, benchmark_problem):
         train, zones, model = benchmark_problem
         zone_models, scores = fit_zone_models(train, zones)
-        pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         cfg = EngineConfig()
         results = _run_bags(model, train.intensities, zone_models, pset, cfg, seed=1)
         leading = sum(
@@ -331,7 +347,7 @@ class TestRunBags:
         rng = np.random.default_rng(21)
         ds, zones = _toy_problem(seed=4)
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.4, 0.6])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.4, 0.6)))
         model = RidgeModel(weights=rng.normal(size=6), intercept=0.1)
         medians = np.median(ds.intensities, axis=0)
         cfg = EngineConfig(bags=3, seeds=(5,))
@@ -348,7 +364,7 @@ class TestRunBags:
     def test_terminal_class_majority_rule(self):
         ds, zones = _toy_problem(signal=5.0)
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.5])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.5,)))
         model = fit_logistic(ds, l2=0.01, max_iters=500)
         cfg = EngineConfig(bags=4, seeds=(1,), min_support_fraction=0.1)
         for bag in _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1):
@@ -360,7 +376,7 @@ class TestRunBags:
     def test_all_filtered_bag_yields_empty_result(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.5])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.5,)))
         model = fit_logistic(ds, l2=0.1, max_iters=100)
         # bag holds 32 of 40 samples but every predicate needs 36 supporters
         cfg = EngineConfig(bags=2, seeds=(1,), min_support_fraction=0.9)
@@ -374,7 +390,7 @@ class TestRunBags:
     def test_trace_lines_are_valid_json(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.5])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.5,)))
         model = fit_logistic(ds, l2=0.1, max_iters=100)
         cfg = EngineConfig(bags=2, seeds=(1,))
         results = _run_bags(model, ds.intensities, zone_models, pset, cfg, seed=1)
@@ -424,6 +440,11 @@ def _as_records(bags):
     return [BagResult(bag.bag_index, np.array(_rows(bag.entries), dtype=ENTRY_DTYPE), bag.terminal_class) for bag in bags]
 
 
+def _support(pset, j, rows):
+    """The rows among ``rows`` that satisfy predicate ``j``, in their order."""
+    return rows[pset.indicator[rows, j]]
+
+
 def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
     """The per-predicate scorer the per-zone cache replaced: one model
     call per (bag, retained predicate) on the median-replaced
@@ -444,7 +465,7 @@ def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
         subset = draw_bag(seed, b, n, n_b)
         scored = []
         for j, pred in enumerate(pset.predicates):
-            sat = pset.support(j, subset)
+            sat = _support(pset, j, subset)
             if sat.size < n_min:
                 continue
             zm = zone_models[pred.zone_index]
@@ -454,7 +475,7 @@ def _reference_run_bags(model, X_train, zone_models, pset, cfg, seed):
         scored.sort(key=lambda e: (-e.impact, e.predicate))
         result = _Bag(bag_index=b, entries=scored)
         if scored:
-            sat = pset.support(scored[-1].predicate, subset)
+            sat = _support(pset, scored[-1].predicate, subset)
             ones = int(np.count_nonzero(classes[sat] == 1))
             result.terminal_class = 1 if ones > sat.size - ones else 0
         results.append(result)
@@ -500,7 +521,7 @@ def _parent_run_bags(model, X_train, zone_models, pset, cfg, seed, workers=1):
         subset = draw_bag(seed, b, n, n_b)
         scored = []
         for j in range(len(pset)):
-            sat = pset.support(j, subset)
+            sat = _support(pset, j, subset)
             if sat.size < n_min:
                 continue
             raw = float(np.mean(D[sat, zone_of[j]]))
@@ -509,7 +530,7 @@ def _parent_run_bags(model, X_train, zone_models, pset, cfg, seed, workers=1):
         result = _Bag(bag_index=b, entries=scored)
         if scored:
             last = scored[-1]
-            sat = pset.support(last.predicate, subset)
+            sat = _support(pset, last.predicate, subset)
             ones = int(np.count_nonzero(classes[sat] == 1))
             result.terminal_class = 1 if ones > sat.size - ones else 0
         return result
@@ -537,7 +558,7 @@ class TestPerZoneCache:
     def test_matches_per_predicate_reference(self, problem, request):
         ds, zones, model = request.getfixturevalue(problem)
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.2, 0.4, 0.6, 0.8])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         cfg = EngineConfig(min_support_fraction=0.1)
         resp = responses(model, ds.intensities, zone_models)
         for seed in (1, 2):
@@ -563,12 +584,17 @@ class TestPerZoneCache:
         assert sum(bag.entries.size for bags_ in result.bag_results.values() for bag in bags_) > bags
         assert rows == [ds.n_samples] * (len(zones.zones) + 1)
 
-
-    def test_rank_refuses_other_quantiles(self, toy_logistic):
+    def test_rank_keeps_the_prepared_config(self, toy_logistic):
+        """A prepared run is reranked by seeds alone: every other setting is
+        the one it was prepared with, and the seeds meet ``EngineConfig``'s rule."""
         ds, zones, model = toy_logistic
-        prepared = pipeline.prepare(ds, zones, model, EngineConfig(quantiles=(0.5,)))
-        with pytest.raises(ConfigError, match="quantiles"):
-            pipeline.rank(prepared, EngineConfig(quantiles=(0.4, 0.6)))
+        cfg = EngineConfig(bags=3, quantiles=(0.5,), seeds=(1, 2))
+        prepared = pipeline.prepare(ds, zones, model, cfg)
+        assert pipeline.rank(prepared).predicate_labels() == pipeline.explain(ds, zones, model, cfg).predicate_labels()
+        rerun = pipeline.rank(prepared, (7,))
+        assert list(rerun.bag_results) == [7] and len(rerun.bag_results[7]) == 3
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            pipeline.rank(prepared, (4, 4))
 
 
 class TestMaskedReduction:
@@ -577,7 +603,7 @@ class TestMaskedReduction:
     def test_matches_parent_mean_loop(self, problem, min_support_fraction, request):
         ds, zones, model = request.getfixturevalue(problem)
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [k / 10 for k in range(1, 10)])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=tuple(k / 10 for k in range(1, 10))))
         cfg = EngineConfig(min_support_fraction=min_support_fraction)
         resp = responses(model, ds.intensities, zone_models)
         for seed in (1, 2, 3):
@@ -599,7 +625,7 @@ class TestMaskedReduction:
     def test_responses_shape_checked(self, toy_logistic):
         ds, zones, model = toy_logistic
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.5])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.5,)))
         resp = responses(model, ds.intensities, zone_models)
         with pytest.raises(ConfigError):
             run_bags(resp.shifts[1:], resp.classes[1:], zone_models, pset, EngineConfig(), 1)
@@ -660,7 +686,7 @@ class TestTraceLinesAgainstJsonDumps:
 
     def _pset(self):
         preds = [
-            Predicate(zone_index=j, zone_name=name, direction="<=" if j % 2 else ">", tau=tau, quantile_level=0.2)
+            Predicate(zone_index=j, zone_name=name, direction="<=" if j % 2 else ">", tau=tau)
             for j, (name, tau) in enumerate(zip(self.NAMES, [0.1, -2.5e-300, 1e22, float("nan"), -0.0, 2 / 3]))
         ]
         return PredicateSet(predicates=preds, indicator=np.ones((2, len(preds)), dtype=bool))
@@ -684,7 +710,7 @@ class TestTraceLinesAgainstJsonDumps:
     def test_engine_results(self):
         ds, zones = _toy_problem()
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, [0.25, 0.5, 0.75])
+        pset = build_predicates(scores, zone_models, EngineConfig(quantiles=(0.25, 0.5, 0.75)))
         model = fit_logistic(ds, l2=0.1, max_iters=100)
         cfg = EngineConfig(bags=4, seeds=(1,))
         resp = responses(model, ds.intensities, zone_models)
@@ -784,7 +810,7 @@ def _random_case(rng):
 class TestRecordsAgainstObjects:
     def _check(self, ds, zones, model, cfg):
         zone_models, scores = fit_zone_models(ds, zones)
-        pset = build_predicates(scores, zone_models, cfg.quantiles)
+        pset = build_predicates(scores, zone_models, cfg)
         resp = responses(model, ds.intensities, zone_models)
         for seed in cfg.seeds:
             got = run_bags(resp.shifts, resp.classes, zone_models, pset, cfg, seed)

@@ -28,7 +28,7 @@ from smx.zonecore import ZoneModel
 def _pset(n_predicates, zone_names=None):
     zone_names = zone_names or [f"z{j}" for j in range(n_predicates)]
     preds = [
-        Predicate(zone_index=j, zone_name=zone_names[j], direction=">", tau=float(j), quantile_level=0.5)
+        Predicate(zone_index=j, zone_name=zone_names[j], direction=">", tau=float(j))
         for j in range(n_predicates)
     ]
     return PredicateSet(predicates=preds, indicator=np.ones((4, n_predicates), dtype=bool))
@@ -454,7 +454,7 @@ def _references(scores, item_zones, zone_names):
     zone_sets = {name: np.flatnonzero([z == name for z in item_zones]) for name in zone_names}
     out = [reference_variable_zone_ranking(scores, zone_sets, zone_names)]
     if None not in item_zones:
-        preds = [Predicate(zone_names.index(z), z, ">", 0.0, 0.5) for z in item_zones]
+        preds = [Predicate(zone_names.index(z), z, ">", 0.0) for z in item_zones]
         pset = PredicateSet(predicates=preds, indicator=np.ones((2, len(preds)), dtype=bool))
         order = sorted(range(len(preds)), key=lambda j: (-scores[j], j))  # as aggregate_seeds orders
         ranking = PredicateRanking(order=order, mean_lrc=scores, per_seed=scores[None, :], seeds=[0])
@@ -666,7 +666,7 @@ _SPECIAL_NAMES = ['quote "q"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Ün
 
 def _special_pset():
     preds = [
-        Predicate(zone_index=j, zone_name=name, direction=">" if j % 2 else "<=", tau=tau, quantile_level=0.5)
+        Predicate(zone_index=j, zone_name=name, direction=">" if j % 2 else "<=", tau=tau)
         for j, (name, tau) in enumerate(zip(_SPECIAL_NAMES, [0.1, -2.5e-300, 1e22, 5e-324, -0.0, 1 / 3, 7.0]))
     ]
     return PredicateSet(predicates=preds, indicator=np.ones((2, len(preds)), dtype=bool))

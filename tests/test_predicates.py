@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smx.engine import EngineConfig
 from smx.errors import ConfigError
 from smx.predicates import GT, LE, build_predicates, quantile
 from smx.zonecore import ZoneModel
@@ -48,7 +49,7 @@ class TestQuantile:
 class TestBuildPredicates:
     def test_single_zone_indicator_partition(self):
         scores = np.array([[1.0], [2.0], [3.0]])
-        pset = build_predicates(scores, [_stub_zone("z")], [0.5])
+        pset = build_predicates(scores, [_stub_zone("z")], EngineConfig(quantiles=(0.5,)))
         assert [p.direction for p in pset.predicates] == [LE, GT]
         assert pset.predicates[0].tau == 2.0
         np.testing.assert_array_equal(pset.indicator[:, 0], [True, True, False])
@@ -58,20 +59,20 @@ class TestBuildPredicates:
         rng = np.random.default_rng(0)
         zones = [_stub_zone(f"z{m}", m) for m in range(3)]
         scores = rng.normal(size=(30, 3))
-        pset = build_predicates(scores, zones, [0.2, 0.4, 0.6, 0.8])
+        pset = build_predicates(scores, zones, EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         assert len(pset) <= 8 * 3
         assert len(pset) == 24  # continuous scores: no ties, all survive
 
     def test_constant_scores_collapse_to_two(self):
         scores = np.zeros((10, 1))
-        pset = build_predicates(scores, [_stub_zone("flat")], [0.2, 0.4, 0.6, 0.8])
+        pset = build_predicates(scores, [_stub_zone("flat")], EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         assert len(pset) == 2
         assert {p.direction for p in pset.predicates} == {LE, GT}
 
     def test_complement_columns_cover_everything(self):
         rng = np.random.default_rng(1)
         zones = [_stub_zone(f"z{m}", m) for m in range(2)]
-        pset = build_predicates(rng.normal(size=(25, 2)), zones, [0.3, 0.7])
+        pset = build_predicates(rng.normal(size=(25, 2)), zones, EngineConfig(quantiles=(0.3, 0.7)))
         by_key = {(p.zone_name, p.tau, p.direction): i for i, p in enumerate(pset.predicates)}
         for (zone, tau, direction), i in by_key.items():
             if direction != LE:
@@ -84,7 +85,7 @@ class TestBuildPredicates:
 
     def test_gt_supports_nested_by_tau(self):
         rng = np.random.default_rng(2)
-        pset = build_predicates(rng.normal(size=(40, 1)), [_stub_zone("z")], [0.2, 0.5, 0.8])
+        pset = build_predicates(rng.normal(size=(40, 1)), [_stub_zone("z")], EngineConfig(quantiles=(0.2, 0.5, 0.8)))
         gts = sorted(
             (p.tau, i) for i, p in enumerate(pset.predicates) if p.direction == GT
         )
@@ -98,26 +99,23 @@ class TestBuildPredicates:
         rng = np.random.default_rng(3)
         zones = [_stub_zone("z")]
         scores = rng.normal(size=(15, 1))
-        a = build_predicates(scores, zones, [0.25, 0.75])
-        b = build_predicates(scores, zones, [0.25, 0.75])
+        a = build_predicates(scores, zones, EngineConfig(quantiles=(0.25, 0.75)))
+        b = build_predicates(scores, zones, EngineConfig(quantiles=(0.25, 0.75)))
         assert [p.tau for p in a.predicates] == [p.tau for p in b.predicates]
         assert np.array_equal(a.indicator, b.indicator)
 
     def test_ordering_zone_major_quantile_minor(self):
         rng = np.random.default_rng(4)
         zones = [_stub_zone("first", 0), _stub_zone("second", 1)]
-        pset = build_predicates(rng.normal(size=(20, 2)), zones, [0.4, 0.6])
+        pset = build_predicates(rng.normal(size=(20, 2)), zones, EngineConfig(quantiles=(0.4, 0.6)))
         names = [p.zone_name for p in pset.predicates]
         assert names == ["first"] * 4 + ["second"] * 4
-        levels = [p.quantile_level for p in pset.predicates[:4]]
-        assert levels == [0.4, 0.4, 0.6, 0.6]
+        first = pset.predicates[:4]
+        assert [p.direction for p in first] == [LE, GT, LE, GT]
+        assert first[0].tau == first[1].tau < first[2].tau == first[3].tau
 
     def test_invalid_q_rejected(self):
-        zones = [_stub_zone("z")]
-        scores = np.zeros((5, 1))
-        with pytest.raises(ConfigError):
-            build_predicates(scores, zones, [])
-        with pytest.raises(ConfigError):
-            build_predicates(scores, zones, [0.8, 0.2])
-        with pytest.raises(ConfigError):
-            build_predicates(scores, zones, [0.5, 1.0])
+        """Levels come from an ``EngineConfig``, which refuses bad ones."""
+        for levels in [(), (0.8, 0.2), (0.5, 1.0)]:
+            with pytest.raises(ConfigError):
+                EngineConfig(quantiles=levels)

@@ -7,6 +7,7 @@ import pytest
 
 from smx import synthgen
 from smx.dataio import resolve_zones
+from smx.cli import main
 from smx.errors import ConfigError
 from smx.synthgen import ClassSpec, PeakSpec, SyntheticConfig, benchmark_config, generate
 
@@ -84,16 +85,72 @@ class TestConfig:
     def test_center_outside_range_rejected(self):
         peak = PeakSpec(center=700.0, amp_mean=1.0, amp_std=0.0, width_mean=5.0, width_std=0.0)
         cls = ClassSpec(label=0, name="A", n_samples=2, peaks=(peak,), noise_std=0.0)
-        cfg = SyntheticConfig(n_points=10, axis_range=(0.0, 600.0), classes=(cls,), seed=0)
         with pytest.raises(ConfigError, match="outside axis range"):
-            generate(cfg)
+            SyntheticConfig(n_points=10, axis_range=(0.0, 600.0), classes=(cls,), seed=0)
 
     def test_negative_std_rejected(self):
         peak = PeakSpec(center=5.0, amp_mean=1.0, amp_std=-0.1, width_mean=5.0, width_std=0.0)
         cls = ClassSpec(label=0, name="A", n_samples=2, peaks=(peak,), noise_std=0.0)
-        cfg = SyntheticConfig(n_points=10, axis_range=(0.0, 10.0), classes=(cls,), seed=0)
         with pytest.raises(ConfigError, match="std"):
-            generate(cfg)
+            SyntheticConfig(n_points=10, axis_range=(0.0, 10.0), classes=(cls,), seed=0)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("n_points",), 1e12, f"n_points must be at most {synthgen.MAX_POINTS}, got 1000000000000"),
+            (("classes", 1, "n_samples"), 10**9, f"class 'B': n_samples must be at most {synthgen.MAX_CLASS_SAMPLES}"),
+            (("classes", 0, "peaks", 2, "width_std"), 0, "class 'A': peaks[2] can never draw a positive width"),
+        ],
+        ids=["n_points", "n_samples", "width"],
+    )
+    def test_unbounded_config_exit_2_before_drawing(self, tmp_path, capsys, path, value, message):
+        """A config that could exhaust memory or never draw a width is refused
+        when it is read, before any array is allocated."""
+        doc = dataclasses.asdict(benchmark_config())
+        doc["classes"][0]["peaks"][2]["width_mean"] = -1.0
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_bounds_are_inclusive(self):
+        cfg = dataclasses.replace(benchmark_config(), n_points=synthgen.MAX_POINTS)
+        classes = tuple(dataclasses.replace(c, n_samples=synthgen.MAX_CLASS_SAMPLES) for c in cfg.classes)
+        assert dataclasses.replace(cfg, classes=classes).n_points == synthgen.MAX_POINTS
+
+    def test_width_redraws_are_capped(self, tmp_path, capsys):
+        """A width that is positive only with vanishing probability ends the
+        draw with exit 2 naming the class and the peak; it used to loop on."""
+        doc = dataclasses.asdict(benchmark_config())
+        doc["classes"][1]["peaks"][1].update(width_mean=-1000.0, width_std=0.001)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"class 'B': peaks[1] drew {synthgen.MAX_WIDTH_DRAWS} non-positive widths" in err
+
+    def test_redraws_keep_the_random_stream(self):
+        """Widths that often draw non-positive give the values of an uncapped
+        redraw loop bit for bit."""
+        peak = PeakSpec(center=30.0, amp_mean=1.0, amp_std=0.3, width_mean=0.5, width_std=2.0)
+        cls = ClassSpec(label=0, name="A", n_samples=40, peaks=(peak, peak), noise_std=0.1)
+        cfg = SyntheticConfig(n_points=60, axis_range=(1.0, 60.0), classes=(cls,), seed=3)
+        axis = np.linspace(1.0, 60.0, 60)
+        rng = np.random.default_rng(3)
+        rows = []
+        for _ in range(cls.n_samples):
+            y = np.zeros(60)
+            for pk in cls.peaks:
+                amp = rng.normal(pk.amp_mean, pk.amp_std)
+                width = rng.normal(pk.width_mean, pk.width_std)
+                while width <= 0:
+                    width = rng.normal(pk.width_mean, pk.width_std)
+                y += amp * np.exp(-((axis - pk.center) ** 2) / (2.0 * width**2))
+            rows.append(y + rng.normal(0.0, cls.noise_std, 60))
+        assert np.array_equal(generate(cfg).intensities, np.asarray(rows))
 
     def test_benchmark_zone_names(self):
         names = synthgen.benchmark_zones().names()
