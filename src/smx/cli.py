@@ -155,13 +155,13 @@ def _load_manifest(mpath, args=None) -> dict:
     spec object), and the preprocess and engine objects hold only their
     ``_SECTIONS`` keys, each of its type. The preprocess entry comes out as
     an object, empty if unset, and the engine entry as an ``EngineConfig``:
-    both settings are checked here, before any file they apply to is read."""
-    manifest = {}
-    if mpath:
-        mpath = Path(mpath)
-        manifest, where = dataio.read_json(mpath, "manifest file"), f"{mpath}: bad manifest entry"
+    both settings and a model spec object are checked here, before any file
+    is read. A refusal names the manifest, unless a flag set that section."""
+    mpath, where = Path(mpath) if mpath else None, "bad manifest entry"
+    manifest = dataio.read_json(mpath, "manifest file") if mpath else {}
+    with dataio.naming(mpath):
         if not isinstance(manifest, dict):
-            raise ConfigError(f"{mpath}: manifest must be a JSON object, got {manifest!r}")
+            raise ConfigError(f"manifest must be a JSON object, got {manifest!r}")
         for key in (*_FILE_ENTRIES, "name"):
             if key in manifest and not (key == "model" and isinstance(manifest[key], dict)):  # a model spec
                 value = dataio.json_value(manifest[key], str, where, key, ConfigError)
@@ -175,17 +175,21 @@ def _load_manifest(mpath, args=None) -> dict:
                 key: dataio.json_value(value, hints[key], where, f"{section}.{key}", ConfigError)
                 for key, value in entries.items()
             }
-    for section in _SECTIONS:
-        manifest.setdefault(section, {})
+        if isinstance(manifest.get("model"), dict) and not (args and args.model):  # a spec no flag replaces
+            models.model_spec(manifest["model"])
+    flagged = set()  # the sections a flag gave a value: a refusal there does not blame the manifest
     for entry, _ in _OVERRIDES.values() if args else ():
         section, _, key = entry.rpartition(".")
         if (value := getattr(args, entry)) is not None:
             (manifest[section] if section else manifest)[key] = value
-    if manifest["preprocess"]:
-        if "method" not in manifest["preprocess"]:
-            raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
-        dataio.preprocess_setting(**manifest["preprocess"])
-    manifest["engine"] = EngineConfig(**manifest["engine"])
+            flagged.add(section)
+    with dataio.naming(None if "preprocess" in flagged else mpath):
+        if manifest["preprocess"]:
+            if "method" not in manifest["preprocess"]:
+                raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
+            dataio.preprocess_setting(**manifest["preprocess"])
+    with dataio.naming(None if "engine" in flagged else mpath):
+        manifest["engine"] = EngineConfig(**manifest["engine"])
     return manifest
 
 
@@ -199,8 +203,7 @@ def _manifest_path(manifest: dict, key: str) -> Path:
 @contextlib.contextmanager
 def _loaded_model(manifest: dict):
     """The manifest's model, closed on exit if it is an external one."""
-    spec = manifest.get("model")
-    model = models.load_model(spec if isinstance(spec, dict) else _manifest_path(manifest, "model"))
+    model = models.load_model(_manifest_path(manifest, "model"))  # a file path or a spec object
     try:
         yield model
     finally:
@@ -212,25 +215,28 @@ def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
     """The test set at ``path``, refused unless its axis is the train axis:
     zones resolved on the train axis must mask the same test channels."""
     test = dataio.load_csv(path)
-    if not np.array_equal(test.axis, train.axis):
-        raise ConfigError(f"{path}: axis differs from the train axis")
+    with dataio.naming(path):
+        if not np.array_equal(test.axis, train.axis):
+            raise ConfigError("axis differs from the train axis")
     return test
 
 
 def _load_data(manifest: dict, need_test: bool):
-    """(train, test, zones, state): the data preprocessed by ``state``, the
-    preprocessing fitted on train, or as read with no preprocess entry
-    (state None)."""
+    """(train, test, zones, zone_sets, state): the data preprocessed by
+    ``state``, the preprocessing fitted on train, or as read with no
+    preprocess entry (state None), and each zone's train axis indices."""
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
+    with dataio.naming(manifest["zones"]):  # a zone covering too few train channels is the zone config's fault
+        zone_sets = dict(zip(zones.names(), dataio.resolve_zones(zones, train)))
     pre, state = manifest["preprocess"], None
     if pre:
         state = dataio.fit_preprocess(train, **pre)
         train = dataio.apply_preprocess(state, train)
         if test is not None:
             test = dataio.apply_preprocess(state, test)
-    return train, test, zones, state
+    return train, test, zones, zone_sets, state
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +298,7 @@ def cmd_explain(args) -> int:
     if out is None:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, _EXPLAIN_OWNS)
-    train, _test, zones, state = _load_data(manifest, need_test=False)
+    train, _test, zones, _zone_sets, state = _load_data(manifest, need_test=False)
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, manifest["engine"])
 
@@ -327,25 +333,23 @@ def _dataset_name(manifest: dict) -> str:
     return manifest["name"] if "name" in manifest else _manifest_path(manifest, "train").stem
 
 
-def _check_dataset_names(manifests: list[dict]) -> None:
+def _check_dataset_names(mpaths: list[str], manifests: list[dict]) -> None:
     """Curve files are named after datasets: each name must be a distinct,
     plain file-name part."""
     seen: set[str] = set()
-    for manifest in manifests:
-        name = _dataset_name(manifest)
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ConfigError(f"dataset name {name!r} cannot name curve files (empty, '.', '..', '/' or '\\')")
-        if name in seen:
-            raise ConfigError(f"dataset name {name!r} is used by more than one manifest")
+    for mpath, manifest in zip(mpaths, manifests):
+        with dataio.naming(Path(mpath)):
+            name = _dataset_name(manifest)
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ConfigError(f"dataset name {name!r} cannot name curve files (empty, '.', '..', '/' or '\\')")
+            if name in seen:
+                raise ConfigError(f"dataset name {name!r} is used by more than one manifest")
         seen.add(name)
 
 
 def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
-    train, test, zones, _state = _load_data(manifest, need_test=True)
+    train, test, zones, zone_sets, _state = _load_data(manifest, need_test=True)
     with _loaded_model(manifest) as model:
-        zone_sets = {
-            z.name: idx for z, idx in zip(zones.zones, dataio.resolve_zones(zones, train))
-        }
         channel_zones = np.full(train.n_variables, None, dtype=object)
         for name, idx in zone_sets.items():
             channel_zones[idx] = name
@@ -470,7 +474,7 @@ def cmd_evaluate(args) -> int:
     _check_evaluate_flags(args, methods)
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
     manifests = [_load_manifest(mpath) for mpath in args.manifest]
-    _check_dataset_names(manifests)
+    _check_dataset_names(args.manifest, manifests)
     datasets = [_evaluate_one(manifest, methods, args) for manifest in manifests]
     report = {
         "methods": methods,

@@ -13,6 +13,7 @@ goes through ``read_input``, and every JSON value through ``json_value``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -78,9 +79,7 @@ class SpectralDataset:
             raise FormatError("intensities must be a 2-D matrix")
         n, p = self.intensities.shape
         if p != self.axis.size:
-            raise FormatError(
-                f"intensity width {p} does not match axis length {self.axis.size}"
-            )
+            raise FormatError(f"intensity width {p} does not match axis length {self.axis.size}")
         if not np.all(np.isfinite(self.intensities)):
             raise FormatError("intensities contain non-finite entries")
         if self.labels.shape != (n,):
@@ -141,9 +140,7 @@ class ZoneConfig:
         self.zones = sorted(self.zones, key=lambda z: (z.start, z.end))
         for prev, cur in zip(self.zones, self.zones[1:]):
             if cur.start < prev.end:
-                raise ConfigError(
-                    f"zones '{prev.name}' and '{cur.name}' overlap"
-                )
+                raise ConfigError(f"zones '{prev.name}' and '{cur.name}' overlap")
 
     def names(self) -> list[str]:
         return [z.name for z in self.zones]
@@ -152,15 +149,29 @@ class ZoneConfig:
         return {z.name for z in self.zones if z.plausible}
 
 
+@contextlib.contextmanager
+def naming(path: str | Path | None):
+    """Re-raise an ``SmxError`` from the block as ``<path>: <message>``, of
+    its class (as it is if ``path`` is None): loaders turn a file's text
+    into its typed object in this scope, so each refusal names the file."""
+    try:
+        yield
+    except SmxError as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def read_input(path: str | Path, what: str) -> str:
     """The text of the input file ``path``, read as UTF-8 with its line
-    ends kept. A file that cannot be opened raises ``ConfigError`` and
-    text that is not UTF-8 ``FormatError``, each naming ``what`` and ``path``."""
+    ends kept. A file that cannot be opened raises ``ConfigError``, naming
+    ``what`` and ``path``, and text that is not UTF-8 ``FormatError``."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {what} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        with naming(path):
+            raise FormatError(f"{what} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise ConfigError(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
@@ -168,10 +179,11 @@ def read_input(path: str | Path, what: str) -> str:
 def read_json(path: str | Path, what: str):
     """The JSON value in the input file ``path``; invalid JSON raises ``FormatError``."""
     text = read_input(path, what)
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON in {what} ({exc})") from exc
+    with naming(path):
+        try:
+            return json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"invalid JSON in {what} ({exc})") from exc
 
 
 # How an error names each type a JSON value is read as: (one value, a list of them).
@@ -250,9 +262,10 @@ def _schema(cls) -> list[tuple[str, object, bool]]:
 def load_zone_config(path: str | Path) -> ZoneConfig:
     """Read a zone config from a JSON array of ``Zone`` objects."""
     raw = read_json(path, "zones file")
-    if not isinstance(raw, list):
-        raise FormatError(f"{path}: zone config must be a JSON array")
-    return ZoneConfig([json_object(obj, Zone, f"{path}: bad zone entry {i}") for i, obj in enumerate(raw)])
+    with naming(path):
+        if not isinstance(raw, list):
+            raise FormatError("zone config must be a JSON array")
+        return ZoneConfig([json_object(obj, Zone, f"bad zone entry {i}") for i, obj in enumerate(raw)])
 
 
 def zone_config_json(cfg: ZoneConfig) -> str:
@@ -304,8 +317,9 @@ def load_csv(path: str | Path) -> SpectralDataset:
     """
     path = Path(path)
     text = read_input(path, "dataset file")
-    axis, data, labels, ids = _read_plain(path, text) or _read_rows(path, text)
-    return SpectralDataset(axis=axis, intensities=data, labels=labels, sample_ids=ids)
+    with naming(path):
+        axis, data, labels, ids = _read_plain(text) or _read_rows(text)
+        return SpectralDataset(axis=axis, intensities=data, labels=labels, sample_ids=ids)
 
 
 # Text that sends a file to _read_rows: a quote or a carriage return changes
@@ -317,7 +331,7 @@ _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 _Parsed = tuple[np.ndarray, np.ndarray, list[int], list[str]]  # axis, data, labels, ids
 
 
-def _read_plain(path: Path, text: str) -> _Parsed | None:
+def _read_plain(text: str) -> _Parsed | None:
     """``_read_rows``'s result for a file ``_read_rows`` would accept whose
     text holds none of ``_NOT_PLAIN``'s characters, else None.
 
@@ -335,7 +349,7 @@ def _read_plain(path: Path, text: str) -> _Parsed | None:
     if any(len(f) > limit for line in lines if len(line) > limit for f in line.split(",")):
         return None
     try:
-        axis = _header_axis(path, lines[0].split(","))
+        axis = _header_axis(lines[0].split(","))
     except FormatError:
         return None
     rows = [line.split(",", 2) for line in lines[1:] if line]
@@ -355,32 +369,32 @@ def _read_plain(path: Path, text: str) -> _Parsed | None:
     return axis, data, [int(label) for label in labels], list(ids)
 
 
-def _header_axis(path: Path, header: list[str]) -> np.ndarray:
+def _header_axis(header: list[str]) -> np.ndarray:
     """The axis named by a header row's fields."""
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
-        raise FormatError(f"{path}: header must start with 'id,label' and have axis columns")
+        raise FormatError("header must start with 'id,label' and have axis columns")
     axis = []
     for col, tok in enumerate(header[2:], start=3):
         try:
             axis.append(float(tok))
         except ValueError as exc:
-            raise FormatError(f"{path}: line 1, column {col}: non-numeric axis value '{tok}'") from exc
+            raise FormatError(f"line 1, column {col}: non-numeric axis value '{tok}'") from exc
     axis = np.asarray(axis)
     if np.any(np.diff(axis) <= 0):
-        raise FormatError(f"{path}: axis not strictly increasing")
+        raise FormatError("axis not strictly increasing")
     return axis
 
 
-def _read_rows(path: Path, text: str) -> _Parsed:
+def _read_rows(text: str) -> _Parsed:
     """The file's rows through csv.reader, each cell through ``float()``."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        raise FormatError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
-        raise FormatError(f"{path}: empty file")
-    axis = _header_axis(path, rows[0])
+        raise FormatError("empty file")
+    axis = _header_axis(rows[0])
     p = axis.size
 
     ids: list[str] = []
@@ -391,26 +405,24 @@ def _read_rows(path: Path, text: str) -> _Parsed:
         if not row:
             continue
         if len(row) != p + 2:
-            raise FormatError(f"{path}: line {lineno}: expected {p + 2} columns, found {len(row)}")
+            raise FormatError(f"line {lineno}: expected {p + 2} columns, found {len(row)}")
         sid = row[0]
         if sid in seen:
-            raise FormatError(f"{path}: line {lineno}: duplicate sample id '{sid}'")
+            raise FormatError(f"line {lineno}: duplicate sample id '{sid}'")
         seen.add(sid)
         if row[1] not in ("0", "1"):
-            raise FormatError(f"{path}: line {lineno}, column 2: label must be 0 or 1, found '{row[1]}'")
+            raise FormatError(f"line {lineno}, column 2: label must be 0 or 1, found '{row[1]}'")
         values = []
         for col, tok in enumerate(row[2:], start=3):
             try:
                 values.append(float(tok))
             except ValueError as exc:
-                raise FormatError(
-                    f"{path}: line {lineno}, column {col}: non-numeric cell '{tok}'"
-                ) from exc
+                raise FormatError(f"line {lineno}, column {col}: non-numeric cell '{tok}'") from exc
         ids.append(sid)
         labels.append(int(row[1]))
         data.append(values)
     if not data:
-        raise FormatError(f"{path}: no data rows")
+        raise FormatError("no data rows")
     return axis, np.asarray(data), labels, ids
 
 
@@ -542,9 +554,7 @@ def _savgol_rows(X: np.ndarray, state: PreprocessState) -> np.ndarray:
 def apply_preprocess(state: PreprocessState, ds: SpectralDataset) -> SpectralDataset:
     """Transform ``ds`` with parameters learned at fit time."""
     if ds.n_variables != state.column_means.size:
-        raise ConfigError(
-            f"dataset width {ds.n_variables} does not match fitted width {state.column_means.size}"
-        )
+        raise ConfigError(f"dataset width {ds.n_variables} does not match fitted width {state.column_means.size}")
     X = ds.intensities
     if state.method == MEAN_CENTER:
         out = X - state.column_means

@@ -8,6 +8,7 @@ over classes (0, 1) summing to 1.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .dataio import SpectralDataset, json_value, read_json
+from .dataio import SpectralDataset, json_value, naming, read_json
 from .errors import ConfigError, ModelError
 
 CONTINUOUS = "continuous"
@@ -167,25 +168,18 @@ def fit_logistic(
     return model
 
 
+# Each builtin kind: its class, and the JSON key and the attribute of its regularization.
+_BUILTINS = {"ridge": (RidgeModel, "lambda", "lam"), "logistic": (LogisticModel, "l2", "l2")}
+
+
 def model_json(model) -> str:
     """Builtin model weights as JSON text."""
-    if isinstance(model, RidgeModel):
-        payload = {
-            "kind": "ridge",
-            "weights": [float(v) for v in model.weights],
-            "intercept": model.intercept,
-            "lambda": model.lam,
-        }
-    elif isinstance(model, LogisticModel):
-        payload = {
-            "kind": "logistic",
-            "weights": [float(v) for v in model.weights],
-            "intercept": model.intercept,
-            "l2": model.l2,
-        }
-    else:
-        raise ModelError("only builtin models can be saved")
-    return json.dumps(payload, indent=2) + "\n"
+    for kind, (cls, key, attr) in _BUILTINS.items():
+        if isinstance(model, cls):
+            weights = [float(v) for v in model.weights]
+            payload = {"kind": kind, "weights": weights, "intercept": model.intercept, key: getattr(model, attr)}
+            return json.dumps(payload, indent=2) + "\n"
+    raise ModelError("only builtin models can be saved")
 
 
 def save_model(model, path: str | Path) -> None:
@@ -193,36 +187,39 @@ def save_model(model, path: str | Path) -> None:
     Path(path).write_text(model_json(model))
 
 
-def load_model(spec: dict | str | Path):
-    """Build a model handle from a spec dict or a JSON file path.
-
-    Accepted kinds: "ridge" / "logistic" weight dumps, whose ``weights``
-    are a list of finite numbers and ``intercept`` and optional ``lambda``
-    (ridge) or ``l2`` (logistic) finite numbers, and
-    {"kind": "external", "argv": [...]} subprocess models, whose ``argv``
-    is a non-empty list of strings.
-    """
-    source = ""  # the file's name and a colon, for a model file
+def model_spec(spec) -> tuple[type, tuple]:
+    """(class, arguments) that build the model the JSON value ``spec``
+    describes: a "ridge" / "logistic" weight dump (``weights``, a list of
+    finite numbers, a finite ``intercept`` and an optional finite
+    ``lambda`` or ``l2``) or an "external" subprocess model, whose ``argv``
+    is a non-empty list of strings. Any other value raises ``ConfigError``."""
     if not isinstance(spec, dict):
-        source = f"{spec}: "
-        spec = read_json(spec, "model file")
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{source}model JSON must be an object, got {spec!r}")
+        raise ConfigError(f"model JSON must be an object, got {spec!r}")
     kind = spec.get("kind")
-    where = f"{source}bad {kind} model spec"
+    where = f"bad {kind} model spec"
 
     def read(key, hint, default=MISSING):
         return json_value(spec.get(key, default), hint, where, key, ConfigError)
 
-    if kind in ("ridge", "logistic"):
-        cls, regularization = (RidgeModel, "lambda") if kind == "ridge" else (LogisticModel, "l2")
-        return cls(np.array(read("weights", list[float])), read("intercept", float), read(regularization, float, 0.0))
+    if isinstance(kind, str) and kind in _BUILTINS:
+        cls, key, _ = _BUILTINS[kind]
+        return cls, (np.array(read("weights", list[float])), read("intercept", float), read(key, float, 0.0))
     if kind == "external":
         argv = read("argv", list[str])
         if not argv:
             raise ConfigError(f"{where}: 'argv' must be a non-empty list")
-        return ExternalModel(argv)
-    raise ConfigError(f"{source}unknown model kind {kind!r}")
+        return ExternalModel, (argv,)
+    raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def load_model(spec: dict | str | Path):
+    """The model a ``model_spec`` dict or a JSON file path describes. The
+    model is built outside the file's ``naming``: an external model that
+    fails to start or answer is no refusal of the file."""
+    raw = spec if isinstance(spec, dict) else read_json(spec, "model file")
+    with naming(None if isinstance(spec, dict) else spec):
+        cls, args = model_spec(raw)
+    return cls(*args)
 
 
 def _patched(text: str, starts, ends, cells: np.ndarray, bits: np.ndarray, width: int) -> str:
@@ -257,11 +254,7 @@ class ExternalModel:
         self.argv = list(argv)
         try:
             self._proc = subprocess.Popen(
-                self.argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
+                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
             )
         except OSError as exc:
             raise ModelError(f"failed to start external model {self.argv}: {exc}") from exc
@@ -291,9 +284,7 @@ class ExternalModel:
         """Send one JSON request line and return the reply object."""
         with self._lock:
             if self._proc.poll() is not None:
-                raise ModelError(
-                    f"external model {self.argv} exited with code {self._proc.returncode}"
-                )
+                raise ModelError(f"external model {self.argv} exited with code {self._proc.returncode}")
             try:
                 self._proc.stdin.write(line)
                 self._proc.stdin.write("\n")
@@ -302,10 +293,9 @@ class ExternalModel:
             except (BrokenPipeError, OSError) as exc:
                 raise ModelError(f"external model {self.argv} pipe failure: {exc}") from exc
         if not reply:
-            code = self._proc.poll()
-            raise ModelError(
-                f"external model {self.argv} closed its stream (exit code {code})"
-            )
+            with contextlib.suppress(subprocess.TimeoutExpired):  # the child is most likely exiting
+                self._proc.wait(timeout=2)
+            raise ModelError(f"external model {self.argv} closed its stream (exit code {self._proc.returncode})")
         try:
             parsed = json.loads(reply)
         except json.JSONDecodeError as exc:
@@ -394,20 +384,16 @@ class ExternalModel:
 
     def close(self) -> None:
         if self._proc.poll() is None:
-            try:
+            with contextlib.suppress(OSError):
                 self._proc.stdin.close()
-            except OSError:
-                pass
             try:
                 self._proc.wait(timeout=2)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
         for stream in (self._proc.stdin, self._proc.stdout):
-            try:
+            with contextlib.suppress(OSError):
                 stream.close()
-            except OSError:
-                pass
 
     def __enter__(self):
         return self

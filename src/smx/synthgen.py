@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import SpectralDataset, Zone, ZoneConfig, json_object, read_json
+from .dataio import SpectralDataset, Zone, ZoneConfig, json_object, naming, read_json
 from .errors import ConfigError
 
 
@@ -79,9 +79,7 @@ class SyntheticConfig:
                 if pk.amp_std < 0 or pk.width_std < 0:
                     raise ConfigError(f"class '{cls.name}': std fields must be >= 0")
                 if not (lo <= pk.center <= hi):
-                    raise ConfigError(
-                        f"class '{cls.name}': peak center {pk.center} outside axis range"
-                    )
+                    raise ConfigError(f"class '{cls.name}': peak center {pk.center} outside axis range")
                 if pk.width_std == 0 and pk.width_mean <= 0:
                     raise ConfigError(f"class '{cls.name}': peaks[{k}] can never draw a positive width")
 
@@ -173,4 +171,6 @@ def benchmark_zones() -> ZoneConfig:
 def load_config(path: str | Path) -> SyntheticConfig:
     """Read a ``SyntheticConfig`` from a JSON object of its fields, classes
     and their peaks as nested objects."""
-    return json_object(read_json(path, "synthetic config file"), SyntheticConfig, f"{path}: bad synthetic config")
+    raw = read_json(path, "synthetic config file")
+    with naming(path):
+        return json_object(raw, SyntheticConfig, "bad synthetic config")

@@ -5,6 +5,7 @@ Usage: python external_model.py MODE N_FEATURES [ARGS...]
   sum N                 continuous; y is the sum of the row's finite values
   error N               continuous; predict replies with an error object
   die N                 continuous; exits on the first predict request
+  slow-exit N           continuous; on the first predict request closes stdout, sleeps 0.5 s and exits 3
   error-info N          answers every request, info included, with an error object
   proba-reply N JSON    probabilistic; every predict_proba answers {"p": JSON}
   predict-reply N JSON  continuous; every predict answers {"y": JSON}
@@ -13,7 +14,9 @@ Usage: python external_model.py MODE N_FEATURES [ARGS...]
 
 import json
 import math
+import os
 import sys
+import time
 
 
 def main() -> int:
@@ -35,6 +38,10 @@ def main() -> int:
             elif mode == "error":
                 reply = {"error": "synthetic failure"}
             elif mode == "die":
+                return 3
+            elif mode == "slow-exit":
+                os.close(sys.stdout.fileno())  # sys.stdout.close() leaves the descriptor open
+                time.sleep(0.5)
                 return 3
             else:
                 reply = {"error": f"predict unsupported in mode {mode}"}

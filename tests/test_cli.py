@@ -1593,6 +1593,186 @@ def test_unreadable_input_exit_2_names_file(explain_case, tmp_path, capsys, comm
     assert set(os.listdir(tmp_path)) <= {"bad", "m.json"}
 
 
+def _edit_cell(case: Path, name: str, text: str, line: int = 1) -> str:
+    """The case's CSV ``name`` with the first value of its line ``line``
+    (0: the header, whose values are the axis) written as ``text``."""
+    lines = (case / name).read_text().split("\n")
+    cells = lines[line].split(",")
+    lines[line] = ",".join([*cells[:2], text, *cells[3:]])
+    return "\n".join(lines)
+
+
+def _zones(*spans) -> list[dict]:
+    return [{"name": name, "start": start, "end": end, "plausible": True} for name, start, end in spans]
+
+
+_IN_EXPLAIN = ["explain", "--manifest", "m.json", "--out", "out"]
+_IN_EVALUATE = ["evaluate", "--manifest", "good.json", "m.json", "--out", "out"]  # good.json is valid
+_RIDGE = {"kind": "ridge", "weights": [0.0] * 60, "intercept": 0.0}
+_BAD_ENGINE = {
+    "no bags": ({"engine": {"bags": 0}}, f"bag count must be in [1, {engine.MAX_BAGS}], got 0"),
+    "bag fraction 0": ({"engine": {"bag_fraction": 0.0}}, "bag_fraction must be in (0, 1]"),
+    "min support 1": ({"engine": {"min_support_fraction": 1.0}}, "min_support_fraction must be in (0, 1)"),
+    "no seeds": ({"engine": {"seeds": []}}, "at least one seed is required"),
+    "repeated seeds": ({"engine": {"seeds": [1, 1]}}, "seeds must be distinct"),
+    "negative seed": ({"engine": {"seeds": [-1]}}, "seeds must be non-negative"),
+    "unknown engine key": ({"engine": {"bagz": 3}}, "unknown engine key(s) in manifest: bagz"),
+    "preprocess without method": (
+        {"preprocess": {"window": 5}}, "preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)"
+    ),
+}
+
+# name -> (argv, files written over the explain case's, the file the refusal
+# names, the rest of its message). Files are the case's train.csv, test.csv,
+# zones.json and model.json, good.json (a valid manifest of them) and m.json,
+# its copy holding the row's entries. A file's content is text, bytes, a JSON
+# value, or a function of the case directory giving its text.
+NAMED_REFUSALS = {
+    "train values": (
+        _IN_EXPLAIN, {"train.csv": lambda case: _edit_cell(case, "train.csv", "nan")},
+        "train.csv", "intensities contain non-finite entries",
+    ),
+    "test values": (
+        _IN_EVALUATE, {"test.csv": lambda case: _edit_cell(case, "test.csv", "-inf")},
+        "test.csv", "intensities contain non-finite entries",
+    ),
+    "empty zone config": (_IN_EXPLAIN, {"zones.json": []}, "zones.json", "zone config is empty"),
+    "repeated zone name": (
+        _IN_EXPLAIN, {"zones.json": _zones(("a", 1, 20), ("a", 30, 40))}, "zones.json", "zone names must be unique"
+    ),
+    "empty zone": (_IN_EXPLAIN, {"zones.json": _zones(("a", 20, 20))}, "zones.json", "zone 'a': start must be < end"),
+    "overlapping zones": (
+        _IN_EXPLAIN, {"zones.json": _zones(("a", 1, 30), ("b", 20, 40))}, "zones.json", "zones 'a' and 'b' overlap"
+    ),
+    "zone covering one channel": (
+        _IN_EXPLAIN, {"zones.json": _zones(("a", 1, 30), ("b", 31, 31.5))},
+        "zones.json", "zone 'b' covers 1 axis point(s); at least 2 required",
+    ),
+    "zones on another axis": (
+        _IN_EVALUATE, {"zones.json": _zones(("a", 1000, 2000))},
+        "zones.json", "zone 'a' covers 0 axis point(s); at least 2 required",
+    ),
+    **{
+        f"evaluate manifest: {name}": (_IN_EVALUATE, {"m.json": entries}, "m.json", message)
+        for name, (entries, message) in {**BAD_SETTINGS, **_BAD_ENGINE}.items()
+    },
+    "repeated dataset name": (
+        _IN_EVALUATE, {"m.json": {"name": "good"}}, "m.json", "dataset name 'good' is used by more than one manifest"
+    ),
+    "explain manifest setting": (
+        _IN_EXPLAIN, {"m.json": {"engine": {"quantiles": [0.5, 0.4]}}},
+        "m.json", "quantile levels must be strictly increasing",
+    ),
+    "explain manifest setting, a flag in the other section": (
+        [*_IN_EXPLAIN, "--preprocess", "mean_center"], {"m.json": {"engine": {"seeds": []}}},
+        "m.json", "at least one seed is required",
+    ),
+    **{
+        f"{argv[0]} inline model spec": (
+            argv, {"m.json": {"model": {**_RIDGE, "lambda": True}}},
+            "m.json", "bad ridge model spec: 'lambda' must be a finite number, got True",
+        )
+        for argv in (_IN_EXPLAIN, _IN_EVALUATE)
+    },
+    "synthetic config bounds": (
+        ["synth", "--config", "cfg.json", "--out", "d.csv"],
+        {"cfg.json": {**dataclasses.asdict(small_config()), "n_points": 10**12}},
+        "cfg.json", "n_points must be at most 8192, got 1000000000000",
+    ),
+}
+
+# Refusals pinned to their exact text, in the same form. The file is None
+# where the message takes no "<file>: " prefix: a flag's value, and
+# "cannot read <what> <path>", which names the file in its own words.
+PINNED_REFUSALS = {
+    "csv cell": (
+        _IN_EXPLAIN, {"train.csv": lambda case: _edit_cell(case, "train.csv", "x")},
+        "train.csv", "line 2, column 3: non-numeric cell 'x'",
+    ),
+    "csv axis": (
+        _IN_EXPLAIN, {"train.csv": lambda case: _edit_cell(case, "train.csv", "9", line=0)},
+        "train.csv", "axis not strictly increasing",
+    ),
+    "csv not utf-8": (
+        _IN_EXPLAIN, {"train.csv": b"id,label,1,2\na\xff,0,1,2\n"},
+        "train.csv", "dataset file is not UTF-8 text (byte 14: invalid start byte)",
+    ),
+    "test axis": (
+        _IN_EVALUATE, {"test.csv": lambda case: _edit_cell(case, "test.csv", "0.5", line=0)},
+        "test.csv", "axis differs from the train axis",
+    ),
+    "bad zone entry": (
+        _IN_EXPLAIN, {"zones.json": [{"name": "a", "start": "1", "end": 2.0, "plausible": True}]},
+        "zones.json", "bad zone entry 0: 'start' must be a finite number, got '1'",
+    ),
+    "zones not an array": (_IN_EXPLAIN, {"zones.json": {"a": 1}}, "zones.json", "zone config must be a JSON array"),
+    "invalid JSON": (
+        _IN_EXPLAIN, {"zones.json": "["}, "zones.json", "invalid JSON in zones file (Expecting value: line 1 column 2 (char 1))"
+    ),
+    "bad manifest entry": (
+        _IN_EVALUATE, {"m.json": {"train": 5}}, "m.json", "bad manifest entry: 'train' must be a string, got 5"
+    ),
+    "manifest not an object": (_IN_EVALUATE, {"m.json": "[1]"}, "m.json", "manifest must be a JSON object, got [1]"),
+    "model file spec": (
+        _IN_EXPLAIN, {"model.json": {**_RIDGE, "intercept": None}},
+        "model.json", "bad ridge model spec: 'intercept' must be a finite number, got None",
+    ),
+    "model file kind": (_IN_EXPLAIN, {"model.json": {"kind": "mystery"}}, "model.json", "unknown model kind 'mystery'"),
+    "model file not an object": (_IN_EXPLAIN, {"model.json": 3}, "model.json", "model JSON must be an object, got 3"),
+    "synthetic config entry": (
+        ["synth", "--config", "cfg.json", "--out", "d.csv"], {"cfg.json": {"n_points": "x"}},
+        "cfg.json", "bad synthetic config: 'n_points' must be an integer, got 'x'",
+    ),
+    "unreadable file": (
+        _IN_EXPLAIN, {"m.json": {"train": "missing.csv"}}, None, "cannot read dataset file missing.csv: No such file or directory"
+    ),
+    "flag in the same section": ([*_IN_EXPLAIN, "--quantiles", "0.5,0.4"], {}, None, "quantile levels must be strictly increasing"),
+    "flag without a manifest": (
+        ["explain", "--train", "train.csv", "--zones", "zones.json", "--model", "model.json", "--bags", "0", "--out", "out"],
+        {}, None, f"bag count must be in [1, {engine.MAX_BAGS}], got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files, named, message",
+    [*NAMED_REFUSALS.values(), *PINNED_REFUSALS.values()],
+    ids=[*NAMED_REFUSALS, *(f"pinned: {name}" for name in PINNED_REFUSALS)],
+)
+def test_refusal_names_its_file(explain_case, tmp_path, monkeypatch, capsys, argv, files, named, message):
+    """A refusal of what an input file holds exits 2 as ``error: <file>:
+    <message>`` and writes nothing; a refusal of a flag's value names no file."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("train.csv", "test.csv", "zones.json", "model.json"):
+        (tmp_path / name).write_bytes((explain_case / name).read_bytes())
+    manifest = {"train": "train.csv", "test": "test.csv", "zones": "zones.json", "model": "model.json", **_engine()}
+    (tmp_path / "good.json").write_text(json.dumps({**manifest, "name": "good"}))
+    for name, content in {"m.json": {}, **files}.items():
+        content = content(explain_case) if callable(content) else content
+        if name == "m.json" and isinstance(content, dict):
+            content = {**manifest, "name": "m", **content}
+        if not isinstance(content, (str, bytes)):
+            content = json.dumps(content)
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    inputs = sorted(os.listdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {message}\n" if named is None else f"error: {named}: {message}\n")
+    assert sorted(os.listdir()) == inputs
+
+
+def test_external_model_failure_names_no_file(explain_case, tmp_path, monkeypatch, capsys):
+    """A model spec is read in its file's scope, but an external model that
+    fails to start is no refusal of the file: exit 1, its own message."""
+    monkeypatch.chdir(tmp_path)
+    argv = [str(tmp_path / "no-such-program")]
+    (tmp_path / "ext.json").write_text(json.dumps({"kind": "external", "argv": argv}))
+    code = main(["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
+                 "--model", "ext.json", "--out", "out"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: failed to start external model {argv}: ")
+    assert os.listdir() == ["ext.json"]
+
+
 def test_untyped_info_reply_exit_1_no_outputs(explain_case, tmp_path, capsys):
     """An external model whose info reply gives n_features as text is a model fault (exit 1)."""
     helper = str(Path(__file__).parent / "helpers" / "external_model.py")

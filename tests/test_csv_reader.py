@@ -66,7 +66,10 @@ def reference_load_csv(path: str | Path) -> SpectralDataset:
         data.append(values)
     if not data:
         raise FormatError(f"{path}: no data rows")
-    return SpectralDataset(axis=axis, intensities=np.asarray(data), labels=np.asarray(labels), sample_ids=ids)
+    try:
+        return SpectralDataset(axis=axis, intensities=np.asarray(data), labels=np.asarray(labels), sample_ids=ids)
+    except FormatError as exc:  # a refusal of the file's values names the file too
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _outcome(reader, path):

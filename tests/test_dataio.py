@@ -20,7 +20,7 @@ from smx.dataio import (
     save_csv,
     zone_config_json,
 )
-from smx.errors import ConfigError, FormatError
+from smx.errors import ConfigError, FormatError, ModelError, PipelineError
 
 
 def _write(tmp_path, text, name="ds.csv"):
@@ -562,3 +562,24 @@ class TestReadInput:
         path.write_text("[" * 100_000)
         with pytest.raises(FormatError, match=f"{path}: invalid JSON in test file"):
             dataio.read_json(path, "test file")
+
+
+class TestNaming:
+    @pytest.mark.parametrize("error", [ConfigError, FormatError, PipelineError, ModelError])
+    def test_prefixes_the_path_and_keeps_the_class(self, error):
+        with pytest.raises(error) as info:
+            with dataio.naming("data/a.csv"):
+                raise error("axis not strictly increasing")
+        assert type(info.value) is error and str(info.value) == "data/a.csv: axis not strictly increasing"
+
+    def test_no_path_leaves_the_error_as_it_is(self):
+        raised = ConfigError("zone config is empty")
+        with pytest.raises(ConfigError) as info:
+            with dataio.naming(None):
+                raise raised
+        assert info.value is raised
+
+    def test_other_exceptions_pass_through(self):
+        with pytest.raises(ValueError, match="^x$"):
+            with dataio.naming("a.json"):
+                raise ValueError("x")

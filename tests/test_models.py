@@ -458,6 +458,14 @@ class TestExternal:
             with pytest.raises(ModelError, match="exit code|closed its stream"):
                 model.predict(np.zeros((1, 2)))
 
+    def test_closed_stream_reports_the_exit_code(self):
+        """A child that closes its stream and exits a moment later is waited
+        for, so the error gives its exit code, and no child is left running."""
+        with ExternalModel([sys.executable, STUB, "slow-exit", "2"]) as model:
+            with pytest.raises(ModelError, match=re.escape("closed its stream (exit code 3)")):
+                model.predict(np.zeros((1, 2)))
+            assert model._proc.poll() == 3
+
     def test_kind_mismatch_rejected(self):
         with ExternalModel([sys.executable, STUB, "sum", "2"]) as model:
             with pytest.raises(ModelError, match="predict_proba"):
