@@ -253,7 +253,9 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     ds = dataio.load_csv(args.input)
-    train, test = dataio.kennard_stone_split(ds, args.train_fraction)
+    # a class too small to split is the file's fault, a --train-fraction outside (0, 1) the flag's
+    with dataio.naming(args.input if 0.0 < args.train_fraction < 1.0 else None):
+        train, test = dataio.kennard_stone_split(ds, args.train_fraction)
     _write_files([(args.out_train, dataio.dataset_csv_text(train)), (args.out_test, dataio.dataset_csv_text(test))])
     return 0
 
@@ -282,6 +284,8 @@ def cmd_train(args) -> int:
     if foreign:
         raise ConfigError(f"--{foreign[0].replace('_', '-')} does not apply to --model {args.model}")
     train = dataio.load_csv(args.train)
+    with dataio.naming(args.train):  # checked before the fit, which would blame no file
+        models.require_both_classes(train)
     model = (models.fit_ridge if ridge else models.fit_logistic)(train, **params)
     extra = "" if ridge else f" converged={model.converged} iters={model.n_iters}"
     X = train.intensities

@@ -17,14 +17,13 @@ import contextlib
 import csv
 import io
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.signal import savgol_filter
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, FormatError, SmxError
 
@@ -73,6 +72,8 @@ class SpectralDataset:
         self.sample_ids = [str(s) for s in self.sample_ids]
         if self.axis.ndim != 1 or self.axis.size == 0:
             raise FormatError("axis must be a non-empty 1-D array")
+        if not np.all(np.isfinite(self.axis)):
+            raise FormatError("axis contains non-finite entries")
         if np.any(np.diff(self.axis) <= 0):
             raise FormatError("axis not strictly increasing")
         if self.intensities.ndim != 2:
@@ -379,6 +380,8 @@ def _header_axis(header: list[str]) -> np.ndarray:
             axis.append(float(tok))
         except ValueError as exc:
             raise FormatError(f"line 1, column {col}: non-numeric axis value '{tok}'") from exc
+        if not math.isfinite(axis[-1]):
+            raise FormatError(f"line 1, column {col}: non-finite axis value '{tok}'")
     axis = np.asarray(axis)
     if np.any(np.diff(axis) <= 0):
         raise FormatError("axis not strictly increasing")
@@ -443,6 +446,8 @@ def save_csv(ds: SpectralDataset, path: str | Path) -> None:
 
 def _kennard_stone_select(X: np.ndarray, count: int) -> list[int]:
     """Max-min-distance selection of ``count`` rows; ties go to the lowest index."""
+    from scipy.spatial.distance import cdist  # imported here so that only a split loads scipy.spatial
+
     n = X.shape[0]
     d2 = cdist(X, X, metric="sqeuclidean")
     # First pair: maximum pairwise distance, lexicographically smallest on ties.
@@ -487,11 +492,7 @@ def kennard_stone_split(
         train_idx.extend(int(members[k]) for k in local)
     train_mask = np.zeros(ds.n_samples, dtype=bool)
     train_mask[train_idx] = True
-    train = ds.subset(np.flatnonzero(train_mask))
-    test = ds.subset(np.flatnonzero(~train_mask))
-    if train.n_samples == 0 or test.n_samples == 0:
-        raise ConfigError("train_fraction yields an empty train or test set")
-    return train, test
+    return ds.subset(np.flatnonzero(train_mask)), ds.subset(np.flatnonzero(~train_mask))
 
 
 def preprocess_setting(method: str, window: int | None = None, order: int | None = None):
@@ -546,6 +547,8 @@ def fit_preprocess(
 
 
 def _savgol_rows(X: np.ndarray, state: PreprocessState) -> np.ndarray:
+    from scipy.signal import savgol_filter  # imported here so that only savgol preprocessing loads scipy.signal
+
     window, order = state.savgol
     # mirror padding keeps the output length at p
     return savgol_filter(X, window_length=window, polyorder=order, axis=1, mode="mirror")

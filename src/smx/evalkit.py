@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .engine import output_shifts
 from .errors import ConfigError, PipelineError
@@ -210,9 +209,11 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> WilcoxonResult:
     """Exact two-sided Wilcoxon signed-rank test for small samples.
 
     Zero differences are dropped; |differences| get average ranks on
-    ties. W = min(W+, W-) and the p-value is the exact two-sided tail
-    over all 2^n equiprobable sign assignments of the observed rank
-    multiset (doubling the one-sided tail, capped at 1).
+    ties, counted as integers at twice their value (a tie run at sorted
+    positions [s, e) gets s + e + 1, so no half rank is ever rounded).
+    W = min(W+, W-) and the p-value is the exact two-sided tail over all
+    2^n equiprobable sign assignments of the observed rank multiset
+    (doubling the one-sided tail, capped at 1).
     """
     d = np.asarray(diffs, dtype=float)
     if d.size == 0 or not np.all(np.isfinite(d)):
@@ -225,9 +226,12 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> WilcoxonResult:
         raise ConfigError(f"need at least 4 nonzero differences, got {n}")
     if n > 25:
         raise ConfigError(f"exact test supports at most 25 differences, got {n}")
-    ranks = rankdata(np.abs(d))
-    # average ranks over integer tie runs are multiples of 1/2
-    doubled = np.rint(ranks * 2).astype(np.int64)
+    order = np.argsort(np.abs(d))
+    ranked = np.abs(d)[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], n]
+    doubled = np.empty(n, dtype=np.int64)
+    doubled[order] = np.repeat(starts + ends + 1, ends - starts)
     w_plus = int(doubled[d > 0].sum())
     w_minus = int(doubled[d < 0].sum())
     w_obs = min(w_plus, w_minus)

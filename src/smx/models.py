@@ -18,7 +18,6 @@ from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dataio import SpectralDataset, json_value, naming, read_json
 from .errors import ConfigError, ModelError
@@ -95,7 +94,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_both_classes(train: SpectralDataset) -> None:
+def require_both_classes(train: SpectralDataset) -> None:
+    """Refuse training data that lacks either class."""
     present = set(np.unique(train.labels).tolist())
     if present != {0, 1}:
         raise ConfigError("training data must contain both classes")
@@ -103,7 +103,7 @@ def _require_both_classes(train: SpectralDataset) -> None:
 
 def fit_ridge(train: SpectralDataset, lam: float = 1.0) -> RidgeModel:
     """Solve (Xc'Xc + lam I) w = Xc' yc on centered features, intercept from means."""
-    _require_both_classes(train)
+    require_both_classes(train)
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigError(f"ridge lambda must be finite and >= 0, got {lam}")
     X = train.intensities
@@ -132,7 +132,7 @@ def fit_logistic(
     when the Euclidean norm of the gradient (weights and intercept) at the solution is
     below ``tol``; otherwise one WARNING is logged.
     """
-    _require_both_classes(train)
+    require_both_classes(train)
     if not (np.isfinite(l2) and l2 >= 0):
         raise ConfigError(f"logistic l2 must be finite and >= 0, got {l2}")
     if max_iters < 1:
@@ -153,6 +153,8 @@ def fit_logistic(
             raise ModelError("logistic loss overflowed; try a larger l2")
         resid = _sigmoid(z) - y
         return loss, np.append(Xs.T @ resid / n + l2_s * v, resid.mean())
+
+    from scipy.optimize import minimize  # imported here so that only a logistic fit loads scipy.optimize
 
     # scipy stops once every gradient entry in v is within gtol; the norm in w (c times it) is then within tol
     options = {"maxiter": max_iters, "ftol": 0.0, "gtol": tol / (c * np.sqrt(p + 1))}

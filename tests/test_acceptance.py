@@ -24,7 +24,7 @@ from smx.graphx import lrc_scores
 from smx.models import RidgeModel
 from smx.zonecore import fit_zone, score_zone, threshold_spectrum
 
-from test_evalkit import rbo_oracle
+from test_evalkit import rbo_oracle, tie_patterns
 from test_graphx import enumerate_lrc
 
 FEATURES = ["Feature 1", "Feature 2", "Feature 3"]
@@ -175,14 +175,18 @@ def test_criterion_5_pca_properties():
 
 
 def _enumerated_p(diffs: np.ndarray) -> Fraction:
-    """Exact 2^n enumeration with integer arithmetic (vectorized)."""
+    """Exact 2^n enumeration with integer arithmetic (vectorized): each sign
+    assignment's W+ is a W+ of the first half's ranks plus one of the rest's."""
     d = diffs[diffs != 0.0]
     n = d.size
     doubled = np.rint(2 * rankdata(np.abs(d))).astype(np.int64)
     w_obs = int(min(doubled[d > 0].sum(), doubled[d < 0].sum()))
-    assignments = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    w_plus = assignments @ doubled
-    count = int(np.count_nonzero(w_plus <= w_obs))
+
+    def sums(ranks: np.ndarray) -> np.ndarray:
+        return ((np.arange(2**ranks.size)[:, None] >> np.arange(ranks.size)) & 1) @ ranks
+
+    rest = np.sort(sums(doubled[n // 2 :]))
+    count = int(np.searchsorted(rest, w_obs - sums(doubled[: n // 2]), side="right").sum())
     return min(Fraction(2 * count, 2**n), Fraction(1))
 
 
@@ -204,6 +208,14 @@ def test_criterion_6_exact_wilcoxon():
         f"{checked} vectors match enumeration; n=8 all-positive p = "
         f"{all_positive.p_value} (reported {round(all_positive.p_value, 3)})",
     )
+
+
+def test_tied_wilcoxon_matches_enumeration_up_to_n25():
+    """Average ranks of tied |d| against scipy's rankdata, at every n the exact test takes."""
+    rng = np.random.default_rng(30)
+    for n in range(4, 26):
+        for name, diffs in tie_patterns(n, rng).items():
+            assert wilcoxon_signed_rank(diffs).p_exact == _enumerated_p(diffs), (n, name, list(diffs))
 
 
 def test_criterion_7_rbo_oracle():

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -314,6 +315,42 @@ class TestPipelineCommands:
             assert "after 1 iterations" in proc.stderr
         else:
             assert proc.stderr == ""
+
+
+def test_explain_and_evaluate_load_no_scipy(explain_case, tmp_path):
+    """Only split, a logistic fit and savgol preprocessing use scipy: a fresh
+    interpreter that imports the CLI, explains with a builtin model and
+    evaluates one manifest, then four (whose Wilcoxon rows need average
+    ranks), has loaded no scipy module after any of these steps."""
+    files = {key: str(explain_case / f"{key}.{ext}") for key, ext in
+             [("train", "csv"), ("test", "csv"), ("zones", "json"), ("model", "json")]}
+    for k in range(4):
+        manifest = {"name": f"d{k}", **files, "engine": {"bags": 3, "seeds": [1]}}
+        (tmp_path / f"m{k}.json").write_text(json.dumps(manifest))
+    script = """
+import json
+import sys
+
+def check(step):
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, f"after {step}: {len(loaded)} scipy modules, {loaded[:4]} ..."
+
+import smx.cli
+check("import smx.cli")
+assert smx.cli.main(["explain", "--manifest", "m0.json", "--out", "explained"]) == 0
+check("explain")
+assert smx.cli.main(["evaluate", "--manifest", "m0.json", "--out", "one"]) == 0
+check("evaluate of one manifest")
+assert smx.cli.main(["evaluate", "--manifest", "m0.json", "m1.json", "m2.json", "m3.json", "--out", "four"]) == 0
+check("evaluate of four manifests")
+with open("four/report.json") as fh:
+    assert any("statistic" in row for row in json.load(fh)["comparisons"])
+"""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(smx.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -1602,6 +1639,11 @@ def _edit_cell(case: Path, name: str, text: str, line: int = 1) -> str:
     return "\n".join(lines)
 
 
+def _one_class(case: Path, name: str) -> str:
+    """The case's CSV ``name`` with every sample labelled 0."""
+    return re.sub(r"^([^,\n]*),1,", r"\1,0,", (case / name).read_text(), flags=re.MULTILINE)
+
+
 def _zones(*spans) -> list[dict]:
     return [{"name": name, "start": start, "end": end, "plausible": True} for name, start, end in spans]
 
@@ -1674,6 +1716,24 @@ NAMED_REFUSALS = {
         )
         for argv in (_IN_EXPLAIN, _IN_EVALUATE)
     },
+    **{
+        f"{argv[0]} axis {value}": (
+            argv, {"train.csv": lambda case, value=value: _edit_cell(case, "train.csv", value, line=0)},
+            "train.csv", f"line 1, column 3: non-finite axis value '{value}'",
+        )
+        for argv in (_IN_EXPLAIN, ["preprocess", "--method", "mean_center", "--train", "train.csv", "--out-train", "o.csv"])
+        for value in ("nan", "inf", "-inf")
+    },
+    "one-class train data": (
+        ["train", "--model", "ridge", "--train", "train.csv", "--out", "m.out.json"],
+        {"train.csv": lambda case: _one_class(case, "train.csv")},
+        "train.csv", "training data must contain both classes",
+    ),
+    "one-class split input": (
+        ["split", "--input", "train.csv", "--out-train", "a.csv", "--out-test", "b.csv"],
+        {"train.csv": lambda case: _one_class(case, "train.csv")},
+        "train.csv", "class 1 has fewer than 2 samples",
+    ),
     "synthetic config bounds": (
         ["synth", "--config", "cfg.json", "--out", "d.csv"],
         {"cfg.json": {**dataclasses.asdict(small_config()), "n_points": 10**12}},
@@ -1727,6 +1787,14 @@ PINNED_REFUSALS = {
         _IN_EXPLAIN, {"m.json": {"train": "missing.csv"}}, None, "cannot read dataset file missing.csv: No such file or directory"
     ),
     "flag in the same section": ([*_IN_EXPLAIN, "--quantiles", "0.5,0.4"], {}, None, "quantile levels must be strictly increasing"),
+    "train flag": (
+        ["train", "--model", "ridge", "--train", "train.csv", "--lam", "-1", "--out", "m.out.json"], {},
+        None, "ridge lambda must be finite and >= 0, got -1.0",
+    ),
+    "split flag": (
+        ["split", "--input", "train.csv", "--train-fraction", "1", "--out-train", "a.csv", "--out-test", "b.csv"], {},
+        None, "train_fraction must be in (0, 1)",
+    ),
     "flag without a manifest": (
         ["explain", "--train", "train.csv", "--zones", "zones.json", "--model", "model.json", "--bags", "0", "--out", "out"],
         {}, None, f"bag count must be in [1, {engine.MAX_BAGS}], got 0",

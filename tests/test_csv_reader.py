@@ -33,6 +33,8 @@ def reference_load_csv(path: str | Path) -> SpectralDataset:
             axis.append(float(tok))
         except ValueError as exc:
             raise FormatError(f"{path}: line 1, column {col}: non-numeric axis value '{tok}'") from exc
+        if not np.isfinite(axis[-1]):
+            raise FormatError(f"{path}: line 1, column {col}: non-finite axis value '{tok}'")
     axis = np.asarray(axis)
     if np.any(np.diff(axis) <= 0):
         raise FormatError(f"{path}: axis not strictly increasing")

@@ -49,6 +49,14 @@ class TestLoadCsv:
         with pytest.raises(FormatError, match="axis not strictly increasing"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_axis_value(self, tmp_path, value):
+        for header in (f"1,{value}", f"{value},1"):
+            with pytest.raises(FormatError, match=rf"line 1, column \d: non-finite axis value '{value}'"):
+                load_csv(_write(tmp_path, f"id,label,{header}\na,0,1,2\n"))
+        with pytest.raises(FormatError, match="axis contains non-finite entries"):
+            SpectralDataset(axis=[1.0, float(value)], intensities=[[1.0, 2.0]], labels=[0], sample_ids=["a"])
+
     def test_non_numeric_cell_reports_row_and_column(self, tmp_path):
         path = _write(tmp_path, "id,label,1.0,2.0\na,0,1,oops\n")
         with pytest.raises(FormatError, match=r"line 2, column 4"):

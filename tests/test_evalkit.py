@@ -59,6 +59,18 @@ def wilcoxon_oracle(diffs):
     return w_obs / 2.0, min(p, Fraction(1))
 
 
+def tie_patterns(n: int, rng) -> dict[str, np.ndarray]:
+    """Signed differences of length ``n`` whose |d| tie: all equal, in
+    pairs, in triples, and at random among three values."""
+    signs = rng.choice([-1.0, 1.0], size=n)
+    return {
+        "all equal": signs * 2.5,
+        "pairs": signs * (np.arange(n) // 2 + 1.0),
+        "triples": signs * (np.arange(n) // 3 + 0.5),
+        "random": signs * rng.integers(1, 4, size=n),
+    }
+
+
 class TestCurves:
     def test_auc_matches_independent_trapezoid(self):
         rng = np.random.default_rng(0)
@@ -459,6 +471,12 @@ class TestWilcoxon:
             w, p = wilcoxon_oracle(diffs)
             assert result.p_exact == p
             assert result.statistic == w
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_tied_ranks_match_enumeration(self, n):
+        for name, diffs in tie_patterns(n, np.random.default_rng(n)).items():
+            result = wilcoxon_signed_rank(diffs)
+            assert (result.statistic, result.p_exact) == wilcoxon_oracle(diffs), (name, list(diffs))
 
     def test_zeros_dropped_before_ranking(self):
         with_zeros = wilcoxon_signed_rank([0.0, 1.0, -2.0, 3.0, 4.0, 0.0])
