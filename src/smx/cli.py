@@ -7,6 +7,9 @@ zone models, one DOT and one JSON graph per seed, the bag trace and one
 spectrum, a row per (predicate, zone channel), in the train file's units:
 with a preprocess entry, the table is mapped back through the fitted
 preprocessing, while the zone models stay in the space they were fitted in.
+``evaluate`` reads its flags and manifests, loads each dataset and model
+and writes ``report.json`` and ``curves/``; the protocol, its settings and
+their rules are ``evalkit``'s (``EvaluateConfig``, ``evaluate_dataset``).
 
 Exit codes: 0 success, 1 pipeline/model error, 2 usage/config error
 (an unwritable output path included). Outputs are published only after
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -34,7 +38,7 @@ import numpy as np
 from . import dataio, evalkit, graphx, models, pipeline, synthgen, zonecore
 from .dataio import _fmt
 from .engine import EngineConfig, trace_lines
-from .errors import ConfigError, FormatError, PipelineError, SmxError
+from .errors import ConfigError, FormatError, SmxError
 
 
 def _write_files(outputs) -> None:
@@ -222,21 +226,21 @@ def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
 
 
 def _load_data(manifest: dict, need_test: bool):
-    """(train, test, zones, zone_sets, state): the data preprocessed by
-    ``state``, the preprocessing fitted on train, or as read with no
-    preprocess entry (state None), and each zone's train axis indices."""
+    """(train, test, zones, state): the data preprocessed by ``state``, the
+    preprocessing fitted on train, or as read with no preprocess entry
+    (state None). Each zone must cover enough train channels."""
     train = dataio.load_csv(_manifest_path(manifest, "train"))
     test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
     zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
     with dataio.naming(manifest["zones"]):  # a zone covering too few train channels is the zone config's fault
-        zone_sets = dict(zip(zones.names(), dataio.resolve_zones(zones, train)))
+        dataio.resolve_zones(zones, train)
     pre, state = manifest["preprocess"], None
     if pre:
         state = dataio.fit_preprocess(train, **pre)
         train = dataio.apply_preprocess(state, train)
         if test is not None:
             test = dataio.apply_preprocess(state, test)
-    return train, test, zones, zone_sets, state
+    return train, test, zones, state
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +256,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
+    dataio.split_setting(args.train_fraction)
     ds = dataio.load_csv(args.input)
-    # a class too small to split is the file's fault, a --train-fraction outside (0, 1) the flag's
-    with dataio.naming(args.input if 0.0 < args.train_fraction < 1.0 else None):
+    with dataio.naming(args.input):  # a class too small to split is the file's fault
         train, test = dataio.kennard_stone_split(ds, args.train_fraction)
     _write_files([(args.out_train, dataio.dataset_csv_text(train)), (args.out_test, dataio.dataset_csv_text(test))])
     return 0
@@ -283,6 +287,7 @@ def cmd_train(args) -> int:
     foreign = [key for key in params if key not in own]
     if foreign:
         raise ConfigError(f"--{foreign[0].replace('_', '-')} does not apply to --model {args.model}")
+    models.fit_setting(**params)
     train = dataio.load_csv(args.train)
     with dataio.naming(args.train):  # checked before the fit, which would blame no file
         models.require_both_classes(train)
@@ -302,7 +307,7 @@ def cmd_explain(args) -> int:
     if out is None:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, _EXPLAIN_OWNS)
-    train, _test, zones, _zone_sets, state = _load_data(manifest, need_test=False)
+    train, _test, zones, state = _load_data(manifest, need_test=False)
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, manifest["engine"])
 
@@ -325,13 +330,6 @@ def cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluation harness
 
-_METRIC_KEYS = ("faithfulness_auc", "alignment_auc", "simplicity_auc", "stability_median")
-
-
-def _curve_dict(curve: evalkit.EvalCurve) -> dict:
-    return {"x": curve.x, "y": curve.y, "auc": curve.auc}
-
-
 def _dataset_name(manifest: dict) -> str:
     """The manifest's ``name``, or its train file's stem when it has none."""
     return manifest["name"] if "name" in manifest else _manifest_path(manifest, "train").stem
@@ -351,140 +349,25 @@ def _check_dataset_names(mpaths: list[str], manifests: list[dict]) -> None:
         seen.add(name)
 
 
-def _evaluate_one(manifest: dict, methods: list[str], args) -> dict:
-    train, test, zones, zone_sets, _state = _load_data(manifest, need_test=True)
-    with _loaded_model(manifest) as model:
-        channel_zones = np.full(train.n_variables, None, dtype=object)
-        for name, idx in zone_sets.items():
-            channel_zones[idx] = name
-        plausible = zones.plausible_names()
-
-        orders: dict[str, list[tuple[str, bool]]] = {}
-        importances: dict[str, np.ndarray] = {}
-        if "smx" in methods:
-            prepared = pipeline.prepare(train, zones, model, manifest["engine"])
-            result = pipeline.rank(prepared)
-            orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
-        if "pfi" in methods:
-            imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=args.pfi_seed)
-            orders["pfi"], importances["pfi"] = graphx.zone_ranking(imps, channel_zones, zones.names()), imps
-        rankings = {name: [zone for zone, ranked in order if ranked] for name, order in orders.items()}
-        per_method = {
-            name: {"zone_ranking": [{"zone": zone, "ranked": ranked} for zone, ranked in order]}
-            for name, order in orders.items()
-        }
-
-        depth = min(len(r) for r in rankings.values())
-        if args.kmax:
-            depth = min(depth, args.kmax)
-        if depth < 1:
-            raise PipelineError("a method produced an empty zone ranking; nothing to evaluate")
-
-        for name in methods:
-            section = per_method[name]
-            ranked = rankings[name][:depth]
-            section["faithfulness"] = _curve_dict(
-                evalkit.faithfulness_curve(model, test.intensities, ranked, zone_sets, depth)
-            )
-            section["alignment"] = _curve_dict(evalkit.agreement_curve(ranked, plausible))
-            section["simplicity"] = _curve_dict(evalkit.simplicity_curve(importances[name]))
-
-        def smx_runner(seed: int):
-            seeds = pipeline.derive_seeds(seed, len(prepared.cfg.seeds))
-            ranked = result if seeds == prepared.cfg.seeds else pipeline.rank(prepared, seeds)  # result: the main run
-            return ranked.predicate_labels()
-
-        def pfi_runner(seed: int):
-            if seed == args.pfi_seed:
-                imps = importances["pfi"]  # the main run above, same seed and repeats
-            else:
-                imps = evalkit.pfi(model, test.intensities, repeats=args.pfi_repeats, seed=seed)
-            return list(np.argsort(-imps, kind="stable"))
-
-        for name, runner in (("smx", smx_runner), ("pfi", pfi_runner)):
-            if args.stability_runs >= 2 and name in methods:
-                res = evalkit.stability_study(runner, list(range(args.stability_runs)), rho=args.rho, depth=args.depth)
-                per_method[name]["stability"] = {"instabilities": res.instabilities, "median": res.median}
-
-        return {"name": _dataset_name(manifest), "depth": depth, "methods": per_method}
-
-
-def _metric_value(section: dict, metric: str) -> float | None:
-    if metric == "stability_median":
-        stability = section.get("stability")
-        return None if stability is None else stability["median"]
-    key = metric.removesuffix("_auc")
-    return section[key]["auc"]
-
-
-def _compare(datasets: list[dict], methods: list[str]) -> list[dict]:
-    comparisons = []
-    others = [m for m in methods if m != "smx"]
-    if "smx" not in methods or not others:
-        return comparisons
-    for metric in _METRIC_KEYS:
-        for other in others:
-            diffs = []
-            for entry in datasets:
-                a = _metric_value(entry["methods"][other], metric)
-                b = _metric_value(entry["methods"]["smx"], metric)
-                if a is not None and b is not None:
-                    diffs.append(a - b)
-            if len(diffs) < 4:
-                continue  # the exact test needs at least 4 paired values
-            row: dict = {
-                "metric": metric,
-                "pair": f"{other}-smx",
-                "n": len(diffs),
-                "median_diff": float(np.median(diffs)),
-            }
-            try:
-                test = evalkit.wilcoxon_signed_rank(diffs)
-                row["statistic"] = test.statistic
-                row["p_value"] = test.p_value
-            except (ConfigError, PipelineError) as exc:
-                row["note"] = str(exc)
-            comparisons.append(row)
-    return comparisons
-
-
-def _check_evaluate_flags(args, methods: list[str]) -> None:
-    """Reject flags the run would not read and out-of-range values before
-    any data or model is loaded. Unset flags take their defaults here."""
-    pfi_run, study = ("pfi" in methods, "--methods includes pfi"), (args.stability_runs != 0, "--stability-runs is not 0")
-    for key, default, (read, when) in (("pfi_repeats", 10, pfi_run), ("pfi_seed", 0, pfi_run),
-                                       ("rho", 0.7, study), ("depth", 20, study)):
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-        elif not read:
-            raise ConfigError(f"--{key.replace('_', '-')} is only read when {when}")
-    for flag, value, ok, rule in (
-        ("--kmax", args.kmax, args.kmax >= 0, ">= 0 (0 = auto)"),
-        ("--pfi-repeats", args.pfi_repeats, args.pfi_repeats >= 1, ">= 1"),
-        ("--pfi-seed", args.pfi_seed, args.pfi_seed >= 0, ">= 0"),
-        ("--depth", args.depth, args.depth >= 1, ">= 1"),
-        ("--rho", args.rho, 0.0 < args.rho < 1.0, "in (0, 1)"),
-        ("--stability-runs", args.stability_runs, args.stability_runs == 0 or args.stability_runs >= 2,
-         "0 (off) or >= 2"),
-    ):
-        if not ok:
-            raise ConfigError(f"{flag} must be {rule}, got {value}")
-
-
 def cmd_evaluate(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods or len(set(methods)) < len(methods) or not set(methods) <= {"smx", "pfi"}:
-        raise ConfigError(f"--methods must name smx, pfi or both, each once; got {args.methods!r}")
-    _check_evaluate_flags(args, methods)
+    fields = dataclasses.fields(evalkit.EvaluateConfig)  # each is the dest of its flag
+    given = {f.name: value for f in fields if (value := getattr(args, f.name)) is not None}
+    cfg = evalkit.EvaluateConfig(**given)
+    pfi_run = ("pfi" in cfg.methods, "--methods includes pfi")
+    study = (cfg.stability_runs != 0, "--stability-runs is not 0")
+    for key, (read, when) in (("pfi_repeats", pfi_run), ("pfi_seed", pfi_run), ("rho", study), ("depth", study)):
+        if key in given and not read:  # a flag the run would not read
+            raise ConfigError(f"--{key.replace('_', '-')} is only read when {when}")
     _check_out_dir(Path(args.out), _EVALUATE_OWNS)
     manifests = [_load_manifest(mpath) for mpath in args.manifest]
     _check_dataset_names(args.manifest, manifests)
-    datasets = [_evaluate_one(manifest, methods, args) for manifest in manifests]
-    report = {
-        "methods": methods,
-        "datasets": datasets,
-        "comparisons": _compare(datasets, methods),
-    }
+    datasets = []
+    for manifest in manifests:
+        train, test, zones, _state = _load_data(manifest, need_test=True)
+        with _loaded_model(manifest) as model:
+            entry = evalkit.evaluate_dataset(train, test, zones, model, manifest["engine"], cfg)
+        datasets.append({"name": _dataset_name(manifest), **entry})
+    report = {"methods": cfg.methods, "datasets": datasets, "comparisons": evalkit.compare(datasets, cfg.methods)}
     with _replacing_dir(Path(args.out)) as stage:
         (stage / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         (stage / "curves").mkdir()
@@ -551,10 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score explanation quality for smx/pfi")
     p.add_argument("--manifest", nargs="+", required=True, help="one or more dataset manifests")
-    p.add_argument("--methods", default="smx,pfi")
+    p.add_argument("--methods", type=lambda text: _parse_list(text, str.strip, "method names"))
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--kmax", type=int, default=0, help="cap the masking depth (0 = auto)")
-    p.add_argument("--stability-runs", type=int, default=10, dest="stability_runs")
+    p.add_argument("--kmax", type=int, help="cap the masking depth (0 = auto)")
+    p.add_argument("--stability-runs", type=int, dest="stability_runs")
     p.add_argument("--rho", type=float)
     p.add_argument("--depth", type=int)
     p.add_argument("--pfi-repeats", type=int, dest="pfi_repeats")

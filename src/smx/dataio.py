@@ -470,6 +470,12 @@ def _kennard_stone_select(X: np.ndarray, count: int) -> list[int]:
     return selected
 
 
+def split_setting(train_fraction: float) -> None:
+    """Refuse a Kennard-Stone ``train_fraction`` outside (0, 1)."""
+    if not (0.0 < train_fraction < 1.0):
+        raise ConfigError("train_fraction must be in (0, 1)")
+
+
 def kennard_stone_split(
     ds: SpectralDataset, train_fraction: float
 ) -> tuple[SpectralDataset, SpectralDataset]:
@@ -479,8 +485,7 @@ def kennard_stone_split(
     clamped so neither side of the split is empty. Outputs keep the
     original dataset row order.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigError("train_fraction must be in (0, 1)")
+    split_setting(train_fraction)
     train_idx: list[int] = []
     for cls in (0, 1):
         members = np.flatnonzero(ds.labels == cls)

@@ -4,18 +4,65 @@ feature importance baseline and exact Wilcoxon signed-rank testing.
 
 Curves map depths 1..k onto the unit interval for their AUC, so a
 constant curve of value v has AUC v regardless of depth.
+
+``evaluate_dataset`` scores one dataset under an ``EvaluateConfig`` and
+``compare`` tests the methods' metrics across datasets: ``smx evaluate``
+is these two calls between reading its manifests and writing its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import pipeline
+from .dataio import resolve_zones
 from .engine import output_shifts
 from .errors import ConfigError, PipelineError
+from .graphx import zone_ranking
+
+METHODS = ("smx", "pfi")
+# PFI's work buffer holds pfi_repeats copies of the test matrix, and a
+# stability study reruns its explainer stability_runs times and scores
+# every pair of runs: both are refused far beyond what a study needs, at
+# 10 times their defaults, rather than run out of memory or time.
+MAX_PFI_REPEATS = 100
+MAX_STABILITY_RUNS = 100
+
+
+@dataclass(frozen=True)
+class EvaluateConfig:
+    """``evaluate_dataset``'s settings, each checked here; a refusal names
+    the ``smx evaluate`` flag of its setting."""
+
+    methods: tuple[str, ...] = METHODS
+    kmax: int = 0
+    pfi_repeats: int = 10
+    pfi_seed: int = 0
+    stability_runs: int = 10
+    rho: float = 0.7
+    depth: int = 20
+
+    def __post_init__(self):
+        methods = self.methods
+        if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+            raise ConfigError(f"--methods must name smx, pfi or both, each once; got {','.join(map(str, methods))!r}")
+        runs = self.stability_runs
+        for flag, value, ok, rule in (
+            ("--kmax", self.kmax, self.kmax >= 0, ">= 0 (0 = auto)"),
+            ("--pfi-repeats", self.pfi_repeats, self.pfi_repeats >= 1, ">= 1"),
+            ("--pfi-repeats", self.pfi_repeats, self.pfi_repeats <= MAX_PFI_REPEATS, f"at most {MAX_PFI_REPEATS}"),
+            ("--pfi-seed", self.pfi_seed, self.pfi_seed >= 0, ">= 0"),
+            ("--depth", self.depth, self.depth >= 1, ">= 1"),
+            ("--rho", self.rho, 0.0 < self.rho < 1.0, "in (0, 1)"),
+            ("--stability-runs", runs, runs == 0 or runs >= 2, "0 (off) or >= 2"),
+            ("--stability-runs", runs, runs <= MAX_STABILITY_RUNS, f"at most {MAX_STABILITY_RUNS}"),
+        ):
+            if not ok:
+                raise ConfigError(f"{flag} must be {rule}, got {value}")
 
 
 @dataclass
@@ -252,3 +299,88 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> WilcoxonResult:
     return WilcoxonResult(
         statistic=w_obs / 2.0, p_value=float(p), p_exact=p, n=n
     )
+
+
+def evaluate_dataset(train, test, zones, model, engine_cfg, cfg: EvaluateConfig) -> dict:
+    """``{"depth", "methods"}``: per method its zone ranking, its curves to
+    the common depth and its stability. smx ranks ``train`` under the
+    ``EngineConfig`` ``engine_cfg``, PFI scores ``test``; each stability
+    study reuses the main run for the stability seed that repeats it."""
+    zone_sets = dict(zip(zones.names(), resolve_zones(zones, train)))
+    channel_zones = np.full(train.n_variables, None, dtype=object)
+    for name, idx in zone_sets.items():
+        channel_zones[idx] = name
+
+    orders: dict[str, list[tuple[str, bool]]] = {}
+    importances: dict[str, np.ndarray] = {}
+    if "smx" in cfg.methods:
+        prepared = pipeline.prepare(train, zones, model, engine_cfg)
+        result = pipeline.rank(prepared)
+        orders["smx"], importances["smx"] = result.zone_order, result.ranking.mean_lrc
+    if "pfi" in cfg.methods:
+        imps = pfi(model, test.intensities, repeats=cfg.pfi_repeats, seed=cfg.pfi_seed)
+        orders["pfi"], importances["pfi"] = zone_ranking(imps, channel_zones, zones.names()), imps
+    rankings = {name: [zone for zone, ranked in order if ranked] for name, order in orders.items()}
+    per_method = {m: {"zone_ranking": [{"zone": z, "ranked": r} for z, r in order]} for m, order in orders.items()}
+
+    depth = min(len(r) for r in rankings.values())
+    if cfg.kmax:
+        depth = min(depth, cfg.kmax)
+    if depth < 1:
+        raise PipelineError("a method produced an empty zone ranking; nothing to evaluate")
+
+    for name in cfg.methods:
+        section = per_method[name]
+        ranked = rankings[name][:depth]
+        section["faithfulness"] = asdict(faithfulness_curve(model, test.intensities, ranked, zone_sets, depth))
+        section["alignment"] = asdict(agreement_curve(ranked, zones.plausible_names()))
+        section["simplicity"] = asdict(simplicity_curve(importances[name]))
+
+    def smx_runner(seed: int):
+        seeds = pipeline.derive_seeds(seed, len(prepared.cfg.seeds))
+        ranked = result if seeds == prepared.cfg.seeds else pipeline.rank(prepared, seeds)  # result: the main run
+        return ranked.predicate_labels()
+
+    def pfi_runner(seed: int):
+        if seed == cfg.pfi_seed:
+            imps = importances["pfi"]  # the main run above, same seed and repeats
+        else:
+            imps = pfi(model, test.intensities, repeats=cfg.pfi_repeats, seed=seed)
+        return list(np.argsort(-imps, kind="stable"))
+
+    for name, runner in (("smx", smx_runner), ("pfi", pfi_runner)):
+        if cfg.stability_runs >= 2 and name in cfg.methods:
+            res = stability_study(runner, list(range(cfg.stability_runs)), rho=cfg.rho, depth=cfg.depth)
+            per_method[name]["stability"] = {"instabilities": res.instabilities, "median": res.median}
+
+    return {"depth": depth, "methods": per_method}
+
+
+def compare(entries: Sequence[dict], methods: Sequence[str]) -> list[dict]:
+    """Wilcoxon rows of each other method minus smx over ``entries``
+    (``evaluate_dataset`` results) per metric, for 4 or more datasets
+    where both have it; a sample the test refuses gets a ``note``."""
+
+    def value(section: dict, metric: str) -> float | None:
+        if metric == "stability_median":
+            return section.get("stability", {}).get("median")
+        return section[metric.removesuffix("_auc")]["auc"]
+
+    others = [m for m in methods if m != "smx"] if "smx" in methods else []
+    comparisons = []
+    for metric in ("faithfulness_auc", "alignment_auc", "simplicity_auc", "stability_median"):
+        for other in others:
+            pairs = [(value(e["methods"][other], metric), value(e["methods"]["smx"], metric)) for e in entries]
+            diffs = [a - b for a, b in pairs if a is not None and b is not None]
+            if len(diffs) < 4:
+                continue  # the exact test needs at least 4 paired values
+            row: dict = {"metric": metric, "pair": f"{other}-smx", "n": len(diffs)}
+            row["median_diff"] = float(np.median(diffs))
+            try:
+                test = wilcoxon_signed_rank(diffs)
+                row["statistic"] = test.statistic
+                row["p_value"] = test.p_value
+            except (ConfigError, PipelineError) as exc:
+                row["note"] = str(exc)
+            comparisons.append(row)
+    return comparisons

@@ -101,11 +101,28 @@ def require_both_classes(train: SpectralDataset) -> None:
         raise ConfigError("training data must contain both classes")
 
 
+# The rule of each keyword of fit_ridge (lam) and fit_logistic (the others).
+_FIT_RULES = {
+    "lam": (lambda lam: np.isfinite(lam) and lam >= 0, "ridge lambda must be finite and >= 0"),
+    "l2": (lambda l2: np.isfinite(l2) and l2 >= 0, "logistic l2 must be finite and >= 0"),
+    "max_iters": (lambda max_iters: max_iters >= 1, "logistic max_iters must be >= 1"),
+    "tol": (lambda tol: np.isfinite(tol) and tol >= 0, "logistic tol must be finite and >= 0"),
+}
+
+
+def fit_setting(**params) -> None:
+    """Refuse a value of a fit keyword (``lam``, ``l2``, ``max_iters`` or
+    ``tol``) that breaks its rule, checking them in the order given."""
+    for key, value in params.items():
+        ok, rule = _FIT_RULES[key]
+        if not ok(value):
+            raise ConfigError(f"{rule}, got {value}")
+
+
 def fit_ridge(train: SpectralDataset, lam: float = 1.0) -> RidgeModel:
     """Solve (Xc'Xc + lam I) w = Xc' yc on centered features, intercept from means."""
+    fit_setting(lam=lam)
     require_both_classes(train)
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ConfigError(f"ridge lambda must be finite and >= 0, got {lam}")
     X = train.intensities
     y = train.labels.astype(float)
     x_mean = X.mean(axis=0)
@@ -132,13 +149,8 @@ def fit_logistic(
     when the Euclidean norm of the gradient (weights and intercept) at the solution is
     below ``tol``; otherwise one WARNING is logged.
     """
+    fit_setting(l2=l2, max_iters=max_iters, tol=tol)
     require_both_classes(train)
-    if not (np.isfinite(l2) and l2 >= 0):
-        raise ConfigError(f"logistic l2 must be finite and >= 0, got {l2}")
-    if max_iters < 1:
-        raise ConfigError(f"logistic max_iters must be >= 1, got {max_iters}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"logistic tol must be finite and >= 0, got {tol}")
     n, p = train.intensities.shape
     # The first L-BFGS-B step has unit length, far too long when intensities are large, so
     # solve for v = c * w against X / c: c = 1 while max |X| < 16, else an exact power of two.

@@ -289,6 +289,30 @@ class TestPipelineCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["split", "--input", "missing.csv", "--train-fraction", "2"], "train_fraction must be in (0, 1)"),
+            (["split", "--input", "missing.csv", "--train-fraction", "0"], "train_fraction must be in (0, 1)"),
+            (["train", "--model", "ridge", "--train", "missing.csv", "--lam", "-1"],
+             "ridge lambda must be finite and >= 0, got -1.0"),
+            (["train", "--model", "logistic", "--train", "missing.csv", "--l2", "nan"],
+             "logistic l2 must be finite and >= 0, got nan"),
+            (["train", "--model", "logistic", "--train", "missing.csv", "--max-iters", "0"],
+             "logistic max_iters must be >= 1, got 0"),
+            (["train", "--model", "logistic", "--train", "missing.csv", "--tol", "-1"],
+             "logistic tol must be finite and >= 0, got -1.0"),
+        ],
+        ids=lambda value: " ".join(value[:1] + value[-2:]) if isinstance(value, list) else None,
+    )
+    def test_split_and_train_settings_refused_before_input_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
+        """A flag's refusal wins over the missing input file, which is never opened."""
+        monkeypatch.chdir(tmp_path)
+        outs = ["--out-train", "a.csv", "--out-test", "b.csv"] if argv[0] == "split" else ["--out", "m.json"]
+        assert main([*argv, *outs]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "flags, converged, warned",
         [([], True, False), (["--max-iters", "1"], False, True)],
     )
@@ -319,7 +343,8 @@ class TestPipelineCommands:
 
 def test_explain_and_evaluate_load_no_scipy(explain_case, tmp_path):
     """Only split, a logistic fit and savgol preprocessing use scipy: a fresh
-    interpreter that imports the CLI, explains with a builtin model and
+    interpreter that imports the evaluation harness (which must not load
+    the CLI or argparse), then the CLI, explains with a builtin model and
     evaluates one manifest, then four (whose Wilcoxon rows need average
     ranks), has loaded no scipy module after any of these steps."""
     files = {key: str(explain_case / f"{key}.{ext}") for key, ext in
@@ -335,6 +360,9 @@ def check(step):
     loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
     assert not loaded, f"after {step}: {len(loaded)} scipy modules, {loaded[:4]} ..."
 
+import smx.evalkit
+assert "smx.cli" not in sys.modules and "argparse" not in sys.modules, "import smx.evalkit loaded the CLI"
+check("import smx.evalkit")
 import smx.cli
 check("import smx.cli")
 assert smx.cli.main(["explain", "--manifest", "m0.json", "--out", "explained"]) == 0
@@ -1236,6 +1264,11 @@ class TestEvaluate:
             (["--stability-runs", "0", "--depth", "20"], "--depth"),
             (["--methods", "smx", "--stability-runs", "0", "--pfi-repeats", "7", "--pfi-seed", "3",
               "--rho", "0.2", "--depth", "3"], "--pfi-repeats"),
+            # counts above their bounds, refused before any buffer or run is made
+            (["--pfi-repeats", str(evalkit.MAX_PFI_REPEATS + 1)], "--pfi-repeats"),
+            (["--methods", "pfi", "--stability-runs", "0", "--pfi-repeats", "1000000000000"], "--pfi-repeats"),
+            (["--stability-runs", str(evalkit.MAX_STABILITY_RUNS + 1)], "--stability-runs"),
+            (["--methods", "smx", "--stability-runs", "1000000000000"], "--stability-runs"),
         ],
     )
     def test_invalid_flag_exit_2_before_model_load(self, eval_case, tmp_path, capsys, monkeypatch, flags, flag):
@@ -1371,6 +1404,32 @@ class TestEvaluate:
         assert code == 2
         assert "'train'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_library_protocol_matches_report(self, tmp_path):
+        """``evaluate_dataset`` per dataset, named, then ``compare``: the
+        datasets and Wilcoxon rows of a four-manifest ``smx evaluate``."""
+        roots = [build_small_case(tmp_path / f"d{k}", seed=200 + k) for k in range(4)]
+        manifests = [str(write_manifest(root, f"variant{k}")) for k, root in enumerate(roots)]
+        flags = ["--stability-runs", "3", "--pfi-repeats", "2", "--kmax", "3"]
+        assert main(["evaluate", "--manifest", *manifests, *flags, "--out", str(tmp_path / "report")]) == 0
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+
+        cfg = evalkit.EvaluateConfig(stability_runs=3, pfi_repeats=2, kmax=3)
+        entries = []
+        for k, root in enumerate(roots):
+            entry = evalkit.evaluate_dataset(
+                dataio.load_csv(root / "train.csv"),
+                dataio.load_csv(root / "test.csv"),
+                dataio.load_zone_config(root / "zones.json"),
+                models.load_model(root / "model.json"),
+                EngineConfig(bags=5, seeds=(1, 2)),
+                cfg,
+            )
+            entries.append({"name": f"variant{k}", **entry})
+        comparisons = evalkit.compare(entries, cfg.methods)
+        assert entries == report["datasets"]
+        assert comparisons == report["comparisons"]
+        assert any("statistic" in row for row in comparisons)
 
     def test_unknown_method_exit_2(self, eval_case, tmp_path, capsys, monkeypatch):
         """An unknown or a repeated method is refused before any load."""

@@ -10,6 +10,9 @@ import pytest
 from smx import dataio, models, synthgen
 from smx.errors import ConfigError, PipelineError
 from smx.evalkit import (
+    MAX_PFI_REPEATS,
+    MAX_STABILITY_RUNS,
+    EvaluateConfig,
     agreement_curve,
     faithfulness_curve,
     make_curve,
@@ -495,3 +498,35 @@ class TestWilcoxon:
     def test_too_many_rejected(self):
         with pytest.raises(ConfigError):
             wilcoxon_signed_rank(list(range(1, 27)))
+
+
+class TestEvaluateConfig:
+    def test_defaults_are_the_cli_defaults(self):
+        cfg = EvaluateConfig()
+        assert (cfg.methods, cfg.kmax, cfg.pfi_repeats, cfg.pfi_seed) == (("smx", "pfi"), 0, 10, 0)
+        assert (cfg.stability_runs, cfg.rho, cfg.depth) == (10, 0.7, 20)
+
+    def test_counts_at_their_bounds_are_accepted(self):
+        cfg = EvaluateConfig(pfi_repeats=MAX_PFI_REPEATS, stability_runs=MAX_STABILITY_RUNS)
+        assert (cfg.pfi_repeats, cfg.stability_runs) == (100, 100)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"methods": ()}, "--methods must name smx, pfi or both, each once; got ''"),
+            ({"methods": ("smx", "smx")}, "--methods must name smx, pfi or both, each once; got 'smx,smx'"),
+            ({"methods": ("shap",)}, "--methods must name smx, pfi or both, each once; got 'shap'"),
+            ({"kmax": -1}, "--kmax must be >= 0 (0 = auto), got -1"),
+            ({"pfi_repeats": 0}, "--pfi-repeats must be >= 1, got 0"),
+            ({"pfi_repeats": 10**12}, "--pfi-repeats must be at most 100, got 1000000000000"),
+            ({"pfi_seed": -1}, "--pfi-seed must be >= 0, got -1"),
+            ({"depth": 0}, "--depth must be >= 1, got 0"),
+            ({"rho": 0.0}, "--rho must be in (0, 1), got 0.0"),
+            ({"stability_runs": 1}, "--stability-runs must be 0 (off) or >= 2, got 1"),
+            ({"stability_runs": 101}, "--stability-runs must be at most 100, got 101"),
+        ],
+    )
+    def test_refusal_names_the_flag(self, settings, message):
+        with pytest.raises(ConfigError) as info:
+            EvaluateConfig(**settings)
+        assert str(info.value) == message
