@@ -60,9 +60,6 @@ class ExplanationGraph:
     def node_count(self) -> int:
         return self.n_predicates + 2
 
-    def terminal(self, cls: int) -> int:
-        return self.n_predicates + int(cls)
-
 
 def build_graph(
     bag_results: Sequence[BagResult],
@@ -91,17 +88,11 @@ def build_graph(
 
 
 def _resolve_bidirectional(edges: dict[tuple[int, int], float]) -> None:
-    for u, v in sorted(edges):
-        if u >= v or (v, u) not in edges or (u, v) not in edges:
-            continue
-        fwd, rev = edges[(u, v)], edges[(v, u)]
-        if fwd > rev:
-            del edges[(v, u)]
-        elif rev > fwd:
-            del edges[(u, v)]
-        else:
-            # tie: keep the direction whose source comes first in predicate order
-            del edges[(v, u)]
+    """Of each pair of opposite edges keep the heavier, on a tie the one whose
+    source comes first in predicate order; the rest keep their order."""
+    beaten = [(u, v) for (u, v), w in edges.items() if (v, u) in edges and (edges[(v, u)], u) > (w, v)]
+    for edge in beaten:
+        del edges[edge]
 
 
 def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:

@@ -48,7 +48,6 @@ class Prepared:
     """Everything the per-seed stage needs that no seed changes."""
 
     cfg: EngineConfig
-    zone_names: list[str]
     zone_models: list[ZoneModel]
     predicate_set: PredicateSet
     responses: Responses
@@ -59,7 +58,6 @@ def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig)
     zone_models, scores = fit_zone_models(train, zones)
     return Prepared(
         cfg=cfg,
-        zone_names=zones.names(),
         zone_models=zone_models,
         predicate_set=build_predicates(scores, zone_models, cfg),
         responses=responses(model, train.intensities, zone_models),
@@ -95,7 +93,7 @@ def rank(prepared: Prepared, seeds: tuple[int, ...] | None = None) -> ExplainRes
         graphs=graphs,
         ranking=ranking,
         zone_order=zone_ranking(
-            ranking.mean_lrc, [p.zone_name for p in pset.predicates], prepared.zone_names
+            ranking.mean_lrc, [p.zone_name for p in pset.predicates], [m.zone_name for m in prepared.zone_models]
         ),
     )
 

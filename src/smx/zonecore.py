@@ -30,7 +30,6 @@ from .errors import ConfigError, PipelineError
 @dataclass
 class ZoneModel:
     zone_name: str
-    zone_index: int
     indices: np.ndarray
     mean: np.ndarray
     loading: np.ndarray
@@ -52,9 +51,7 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return -w if s < 0 else w
 
 
-def fit_zone(
-    X_zone: np.ndarray, zone_name: str = "", zone_index: int = 0, indices: np.ndarray | None = None
-) -> ZoneModel:
+def fit_zone(X_zone: np.ndarray, zone_name: str = "", indices: np.ndarray | None = None) -> ZoneModel:
     """Fit the one-component PCA summary of a zone sub-matrix.
 
     Raises on all-identical rows: quantile predicates over a constant
@@ -88,7 +85,6 @@ def fit_zone(
         indices = np.arange(d)
     return ZoneModel(
         zone_name=zone_name,
-        zone_index=zone_index,
         indices=np.asarray(indices, dtype=int),
         mean=mean,
         loading=loading,
@@ -123,8 +119,8 @@ def fit_zone_models(
     sets = resolve_zones(cfg, ds)
     models = []
     columns = []
-    for m, (zone, idx) in enumerate(zip(cfg.zones, sets)):
-        model = fit_zone(ds.intensities[:, idx], zone_name=zone.name, zone_index=m, indices=idx)
+    for zone, idx in zip(cfg.zones, sets):
+        model = fit_zone(ds.intensities[:, idx], zone_name=zone.name, indices=idx)
         models.append(model)
         columns.append(score_zone(model, ds.intensities[:, idx]))
     return models, np.column_stack(columns)

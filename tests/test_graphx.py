@@ -38,7 +38,6 @@ def _zone_models(n, ve=1.0):
     return [
         ZoneModel(
             zone_name=f"z{j}",
-            zone_index=j,
             indices=np.arange(2),
             mean=np.zeros(2),
             loading=np.array([1.0, 0.0]),
@@ -94,7 +93,7 @@ class TestBuildGraph:
         pset = _pset(2, ["A", "B"])
         bag = _bag(0, [(0, 2.0), (1, 4.0)], terminal=1)
         graph = build_graph([bag], _zone_models(2), pset, seed=7)
-        assert graph.edges == {(0, 1): 2.0, (1, graph.terminal(1)): 4.0}
+        assert graph.edges == {(0, 1): 2.0, (1, graph.n_predicates + 1): 4.0}
 
     def test_same_edge_accumulates(self):
         pset = _pset(2)
@@ -127,7 +126,7 @@ class TestBuildGraph:
             [_bag(0, [(0, 2.0), (1, 4.0)], 1)], _zone_models(2, ve=0.25), pset, seed=0
         )
         assert graph.edges[(0, 1)] == pytest.approx(0.5)
-        assert graph.edges[(1, graph.terminal(1))] == pytest.approx(1.0)
+        assert graph.edges[(1, graph.n_predicates + 1)] == pytest.approx(1.0)
 
     def test_zero_impact_edges_dropped(self):
         pset = _pset(2)
@@ -283,6 +282,41 @@ def _assert_same_pruning(caplog, edges, trial):
     return len(want[1])
 
 
+def _resolve_bidirectional_sorted(edges: dict[tuple[int, int], float]) -> None:
+    """The sort-and-scan pair resolution that ``graphx._resolve_bidirectional``
+    replaced, kept verbatim as its reference."""
+    for u, v in sorted(edges):
+        if u >= v or (v, u) not in edges or (u, v) not in edges:
+            continue
+        fwd, rev = edges[(u, v)], edges[(v, u)]
+        if fwd > rev:
+            del edges[(v, u)]
+        elif rev > fwd:
+            del edges[(u, v)]
+        else:
+            # tie: keep the direction whose source comes first in predicate order
+            del edges[(v, u)]
+
+
+class TestPairResolutionAgainstSortedScan:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_random_digraphs(self, tied):
+        resolved = 0
+        for trial in range(1000):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(2, 16))
+            edges = {}
+            for _ in range(int(rng.integers(1, 4 * n))):
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                edges[(u, v)] = float(rng.integers(1, 4)) if tied else float(rng.uniform(0.1, 2.0))
+            got, want = dict(edges), dict(edges)
+            graphx._resolve_bidirectional(got)
+            _resolve_bidirectional_sorted(want)
+            assert list(got.items()) == list(want.items()), f"trial {trial}"
+            resolved += len(edges) - len(want)
+        assert resolved > 1000
+
+
 class TestCyclePruningAgainstRestart:
     @pytest.mark.parametrize("block", range(20))
     def test_random_digraphs(self, caplog, block):
@@ -318,8 +352,8 @@ class TestLrc:
     def test_terminal_lrc_zero_on_graph_object(self):
         graph = ExplanationGraph(seed=0, n_predicates=2, edges={(0, 1): 1.0, (1, 2): 2.0})
         scores = lrc_scores(graph.node_count, graph.edges)
-        assert scores[graph.terminal(0)] == 0.0
-        assert scores[graph.terminal(1)] == 0.0
+        assert scores[graph.n_predicates] == 0.0
+        assert scores[graph.n_predicates + 1] == 0.0
 
     def test_shortest_path_prefers_fewer_hops(self):
         # direct edge (1 hop, weight 1) vs heavy 2-hop path: hops win

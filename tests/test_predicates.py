@@ -7,10 +7,9 @@ from smx.predicates import GT, LE, build_predicates, quantile
 from smx.zonecore import ZoneModel
 
 
-def _stub_zone(name, index=0, width=2):
+def _stub_zone(name, width=2):
     return ZoneModel(
         zone_name=name,
-        zone_index=index,
         indices=np.arange(width),
         mean=np.zeros(width),
         loading=np.eye(width)[0],
@@ -57,7 +56,7 @@ class TestBuildPredicates:
 
     def test_default_q_bounds_predicate_count(self):
         rng = np.random.default_rng(0)
-        zones = [_stub_zone(f"z{m}", m) for m in range(3)]
+        zones = [_stub_zone(f"z{m}") for m in range(3)]
         scores = rng.normal(size=(30, 3))
         pset = build_predicates(scores, zones, EngineConfig(quantiles=(0.2, 0.4, 0.6, 0.8)))
         assert len(pset) <= 8 * 3
@@ -71,7 +70,7 @@ class TestBuildPredicates:
 
     def test_complement_columns_cover_everything(self):
         rng = np.random.default_rng(1)
-        zones = [_stub_zone(f"z{m}", m) for m in range(2)]
+        zones = [_stub_zone(f"z{m}") for m in range(2)]
         pset = build_predicates(rng.normal(size=(25, 2)), zones, EngineConfig(quantiles=(0.3, 0.7)))
         by_key = {(p.zone_name, p.tau, p.direction): i for i, p in enumerate(pset.predicates)}
         for (zone, tau, direction), i in by_key.items():
@@ -106,7 +105,7 @@ class TestBuildPredicates:
 
     def test_ordering_zone_major_quantile_minor(self):
         rng = np.random.default_rng(4)
-        zones = [_stub_zone("first", 0), _stub_zone("second", 1)]
+        zones = [_stub_zone("first"), _stub_zone("second")]
         pset = build_predicates(rng.normal(size=(20, 2)), zones, EngineConfig(quantiles=(0.4, 0.6)))
         names = [p.zone_name for p in pset.predicates]
         assert names == ["first"] * 4 + ["second"] * 4
