@@ -949,7 +949,7 @@ def _engine(**keys):
 # name -> (argv, manifest entries, expected); see test_flag_surface.
 FLAG_SURFACE = {
     "explain --test": ([*_EXPLAIN, "--test", "test.csv"], {}, "unrecognized arguments: --test"),
-    "output_dir": (_EXPLAIN, {"out": None, "output_dir": "run"}, "an output directory is required"),
+    "output_dir": (_EXPLAIN, {"out": None, "output_dir": "run"}, "m.json: unknown manifest key(s): output_dir"),
     "--train": ([*_EXPLAIN, "--train", "train.csv"], {"train": "missing.csv"}, {}),
     "--zones": ([*_EXPLAIN, "--zones", "zones.json"], {"zones": "missing.json"}, {}),
     "--model": ([*_EXPLAIN, "--model", "model.json"], {"model": "missing.json"}, {}),
@@ -1760,6 +1760,13 @@ NAMED_REFUSALS = {
     "repeated dataset name": (
         _IN_EVALUATE, {"m.json": {"name": "good"}}, "m.json", "dataset name 'good' is used by more than one manifest"
     ),
+    **{
+        f"{argv[0]} misspelled manifest section": (
+            argv, {"m.json": {"preprocesing": {"method": "mean_center"}, "_note": 1, "outdir": "o"}},
+            "m.json", "unknown manifest key(s): outdir, preprocesing",
+        )
+        for argv in (_IN_EXPLAIN, _IN_EVALUATE)
+    },
     "explain manifest setting": (
         _IN_EXPLAIN, {"m.json": {"engine": {"quantiles": [0.5, 0.4]}}},
         "m.json", "quantile levels must be strictly increasing",
