@@ -49,9 +49,8 @@ DEFAULT_SEEDS = (1, 2, 3, 4)
 # count far beyond what a ranking needs is refused up front rather than
 # run out of memory: 100 times the default.
 MAX_BAGS = 1000
-# Each level adds up to two predicates per zone, and LRC holds an N x N
-# array for N predicates: every percentile is allowed, which on the widest
-# shipped layout (forage_xrf.json, 22 zones) is N <= 4,356, about 19 MB.
+# Every percentile is allowed; pipeline.MAX_PREDICATES bounds the
+# predicate count that zones and levels give together.
 MAX_QUANTILES = 99
 
 

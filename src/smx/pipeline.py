@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from .dataio import SpectralDataset, ZoneConfig
 from .engine import BagResult, EngineConfig, Responses, responses, run_bags
+from .errors import ConfigError
 from .graphx import (
     ExplanationGraph,
     PredicateRanking,
@@ -27,6 +28,11 @@ from .graphx import (
 from .parallel import thread_count
 from .predicates import PredicateSet, build_predicates
 from .zonecore import ZoneModel, fit_zone_models
+
+# Each quantile level adds up to two predicates per zone, and LRC holds an
+# N x N array for N predicates: the widest shipped layout (forage_xrf.json,
+# 22 zones) at every percentile is N = 4,356, about 19 MB.
+MAX_PREDICATES = 4356
 
 
 @dataclass
@@ -55,6 +61,12 @@ class Prepared:
 
 def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> Prepared:
     """The seed-free stage: zone models, predicates and model responses."""
+    n_zones, n_levels = len(zones.zones), len(cfg.quantiles)
+    if 2 * n_zones * n_levels > MAX_PREDICATES:
+        raise ConfigError(
+            f"{n_zones} zones x {n_levels} quantile levels allow {2 * n_zones * n_levels} predicates; "
+            f"at most {MAX_PREDICATES} are allowed"
+        )
     zone_models, scores = fit_zone_models(train, zones)
     return Prepared(
         cfg=cfg,

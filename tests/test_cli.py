@@ -1853,6 +1853,11 @@ PINNED_REFUSALS = {
         _IN_EXPLAIN, {"m.json": {"train": "missing.csv"}}, None, "cannot read dataset file missing.csv: No such file or directory"
     ),
     "flag in the same section": ([*_IN_EXPLAIN, "--quantiles", "0.5,0.4"], {}, None, "quantile levels must be strictly increasing"),
+    "more predicates than LRC is sized for": (
+        [*_IN_EXPLAIN, "--quantiles", ",".join(str(k / 100) for k in range(1, 100))],
+        {"zones.json": _zones(*((f"z{m}", 2 * m + 1, 2 * m + 2) for m in range(23)))},
+        None, f"23 zones x 99 quantile levels allow 4554 predicates; at most {pipeline.MAX_PREDICATES} are allowed",
+    ),
     "train flag": (
         ["train", "--model", "ridge", "--train", "train.csv", "--lam", "-1", "--out", "m.out.json"], {},
         None, "ridge lambda must be finite and >= 0, got -1.0",

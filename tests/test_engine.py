@@ -1,5 +1,6 @@
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from smx import graphx, pipeline, synthgen
-from smx.dataio import kennard_stone_split
+from smx.dataio import SpectralDataset, Zone, ZoneConfig, kennard_stone_split
 from smx.engine import (
     ENTRY_DTYPE,
     BagResult,
@@ -25,7 +26,7 @@ from smx.engine import (
     trace_lines,
 )
 from smx.errors import ConfigError, ModelError
-from smx.models import CONTINUOUS, PROBABILISTIC, LogisticModel, RidgeModel, fit_logistic
+from smx.models import CONTINUOUS, PROBABILISTIC, LogisticModel, RidgeModel, fit_logistic, fit_ridge
 from smx.parallel import run_ordered
 from smx.predicates import Predicate, PredicateSet, build_predicates
 from smx.zonecore import fit_zone_models
@@ -72,6 +73,41 @@ class TestEngineConfig:
         assert EngineConfig(quantiles=levels).quantiles == levels
         layouts = (Path(__file__).parents[1] / "zone_configs").glob("*.json")
         assert 2 * max(len(json.loads(p.read_text())) for p in layouts) * MAX_QUANTILES == 4356
+
+
+class TestPredicateBound:
+    """``prepare`` refuses zones x levels that could give more predicates than
+    ``MAX_PREDICATES`` before it fits a zone or asks the model."""
+
+    @staticmethod
+    def _case(n_zones, n_levels):
+        rng = np.random.default_rng(0)
+        ds = SpectralDataset(
+            axis=np.arange(1.0, 2 * n_zones + 1),
+            intensities=rng.normal(size=(12, 2 * n_zones)),
+            labels=np.repeat([0, 1], 6),
+            sample_ids=[f"s{i}" for i in range(12)],
+        )
+        zones = ZoneConfig([Zone(f"z{m}", 2 * m + 1.0, 2 * m + 2.0, True) for m in range(n_zones)])
+        return ds, zones, EngineConfig(quantiles=tuple((k + 1) / (n_levels + 1) for k in range(n_levels)))
+
+    def test_refused_just_above_the_bound(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("zones fitted before the bound was checked")
+
+        monkeypatch.setattr(pipeline, "fit_zone_models", untouched)
+        ds, zones, cfg = self._case(23, 99)
+        message = "23 zones x 99 quantile levels allow 4554 predicates; at most 4356 are allowed"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.prepare(ds, zones, None, cfg)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_PREDICATES", 2 * 3 * 4)
+        ds, zones, cfg = self._case(3, 4)
+        model = fit_ridge(ds)
+        assert len(pipeline.prepare(ds, zones, model, cfg).predicate_set) <= 24
+        with pytest.raises(ConfigError, match="3 zones x 5 quantile levels allow 30 predicates"):
+            pipeline.prepare(ds, zones, model, replace(cfg, quantiles=(0.1, 0.3, 0.5, 0.7, 0.9)))
 
 
 class TestDrawBag:
