@@ -262,14 +262,13 @@ class ExternalModel:
     Writing floats as JSON is the client's main cost and smx re-sends
     mostly the same matrix, so a matrix of the last full one's shape that
     differs from it in at most half its cells is written as a patch of it.
+    The child writes to smx's own stderr, so a server's traceback is shown.
     """
 
     def __init__(self, argv: list[str]):
         self.argv = list(argv)
         try:
-            self._proc = subprocess.Popen(
-                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
-            )
+            self._proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         except OSError as exc:
             raise ModelError(f"failed to start external model {self.argv}: {exc}") from exc
         self._lock = threading.Lock()

@@ -10,6 +10,7 @@ Usage: python external_model.py MODE N_FEATURES [ARGS...]
   proba-reply N JSON    probabilistic; every predict_proba answers {"p": JSON}
   predict-reply N JSON  continuous; every predict answers {"y": JSON}
   info-reply N JSON     answers info with the object JSON
+  raise N               probabilistic; predict_proba raises RuntimeError (a traceback on stderr, exit 1)
 """
 
 import json
@@ -22,7 +23,7 @@ import time
 def main() -> int:
     mode = sys.argv[1]
     n_features = int(sys.argv[2])
-    kind = "probabilistic" if mode in ("fixed-proba", "proba-reply") else "continuous"
+    kind = "probabilistic" if mode in ("fixed-proba", "proba-reply", "raise") else "continuous"
     for line in sys.stdin:
         req = json.loads(line)
         op = req["op"]
@@ -51,6 +52,8 @@ def main() -> int:
                 reply = {"p": [[p0, p1] for _ in req["x"]]}
             elif mode == "proba-reply":
                 reply = {"p": json.loads(sys.argv[3])}
+            elif mode == "raise":
+                raise RuntimeError("weights file is stale")
             else:
                 reply = {"error": f"predict_proba unsupported in mode {mode}"}
         else:

@@ -1912,6 +1912,31 @@ def test_external_model_failure_names_no_file(explain_case, tmp_path, monkeypatc
     assert os.listdir() == ["ext.json"]
 
 
+def test_external_model_stderr_reaches_smx_stderr(explain_case, tmp_path, monkeypatch, capfd):
+    """An external model writes to smx's own stderr: the traceback of a server
+    that raises is shown beside smx's error, the run exits 1, and no child is
+    left running."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(models.subprocess, "Popen", recording)
+    helper = str(Path(__file__).parent / "helpers" / "external_model.py")
+    (tmp_path / "external.json").write_text(json.dumps({"kind": "external", "argv": [sys.executable, helper, "raise", "60"]}))
+    out = tmp_path / "out"
+    code = main(["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
+                 "--model", str(tmp_path / "external.json"), "--out", str(out)])
+    assert code == 1
+    err = capfd.readouterr().err
+    assert "RuntimeError: weights file is stale\n" in err
+    assert err.endswith("closed its stream (exit code 1)\n")
+    assert len(started) == 1 and started[0].poll() == 1
+    assert not out.exists()
+
+
 def test_untyped_info_reply_exit_1_no_outputs(explain_case, tmp_path, capsys):
     """An external model whose info reply gives n_features as text is a model fault (exit 1)."""
     helper = str(Path(__file__).parent / "helpers" / "external_model.py")
