@@ -156,18 +156,20 @@ def _load_manifest(mpath, args=None) -> dict:
     """The manifest file ``mpath`` (none: an empty manifest), then each
     ``_OVERRIDES`` flag given in ``args`` replaces its one entry. In the
     file, file entries and ``name`` must be strings (``model`` may be a
-    spec object), and the preprocess and engine objects hold only their
-    ``_SECTIONS`` keys, each of its type; other keys must start with ``_``. The preprocess entry comes out as
-    an object, empty if unset, and the engine entry as an ``EngineConfig``:
-    both settings and a model spec object are checked here, before any file
-    is read. A refusal names the manifest, unless a flag set that section."""
+    spec object), the preprocess and engine objects hold only their
+    ``_SECTIONS`` keys, each of its type, and any other key starts with
+    ``_``. The preprocess entry comes out as an object, empty if unset, and
+    the engine entry as an ``EngineConfig``: both settings and a model spec
+    object are checked here, before any file is read. A refusal names the
+    manifest, unless a flag set that section."""
     mpath, where = Path(mpath) if mpath else None, "bad manifest entry"
     manifest = dataio.read_json(mpath, "manifest file") if mpath else {}
     with dataio.naming(mpath):
         if not isinstance(manifest, dict):
             raise ConfigError(f"manifest must be a JSON object, got {manifest!r}")
-        unknown = sorted(k for k in manifest if k not in (*_FILE_ENTRIES, "name", *_SECTIONS) and not k.startswith("_"))
-        if unknown:  # a misspelled entry would otherwise drop its settings without a word
+        known = (*_FILE_ENTRIES, "name", *_SECTIONS)
+        unknown = sorted(key for key in manifest if key not in known and not key.startswith("_"))
+        if unknown:  # a misspelled section would otherwise drop its settings without a word
             raise ConfigError(f"unknown manifest key(s): {', '.join(unknown)}")
         for key in (*_FILE_ENTRIES, "name"):
             if key in manifest and not (key == "model" and isinstance(manifest[key], dict)):  # a model spec

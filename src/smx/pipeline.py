@@ -62,10 +62,9 @@ class Prepared:
 def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> Prepared:
     """The seed-free stage: zone models, predicates and model responses."""
     n_zones, n_levels = len(zones.zones), len(cfg.quantiles)
-    if 2 * n_zones * n_levels > MAX_PREDICATES:
+    if (most := 2 * n_zones * n_levels) > MAX_PREDICATES:
         raise ConfigError(
-            f"{n_zones} zones x {n_levels} quantile levels allow {2 * n_zones * n_levels} predicates; "
-            f"at most {MAX_PREDICATES} are allowed"
+            f"{n_zones} zones x {n_levels} quantile levels allow {most} predicates; at most {MAX_PREDICATES} are allowed"
         )
     zone_models, scores = fit_zone_models(train, zones)
     return Prepared(
