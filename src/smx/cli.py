@@ -1,15 +1,8 @@
 """Command-line surface: synth, split, preprocess, train, explain and
 evaluate.
 
-``explain`` writes into ``--out`` the predicate and zone rankings, the
-zone models, one DOT and one JSON graph per seed, the bag trace and one
-``threshold_spectra.csv`` table holding every predicate's threshold
-spectrum, a row per (predicate, zone channel), in the train file's units:
-with a preprocess entry, the table is mapped back through the fitted
-preprocessing, while the zone models stay in the space they were fitted in.
-``evaluate`` reads its flags and manifests, loads each dataset and model
-and writes ``report.json`` and ``curves/``; the protocol, its settings and
-their rules are ``evalkit``'s (``EvaluateConfig``, ``evaluate_dataset``).
+``explain`` and ``evaluate`` write the files ``artifacts`` spells; evaluate's
+protocol, settings and rules are ``evalkit``'s (``EvaluateConfig``).
 
 Exit codes: 0 success, 1 pipeline/model error, 2 usage/config error
 (an unwritable output path included). Outputs are published only after
@@ -27,7 +20,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -35,9 +27,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import dataio, evalkit, graphx, models, pipeline, synthgen, zonecore
-from .dataio import _fmt
-from .engine import EngineConfig, trace_lines
+from . import artifacts, dataio, evalkit, models, pipeline, synthgen
+from .engine import EngineConfig
 from .errors import ConfigError, FormatError, SmxError
 
 
@@ -66,18 +57,19 @@ def _write_files(outputs) -> None:
                 tmp.unlink()
 
 
-@contextlib.contextmanager
-def _replacing_dir(out: Path):
-    """Yield a fresh hidden sibling of ``out`` to write into. On success it
-    replaces ``out`` whole: the old directory is renamed aside, the new one
-    renamed in (or the old one back if that fails), then the old one is
-    removed. On any failure the sibling is removed and ``out`` is untouched."""
+def _replace_dir(out: Path, files) -> None:
+    """Write ``files``, (path relative to ``out``, text) pairs, into a fresh hidden sibling
+    that then replaces ``out`` whole: the old directory is renamed aside, the new one in (the
+    old one back if that fails), and the old one removed. On any failure ``out`` is untouched."""
     target = Path(os.path.realpath(out))
     stage, old = (target.with_name(f".{target.name}.{tag}-{os.getpid()}") for tag in ("tmp", "old"))
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         stage.mkdir()
-        yield stage
+        for rel, text in files:
+            path = stage / rel
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
         if target.exists():
             os.rename(target, old)
         try:
@@ -93,17 +85,7 @@ def _replacing_dir(out: Path):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-# What explain and evaluate write, as paths relative to --out. Explain also
-# owns threshold_spectra/predicate_NNN.csv, the one-file-per-predicate
-# layout of earlier versions, so that a rerun replaces such an --out.
-_EXPLAIN_OWNS = re.compile(
-    r"predicate_ranking\.csv|zone_ranking\.csv|zone_models\.json|bag_trace\.jsonl"
-    r"|graph_seed_\d+\.(dot|json)|threshold_spectra(\.csv|/predicate_\d+\.csv)?"
-)
-_EVALUATE_OWNS = re.compile(r"report\.json|curves(/[^/]+\.csv)?")
-
-
-def _check_out_dir(out: Path, owns: re.Pattern) -> None:
+def _check_out_dir(out: Path, owns) -> None:
     """Refuse an ``--out`` that cannot be a directory, or that holds anything
     ``owns`` does not match: a run replaces it whole. Runs before any load."""
     existing = next(p for p in (out, *out.absolute().parents) if p.exists())
@@ -311,24 +293,11 @@ def cmd_explain(args) -> int:
     out = manifest.get("out")
     if out is None:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
-    _check_out_dir(out, _EXPLAIN_OWNS)
+    _check_out_dir(out, artifacts.EXPLAIN_OWNS)
     train, _test, zones, state = _load_data(manifest, need_test=False)
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, manifest["engine"])
-
-    with _replacing_dir(out) as stage:
-        (stage / "predicate_ranking.csv").write_text(graphx.ranking_csv(result.ranking, result.predicate_set))
-        (stage / "zone_ranking.csv").write_text(graphx.zone_ranking_csv(result.zone_order))
-        (stage / "zone_models.json").write_text(zonecore.zone_models_to_json(result.zone_models))
-        trace: list[str] = []
-        for graph in result.graphs:
-            (stage / f"graph_seed_{graph.seed}.dot").write_text(graphx.to_dot(graph, result.predicate_set))
-            (stage / f"graph_seed_{graph.seed}.json").write_text(graphx.to_json(graph, result.predicate_set))
-            trace.extend(trace_lines(graph.seed, result.bag_results[graph.seed], result.predicate_set))
-        (stage / "bag_trace.jsonl").write_text("\n".join(trace + [""]))
-        (stage / "threshold_spectra.csv").write_text(
-            zonecore.threshold_table_csv(result.predicate_set.predicates, result.zone_models, train.axis, state)
-        )
+    _replace_dir(out, artifacts.explain_files(result, train.axis, state))
     return 0
 
 
@@ -363,7 +332,7 @@ def cmd_evaluate(args) -> int:
     for key, (read, when) in (("pfi_repeats", pfi_run), ("pfi_seed", pfi_run), ("rho", study), ("depth", study)):
         if key in given and not read:  # a flag the run would not read
             raise ConfigError(f"--{key.replace('_', '-')} is only read when {when}")
-    _check_out_dir(Path(args.out), _EVALUATE_OWNS)
+    _check_out_dir(Path(args.out), artifacts.EVALUATE_OWNS)
     manifests = [_load_manifest(mpath) for mpath in args.manifest]
     _check_dataset_names(args.manifest, manifests)
     datasets = []
@@ -373,16 +342,7 @@ def cmd_evaluate(args) -> int:
             entry = evalkit.evaluate_dataset(train, test, zones, model, manifest["engine"], cfg)
         datasets.append({"name": _dataset_name(manifest), **entry})
     report = {"methods": cfg.methods, "datasets": datasets, "comparisons": evalkit.compare(datasets, cfg.methods)}
-    with _replacing_dir(Path(args.out)) as stage:
-        (stage / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        (stage / "curves").mkdir()
-        for entry in datasets:
-            for method, section in entry["methods"].items():
-                for metric in ("faithfulness", "alignment", "simplicity"):
-                    curve = section[metric]
-                    lines = ["k,value", *(f"{k},{_fmt(v)}" for k, v in zip(curve["x"], curve["y"]))]
-                    curve_path = stage / "curves" / f"{entry['name']}__{method}__{metric}.csv"
-                    curve_path.write_text("\n".join(lines) + "\n")
+    _replace_dir(Path(args.out), artifacts.evaluate_files(report))
     return 0
 
 

@@ -34,20 +34,15 @@ PREPROCESS_METHODS = (MEAN_CENTER, POISSON_THEN_CENTER, SAVGOL_THEN_CENTER)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _fmt(x: float) -> str:
-    """Decimal text with 17 significant digits (lossless for float64)."""
-    return format(float(x), ".17g")
-
-
-def _csv_quote(text: str) -> str:
+def csv_quote(text: str) -> str:
     """``text`` as a quoted RFC 4180 CSV field, inner quotes doubled."""
     return '"' + text.replace('"', '""') + '"'
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
     """``text`` as an RFC 4180 CSV field, quoted only if it holds a comma,
     a quote or a line break."""
-    return _csv_quote(text) if any(c in text for c in ',"\r\n') else text
+    return csv_quote(text) if any(c in text for c in ',"\r\n') else text
 
 
 @dataclass
@@ -431,11 +426,11 @@ def _read_rows(text: str) -> _Parsed:
 
 def dataset_csv_text(ds: SpectralDataset) -> str:
     """The canonical CSV serialization (deterministic bytes)."""
-    # "%.17g" % x is the text _fmt(x) gives, one template fills a whole row
+    # one "%.17g" template fills a whole row
     row_fmt = ",".join(["%.17g"] * ds.n_variables)
     lines = ["id,label," + row_fmt % tuple(ds.axis.tolist())]
     for sid, label, row in zip(ds.sample_ids, ds.labels.tolist(), ds.intensities):
-        lines.append(f"{_csv_field(sid)},{label}," + row_fmt % tuple(row.tolist()))
+        lines.append(f"{csv_field(sid)},{label}," + row_fmt % tuple(row.tolist()))
     lines.append("")  # the final newline, without copying the joined text again
     return "\n".join(lines)
 
@@ -451,10 +446,9 @@ def _kennard_stone_select(X: np.ndarray, count: int) -> list[int]:
     n = X.shape[0]
     d2 = cdist(X, X, metric="sqeuclidean")
     # First pair: maximum pairwise distance, lexicographically smallest on ties.
-    flat = int(np.argmax(d2))
-    i, j = divmod(flat, n)
-    if i > j:
-        i, j = j, i
+    i, j = sorted(divmod(int(np.argmax(d2)), n))
+    if i == j:  # every distance is 0, and argmax found the diagonal (0, 0)
+        j = 1
     if count == 1:
         return [i]
     selected = [i, j]

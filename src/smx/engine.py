@@ -30,7 +30,6 @@ predicate in rank order (impact descending, ties to the lower index):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -227,26 +226,3 @@ def run_bags(
         return BagResult(b, entries, terminal)
 
     return run_ordered(one_bag, list(range(cfg.bags)), workers)
-
-
-def _json_float(x: float) -> str:
-    """``json.dumps`` text of one float: its repr, or NaN / Infinity / -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def trace_lines(seed: int, results: Sequence[BagResult], pset: PredicateSet) -> list[str]:
-    """Bag-level audit trace, one JSON object per retained predicate.
-
-    Each line is the text of ``json.dumps(record, sort_keys=True)``,
-    written directly: labels go through ``json.dumps`` once each and
-    floats through ``_json_float``."""
-    labels = [json.dumps(p.key) for p in pset.predicates]
-    return [
-        f'{{"bag": {bag.bag_index}, "impact_norm": {_json_float(impact)}, '
-        f'"impact_raw": {_json_float(raw)}, "label": {labels[j]}, '
-        f'"predicate": {j}, "seed": {seed}, "support": {support}}}'
-        for bag in results
-        for j, impact, raw, support in bag.entries.tolist()
-    ]

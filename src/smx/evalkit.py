@@ -79,7 +79,9 @@ def trapezoid_auc(y: Sequence[float]) -> float:
         raise ConfigError("cannot integrate an empty curve")
     if len(y) == 1:
         return y[0]
-    total = sum((a + b) / 2.0 for a, b in zip(y, y[1:]))
+    total = 0.0
+    for a, b in zip(y, y[1:]):
+        total += (a + b) / 2.0  # left to right: the builtin sum is compensated from Python 3.12
     return total / (len(y) - 1)
 
 

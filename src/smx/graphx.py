@@ -28,15 +28,13 @@ bit-identical to it.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import _csv_field, _csv_quote, _fmt
-from .engine import BagResult, _json_float
+from .engine import BagResult
 from .errors import ConfigError
 from .predicates import PredicateSet
 from .zonecore import ZoneModel
@@ -251,72 +249,3 @@ def zone_ranking(
     ranked = [(name, True) for name in seen]
     ranked.extend((name, False) for name in zone_names if name not in seen)
     return ranked
-
-
-def node_label(node: int, pset: PredicateSet) -> str:
-    if node < len(pset):
-        return pset.predicates[node].label
-    return f"Class_{node - len(pset)}"
-
-
-def _dot_string(text: str) -> str:
-    """``text`` as a quoted DOT string, backslashes and quotes escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def to_dot(graph: ExplanationGraph, pset: PredicateSet) -> str:
-    """DOT text with predicate labels at 2 decimals and weights at 4."""
-    lines = ["digraph explanation {"]
-    used = sorted({n for e in graph.edges for n in e})
-    for node in used:
-        lines.append(f"  n{node} [label={_dot_string(node_label(node, pset))}];")
-    for (u, v), w in sorted(graph.edges.items()):
-        lines.append(f'  n{u} -> n{v} [label="{w:.4f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
-    """Lossless JSON twin of the DOT export.
-
-    The text is that of ``json.dumps(payload, indent=2, sort_keys=True)``
-    with payload ``{"seed", "nodes": [{"id", "label"}], "edges":
-    [{"source", "target", "weight"}]}``, written directly: labels go
-    through ``json.dumps`` once each and weights through ``_json_float``."""
-    edges = [
-        f'    {{\n      "source": {u},\n      "target": {v},\n      "weight": {_json_float(w)}\n    }}'
-        for (u, v), w in sorted(graph.edges.items())
-    ]
-    nodes = [
-        f'    {{\n      "id": {i},\n      "label": {json.dumps(node_label(i, pset))}\n    }}'
-        for i in range(graph.node_count)
-    ]
-    return (
-        f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n  "seed": {graph.seed}\n}}\n'
-    )
-
-
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def ranking_csv(ranking: PredicateRanking, pset: PredicateSet) -> str:
-    header = "rank,predicate,zone,direction,tau,lrc_mean," + ",".join(
-        f"lrc_seed_{i + 1}" for i in range(len(ranking.seeds))
-    )
-    lines = [header]
-    for rank, j in enumerate(ranking.order, start=1):
-        pred = pset.predicates[j]
-        per_seed = ",".join(_fmt(v) for v in ranking.per_seed[:, j])
-        lines.append(
-            f"{rank},{_csv_quote(pred.label)},{_csv_field(pred.zone_name)},{pred.direction},"
-            f"{_fmt(pred.tau)},{_fmt(ranking.mean_lrc[j])},{per_seed}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def zone_ranking_csv(zones: list[tuple[str, bool]]) -> str:
-    lines = ["rank,zone,status"]
-    for rank, (name, ranked) in enumerate(zones, start=1):
-        lines.append(f"{rank},{_csv_field(name)},{'ranked' if ranked else 'unranked'}")
-    return "\n".join(lines) + "\n"

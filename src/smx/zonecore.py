@@ -9,21 +9,15 @@ the smaller Gram form of the centred zone: the d x d covariance when
 d <= n, otherwise the n x n sample Gram matrix, whose top eigenvector u
 gives the loading Xc.T @ u / ||Xc.T @ u||. Loading signs follow a fixed
 convention so every fit is bit-reproducible.
-
-A threshold spectrum is ``mean + tau * loading``, the zone profile whose
-score is tau, in the space the zone was fitted in. ``threshold_table_csv``
-writes one for every predicate, mapped into the input file's units through
-``dataio.to_input_units`` when the data was preprocessed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import PreprocessState, SpectralDataset, ZoneConfig, resolve_zones, to_input_units, _csv_quote, _fmt
+from .dataio import SpectralDataset, ZoneConfig, resolve_zones
 from .errors import ConfigError, PipelineError
 
 
@@ -124,40 +118,3 @@ def fit_zone_models(
         models.append(model)
         columns.append(score_zone(model, ds.intensities[:, idx]))
     return models, np.column_stack(columns)
-
-
-def zone_model_to_json(model: ZoneModel) -> str:
-    """Serialise one zone model with 17-significant-digit decimals."""
-    parts = [
-        f'"name": {json.dumps(model.zone_name)}',
-        '"indices": [' + ", ".join(str(int(i)) for i in model.indices) + "]",
-        '"mean": [' + ", ".join(_fmt(v) for v in model.mean) + "]",
-        '"loading": [' + ", ".join(_fmt(v) for v in model.loading) + "]",
-        f'"variance_explained": {_fmt(model.variance_explained)}',
-    ]
-    return "{" + ", ".join(parts) + "}"
-
-
-def zone_models_to_json(models: list[ZoneModel]) -> str:
-    return "[\n" + ",\n".join("  " + zone_model_to_json(m) for m in models) + "\n]\n"
-
-
-def threshold_table_csv(
-    predicates, models: list[ZoneModel], axis: np.ndarray, state: PreprocessState | None = None
-) -> str:
-    """Every predicate's threshold spectrum as one CSV table with columns
-    ``predicate,label,axis,value``: one row per (predicate, zone channel),
-    predicates in the given order, channels in zone order. ``predicate``
-    is the position in ``predicates``, ``label`` is quoted, and axis and
-    value have 17 significant digits (``"%.17g" % x`` is the text
-    ``_fmt(x)`` gives). With ``state``, the preprocessing the zones were
-    fitted after, values are in the units of the data it was fitted on."""
-    lines = ["predicate,label,axis,value"]
-    for j, pred in enumerate(predicates):
-        model = models[pred.zone_index]
-        prefix = f"{j},{_csv_quote(pred.label)},"
-        profile = threshold_spectrum(model, pred.tau)
-        if state is not None:
-            profile = to_input_units(state, profile, model.indices)
-        lines.extend(prefix + "%.17g,%.17g" % pair for pair in zip(axis[model.indices].tolist(), profile.tolist()))
-    return "\n".join(lines) + "\n"

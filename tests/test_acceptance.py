@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the regular suite runs them silently.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -279,6 +280,37 @@ def test_criterion_8_thread_count_determinism(bench, tmp_path):
     interesting = [n for n in names if "ranking" in n or "graph" in n or "trace" in n]
     check(8, same, f"{len(names)} files byte-identical across SMX_THREADS=1/8 "
                    f"(incl. {len(interesting)} ranking/graph/trace files)")
+
+
+def test_rankings_agree_across_blas_thread_counts(bench, tmp_path):
+    """Outputs are byte-identical only for a fixed BLAS thread count, but the
+    zone and predicate orders agree across counts. "Wide" has more channels
+    than the train set has rows, so its PCA takes the n x n Gram product
+    ``Xc @ Xc.T``, a product whose bits can move with the thread count."""
+    zones = dataio.ZoneConfig([
+        dataio.Zone("Wide", 1.0, 400.0, True),
+        dataio.Zone("Feature 3", 460.0, 539.9, True),
+        dataio.Zone("Background 4", 539.9, 600.0, False),
+    ])
+    assert dataio.resolve_zones(zones, bench.train)[0].size > bench.train.n_samples
+    dataio.save_csv(bench.train, tmp_path / "train.csv")
+    (tmp_path / "zones.json").write_text(dataio.zone_config_json(zones))
+    models.save_model(bench.model, tmp_path / "model.json")
+    package_root = os.path.dirname(os.path.dirname(smx.__file__))
+    orders = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)  # read when numpy loads in the child
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = tmp_path / f"out_{threads}"
+        argv = ["explain", "--train", "train.csv", "--zones", "zones.json", "--model", "model.json", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "smx", *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        orders[threads] = {
+            column: [row[column] for row in csv.DictReader((out / name).read_text().splitlines())]
+            for name, column in (("zone_ranking.csv", "zone"), ("predicate_ranking.csv", "predicate"))
+        }
+    assert orders["1"] == orders["2"]
+    assert orders["1"]["zone"][0] == "Wide"
 
 
 def test_criterion_9_pfi_sanity():

@@ -14,7 +14,8 @@ import pytest
 import smx
 from smx import cli, dataio, engine, evalkit, models, pipeline, synthgen, zonecore
 from smx.cli import main
-from smx.dataio import Zone, ZoneConfig, _fmt
+from smx.artifacts import _fmt
+from smx.dataio import Zone, ZoneConfig
 from smx.engine import EngineConfig
 from smx.predicates import build_predicates
 from smx.synthgen import ClassSpec, PeakSpec, SyntheticConfig

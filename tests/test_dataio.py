@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from smx import dataio, synthgen
+from smx import artifacts, dataio, synthgen
 from smx.dataio import (
     SpectralDataset,
     Zone,
@@ -125,9 +125,9 @@ class TestLoadCsv:
             )
             ds.intensities = values  # the writer formats any float, finite or not
             ds.axis = np.sort(rng.normal(size=p) * 1e-310)
-            lines = ["id,label," + ",".join(dataio._fmt(v) for v in ds.axis)]
+            lines = ["id,label," + ",".join(artifacts._fmt(v) for v in ds.axis)]
             for i in range(n):
-                cells = ",".join(dataio._fmt(v) for v in ds.intensities[i])
+                cells = ",".join(artifacts._fmt(v) for v in ds.intensities[i])
                 lines.append(f"{ds.sample_ids[i]},{int(ds.labels[i])},{cells}")
             assert dataio.dataset_csv_text(ds) == "\n".join(lines) + "\n"
 
@@ -199,6 +199,18 @@ class TestKennardStone:
         class0_train = [sid for sid, lab in zip(train.sample_ids, train.labels) if lab == 0]
         # first pair (a, c); third pick ties between b and d at distance 0 -> b
         assert class0_train == ["a", "b", "c"]
+
+    def test_identical_rows_give_a_full_class_share(self):
+        # every class-0 distance is 0: the first pair is rows 0 and 1, not row 0 twice
+        ds = SpectralDataset(
+            axis=[1.0, 2.0],
+            intensities=np.vstack([np.ones((5, 2)), np.arange(10.0).reshape(5, 2)]),
+            labels=[0] * 5 + [1] * 5,
+            sample_ids=list("abcdefghij"),
+        )
+        train, _ = kennard_stone_split(ds, 0.6)
+        assert train.labels.tolist() == [0, 0, 0, 1, 1, 1]
+        assert train.sample_ids[:3] == ["a", "b", "c"]
 
     def test_matches_bruteforce_maxmin_oracle(self):
         rng = np.random.default_rng(11)
@@ -545,12 +557,12 @@ class TestCsvFields:
         ],
     )
     def test_quoted_only_when_needed(self, text, field):
-        assert dataio._csv_field(text) == field
-        assert next(csv.reader(io.StringIO(dataio._csv_field(text) + "\n"))) == [text]
+        assert dataio.csv_field(text) == field
+        assert next(csv.reader(io.StringIO(dataio.csv_field(text) + "\n"))) == [text]
 
     def test_always_quoted(self):
-        assert dataio._csv_quote("Z01 <= 1.00") == '"Z01 <= 1.00"'
-        assert next(csv.reader(io.StringIO(dataio._csv_quote('a "b", c') + "\n"))) == ['a "b", c']
+        assert dataio.csv_quote("Z01 <= 1.00") == '"Z01 <= 1.00"'
+        assert next(csv.reader(io.StringIO(dataio.csv_quote('a "b", c') + "\n"))) == ['a "b", c']
 
 
 class TestReadInput:

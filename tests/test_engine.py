@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from smx import graphx, pipeline, synthgen
+from smx.artifacts import trace_lines
 from smx.dataio import SpectralDataset, Zone, ZoneConfig, kennard_stone_split
 from smx.engine import (
     ENTRY_DTYPE,
@@ -23,7 +24,6 @@ from smx.engine import (
     output_shifts,
     responses,
     run_bags,
-    trace_lines,
 )
 from smx.errors import ConfigError, ModelError
 from smx.models import CONTINUOUS, PROBABILISTIC, LogisticModel, RidgeModel, fit_logistic, fit_ridge
@@ -691,7 +691,7 @@ class TestDrawBagAgainstParent:
                     np.testing.assert_array_equal(got, want)
 
 
-# Reference for the directly written ``engine.trace_lines``: the
+# Reference for the directly written ``artifacts.trace_lines``: the
 # implementation it replaced, copied verbatim (one ``json.dumps`` a line).
 def _reference_trace_lines(seed, results, pset):
     """Bag-level audit trace, one JSON object per retained predicate."""

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -82,6 +83,13 @@ class TestCurves:
             curve = make_curve(y)
             oracle = np.trapezoid(y, dx=1.0) / (len(y) - 1)
             assert abs(curve.auc - oracle) < 1e-12
+
+    def test_auc_adds_trapezoids_left_to_right(self):
+        # halves 1, 1e-16, 1e-16: added in order each tiny half rounds away,
+        # while a compensated sum (the builtin sum from Python 3.12) keeps them
+        halves = [1.0, 1e-16, 1e-16]
+        assert math.fsum(halves) != (1.0 + 1e-16) + 1e-16
+        assert trapezoid_auc([2.0, 0.0, 2e-16, 0.0]) == ((1.0 + 1e-16) + 1e-16) / 3
 
     def test_constant_curve_auc_is_value(self):
         assert make_curve([0.4, 0.4, 0.4]).auc == pytest.approx(0.4, abs=1e-15)

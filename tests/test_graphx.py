@@ -5,7 +5,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
-from smx import dataio, graphx, models, pipeline, synthgen
+from smx import artifacts, dataio, graphx, models, pipeline, synthgen
+from smx.artifacts import ranking_csv, to_dot, to_json, zone_ranking_csv
 from smx.dataio import Zone, ZoneConfig
 from smx.engine import ENTRY_DTYPE, BagResult, EngineConfig
 from smx.errors import ConfigError
@@ -15,11 +16,7 @@ from smx.graphx import (
     aggregate_seeds,
     build_graph,
     lrc_scores,
-    ranking_csv,
-    to_dot,
-    to_json,
     zone_ranking,
-    zone_ranking_csv,
 )
 from smx.predicates import Predicate, PredicateSet
 from smx.zonecore import ZoneModel
@@ -591,7 +588,7 @@ class TestExports:
 
 
 # References for the all-sources ``graphx.lrc_scores`` and the directly
-# written ``graphx.to_json``: the implementations they replaced, copied
+# written ``artifacts.to_json``: the implementations they replaced, copied
 # verbatim. LRC ran one breadth-first search per source; the JSON export
 # ran ``json.dumps(indent=2, sort_keys=True)`` over the whole payload.
 def _reference_lrc_scores(node_count: int, edges: dict[tuple[int, int], float]) -> np.ndarray:
@@ -638,7 +635,7 @@ def _reference_to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
     payload = {
         "seed": graph.seed,
         "nodes": [
-            {"id": i, "label": graphx.node_label(i, pset)} for i in range(graph.node_count)
+            {"id": i, "label": artifacts.node_label(i, pset)} for i in range(graph.node_count)
         ],
         "edges": [
             {"source": u, "target": v, "weight": w}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smx.artifacts import zone_models_to_json
 from smx.errors import ConfigError, PipelineError
 from smx.zonecore import (
     ZoneModel,
@@ -11,7 +12,6 @@ from smx.zonecore import (
     fit_zone_models,
     score_zone,
     threshold_spectrum,
-    zone_models_to_json,
 )
 
 
