@@ -523,11 +523,9 @@ def fit_preprocess(
     savgol = preprocess_setting(method, window, order)
     if ds.n_samples == 0:
         raise ConfigError("cannot fit preprocessing on an empty dataset")
-    X = ds.intensities
-    if method == MEAN_CENTER:
-        return PreprocessState(method=method, column_means=X.mean(axis=0))
+    scales = None
     if method == POISSON_THEN_CENTER:
-        raw_means = X.mean(axis=0)
+        raw_means = ds.intensities.mean(axis=0)
         bad = np.flatnonzero(raw_means <= 0)
         if bad.size:
             raise ConfigError(
@@ -535,17 +533,20 @@ def fit_preprocess(
                 f"has mean {float(raw_means[bad[0]])!r}"
             )
         scales = np.sqrt(raw_means)
-        scaled = X / scales
-        return PreprocessState(method=method, column_means=scaled.mean(axis=0), poisson_scales=scales)
-    if savgol[0] > ds.n_variables:
+    if savgol is not None and savgol[0] > ds.n_variables:
         raise ConfigError("savgol window exceeds the number of variables")
-    state = PreprocessState(method=method, column_means=np.zeros(ds.n_variables), savgol=savgol)
-    smoothed = _savgol_rows(X, state)
-    state.column_means = smoothed.mean(axis=0)
+    state = PreprocessState(method=method, column_means=np.zeros(ds.n_variables), poisson_scales=scales, savgol=savgol)
+    state.column_means = _uncentred(state, ds.intensities).mean(axis=0)
     return state
 
 
-def _savgol_rows(X: np.ndarray, state: PreprocessState) -> np.ndarray:
+def _uncentred(state: PreprocessState, X: np.ndarray) -> np.ndarray:
+    """``X`` under ``state`` before its column means are subtracted: divided
+    by the Poisson scales, Savitzky-Golay smoothed, or ``X`` itself."""
+    if state.poisson_scales is not None:
+        return X / state.poisson_scales
+    if state.savgol is None:
+        return X
     from scipy.signal import savgol_filter  # imported here so that only savgol preprocessing loads scipy.signal
 
     window, order = state.savgol
@@ -557,13 +558,7 @@ def apply_preprocess(state: PreprocessState, ds: SpectralDataset) -> SpectralDat
     """Transform ``ds`` with parameters learned at fit time."""
     if ds.n_variables != state.column_means.size:
         raise ConfigError(f"dataset width {ds.n_variables} does not match fitted width {state.column_means.size}")
-    X = ds.intensities
-    if state.method == MEAN_CENTER:
-        out = X - state.column_means
-    elif state.method == POISSON_THEN_CENTER:
-        out = X / state.poisson_scales - state.column_means
-    else:
-        out = _savgol_rows(X, state) - state.column_means
+    out = _uncentred(state, ds.intensities) - state.column_means
     return SpectralDataset(
         axis=ds.axis, intensities=out, labels=ds.labels, sample_ids=list(ds.sample_ids)
     )
@@ -576,7 +571,7 @@ def to_input_units(state: PreprocessState, values: np.ndarray, indices: np.ndarr
     for poisson_then_center. Smoothing has no inverse, so under
     savgol_then_center the result is smoothed intensities."""
     out = values + state.column_means[indices]
-    if state.method == POISSON_THEN_CENTER:
+    if state.poisson_scales is not None:
         out = out * state.poisson_scales[indices]
     return out
 

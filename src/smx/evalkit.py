@@ -12,6 +12,7 @@ is these two calls between reading its manifests and writing its report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -164,25 +165,11 @@ def rbo(list_a: Sequence, list_b: Sequence, rho: float = 0.7, depth: int = 20) -
     if not a or not b:
         return 0.0
     k = min(depth, max(len(a), len(b)))
-    seen_a: set = set()
-    seen_b: set = set()
-    overlap = 0
     weighted = 0.0
-    x_k = 0
     for d in range(1, k + 1):
-        if d <= len(a):
-            item = a[d - 1]
-            if item in seen_b:
-                overlap += 1
-            seen_a.add(item)
-        if d <= len(b):
-            item = b[d - 1]
-            if item in seen_a:
-                overlap += 1
-            seen_b.add(item)
+        overlap = len(set(a[:d]).intersection(b[:d]))  # the items both rankings hold in their top d
         weighted += (overlap / d) * rho**d
-        x_k = overlap
-    return (x_k / k) * rho**k + (1.0 - rho) / rho * weighted
+    return (overlap / k) * rho**k + (1.0 - rho) / rho * weighted
 
 
 @dataclass
@@ -201,10 +188,7 @@ def stability_study(
     if len(seeds) < 2:
         raise ConfigError("stability study needs at least 2 seeds")
     rankings = [list(runner(int(s))) for s in seeds]
-    values = []
-    for i in range(len(rankings)):
-        for j in range(i + 1, len(rankings)):
-            values.append(1.0 - rbo(rankings[i], rankings[j], rho=rho, depth=depth))
+    values = [1.0 - rbo(a, b, rho=rho, depth=depth) for a, b in itertools.combinations(rankings, 2)]
     return StabilityResult(instabilities=values, median=float(np.median(values)))
 
 
@@ -285,16 +269,12 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> WilcoxonResult:
     w_minus = int(doubled[d < 0].sum())
     w_obs = min(w_plus, w_minus)
 
-    # distribution of 2*W+ over sign assignments, by exact counting
-    max_sum = int(doubled.sum())
-    counts = [0] * (max_sum + 1)
+    # distribution of 2*W+ over sign assignments, as subset-sum counts (each at most 2^25)
+    counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
     counts[0] = 1
-    for r in doubled:
-        r = int(r)
-        for s in range(max_sum, r - 1, -1):
-            if counts[s - r]:
-                counts[s] += counts[s - r]
-    tail = sum(counts[: w_obs + 1])
+    for r in doubled.tolist():
+        counts[r:] = counts[r:] + counts[:-r]  # every doubled rank is >= 2
+    tail = int(counts[: w_obs + 1].sum())
     p = Fraction(2 * tail, 2**n)
     if p > 1:
         p = Fraction(1)

@@ -30,6 +30,8 @@ PROBABILISTIC = "probabilistic"
 _MAX_REQUEST_BYTES = 32 * 1024 * 1024
 # bytes.translate table marking the characters of numbers in a JSON matrix: all but "[], "
 _NUMBER_CHARS = bytes(c not in b"[], " for c in range(256))
+# an error about an unreadable reply quotes at most this much of its start
+_QUOTED_REPLY = 100
 
 
 def _check_width(X: np.ndarray, expected: int) -> np.ndarray:
@@ -305,6 +307,10 @@ class ExternalModel:
                 reply = self._proc.stdout.readline()
             except (BrokenPipeError, OSError) as exc:
                 raise ModelError(f"external model {self.argv} pipe failure: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                self.close()
+                quoted = exc.object[:_QUOTED_REPLY]
+                raise ModelError(f"external model {self.argv} sent a non-UTF-8 reply ({exc.reason}): {quoted!r}") from exc
         if not reply:
             with contextlib.suppress(subprocess.TimeoutExpired):  # the child is most likely exiting
                 self._proc.wait(timeout=2)
@@ -314,6 +320,10 @@ class ExternalModel:
         except json.JSONDecodeError as exc:
             self.close()
             raise ModelError(f"external model sent a malformed reply: {reply!r}") from exc
+        except RecursionError as exc:
+            self.close()
+            quoted = reply[:_QUOTED_REPLY]
+            raise ModelError(f"external model {self.argv} sent a reply nested too deeply: {quoted!r}") from exc
         if isinstance(parsed, dict) and "error" in parsed:
             raise ModelError(f"external model error: {parsed['error']}")
         if not isinstance(parsed, dict):

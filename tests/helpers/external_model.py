@@ -11,6 +11,7 @@ Usage: python external_model.py MODE N_FEATURES [ARGS...]
   predict-reply N JSON  continuous; every predict answers {"y": JSON}
   info-reply N JSON     answers info with the object JSON
   raise N               probabilistic; predict_proba raises RuntimeError (a traceback on stderr, exit 1)
+  raw-reply N FILE      probabilistic; every predict_proba answers with the bytes of FILE and a newline
 """
 
 import json
@@ -23,7 +24,7 @@ import time
 def main() -> int:
     mode = sys.argv[1]
     n_features = int(sys.argv[2])
-    kind = "probabilistic" if mode in ("fixed-proba", "proba-reply", "raise") else "continuous"
+    kind = "probabilistic" if mode in ("fixed-proba", "proba-reply", "raise", "raw-reply") else "continuous"
     for line in sys.stdin:
         req = json.loads(line)
         op = req["op"]
@@ -54,6 +55,11 @@ def main() -> int:
                 reply = {"p": json.loads(sys.argv[3])}
             elif mode == "raise":
                 raise RuntimeError("weights file is stale")
+            elif mode == "raw-reply":
+                with open(sys.argv[3], "rb") as fh:
+                    sys.stdout.buffer.write(fh.read() + b"\n")
+                sys.stdout.flush()
+                continue
             else:
                 reply = {"error": f"predict_proba unsupported in mode {mode}"}
         else:

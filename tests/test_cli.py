@@ -1938,6 +1938,39 @@ def test_external_model_stderr_reaches_smx_stderr(explain_case, tmp_path, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "reply, message",
+    [(b'{"error": "caf\xe9"}', "sent a non-UTF-8 reply"), (b"[" * 200_000 + b"]" * 200_000, "sent a reply nested too deeply")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_unreadable_external_reply_exit_1(explain_case, tmp_path, monkeypatch, capsys, command, reply, message):
+    """An external reply that is not UTF-8, or nests too deep to parse, ends the
+    run with one error line and no traceback: exit 1, no outputs, and the child
+    has exited."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(models.subprocess, "Popen", recording)
+    helper = str(Path(__file__).parent / "helpers" / "external_model.py")
+    (tmp_path / "reply").write_bytes(reply)
+    spec = {"kind": "external", "argv": [sys.executable, helper, "raw-reply", "60", str(tmp_path / "reply")]}
+    case = {name: str(explain_case / f"{name}.csv") for name in ("train", "test")}
+    (tmp_path / "m.json").write_text(json.dumps({**case, "zones": str(explain_case / "zones.json"), "model": spec}))
+    out = tmp_path / "out"
+    code = main([command, "--manifest", str(tmp_path / "m.json"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: external model ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert started and all(proc.poll() is not None for proc in started)
+    assert not out.exists()
+
+
 def test_untyped_info_reply_exit_1_no_outputs(explain_case, tmp_path, capsys):
     """An external model whose info reply gives n_features as text is a model fault (exit 1)."""
     helper = str(Path(__file__).parent / "helpers" / "external_model.py")

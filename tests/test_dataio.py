@@ -22,6 +22,8 @@ from smx.dataio import (
 )
 from smx.errors import ConfigError, FormatError, ModelError, PipelineError
 
+import parent_rules
+
 
 def _write(tmp_path, text, name="ds.csv"):
     path = tmp_path / name
@@ -426,6 +428,43 @@ class TestPreprocess:
             assert saved["method"] == state.method
             if state.poisson_scales is not None:
                 np.testing.assert_array_equal(saved["poisson_scales"], state.poisson_scales)
+
+    @pytest.mark.parametrize(
+        "method, window, order",
+        [("mean_center", None, None), ("poisson_then_center", None, None), ("savgol_then_center", None, None),
+         *(("savgol_then_center", w, o) for w, o in ((3, 0), (3, 2), (5, 1), (7, 3), (15, 2), (21, 4), (39, 6)))],
+    )
+    def test_matches_parent_branches(self, method, window, order):
+        """One uncentred transform gives the parent's per-method branches bit
+        for bit: the fitted state, and the train and test matrices applied."""
+        rng = np.random.default_rng(sum(map(ord, method)) + (window or 0) * 10 + (order or 0))
+        X = rng.lognormal(size=(23, 40)) * rng.uniform(0.01, 100.0, size=40)
+        train = SpectralDataset(np.arange(40.0), X[:15], [0, 1] * 7 + [0], [f"r{i}" for i in range(15)])
+        test = SpectralDataset(np.arange(40.0), X[15:], [0, 1] * 4, [f"t{i}" for i in range(8)])
+        got, want = fit_preprocess(train, method, window, order), parent_rules.fit_preprocess(train, method, window, order)
+        assert (got.method, got.savgol) == (want.method, want.savgol)
+        for field in ("column_means", "poisson_scales"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        for ds in (train, test):
+            np.testing.assert_array_equal(
+                apply_preprocess(got, ds).intensities.view(np.uint64),
+                parent_rules.apply_preprocess(want, ds).intensities.view(np.uint64),
+            )
+
+    @pytest.mark.parametrize("method, window, column", [("poisson_then_center", None, -2.0), ("savgol_then_center", 9, 1.0)])
+    def test_refuses_what_the_parent_refused(self, method, window, column):
+        """A non-positive Poisson column mean and a Savitzky-Golay window wider
+        than the data give the parent's refusal, word for word."""
+        ds = SpectralDataset(np.arange(5.0), np.full((3, 5), column), [0, 1, 0], list("abc"))
+        messages = []
+        for fit in (fit_preprocess, parent_rules.fit_preprocess):
+            with pytest.raises(ConfigError) as caught:
+                fit(ds, method, window)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_test_transform_uses_training_parameters(self, small_dataset):
         state = fit_preprocess(small_dataset, "mean_center")

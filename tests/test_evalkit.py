@@ -26,6 +26,7 @@ from smx.evalkit import (
 )
 from smx.models import ExternalModel, LogisticModel, RidgeModel
 
+import parent_rules
 from parent_loops import model_outputs, row_impacts
 
 STUB = str(Path(__file__).parent / "helpers" / "external_model.py")
@@ -225,6 +226,31 @@ class TestRbo:
     def test_duplicates_rejected(self):
         with pytest.raises(ConfigError):
             rbo(["a", "a"], ["a", "b"])
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.7, 0.9, 0.99])
+    def test_matches_parent_rbo_bit_for_bit(self, rho):
+        """The overlap at depth d as the intersection of the two top-d sets
+        gives the bits of the parent's incremental count: lists of unequal
+        lengths, empty ones included, at depths below and above them."""
+        rng = np.random.default_rng(int(rho * 100))
+        for _ in range(400):
+            a = rng.permutation(30)[: int(rng.integers(0, 26))].tolist()
+            b = rng.permutation(30)[: int(rng.integers(0, 26))].tolist()
+            depth = int(rng.integers(1, 31))
+            got, want = rbo(a, b, rho=rho, depth=depth), parent_rules.rbo(a, b, rho=rho, depth=depth)
+            assert got.hex() == want.hex(), (a, b, depth)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(["a", "a"], ["b"]), (["a"], ["b", "b"]), (["a"], ["b"], 0.0), (["a"], ["b"], 1.0), (["a"], ["b"], 0.7, 0)],
+    )
+    def test_refuses_what_the_parent_refused(self, args):
+        messages = []
+        for fn in (rbo, parent_rules.rbo):
+            with pytest.raises(ConfigError) as caught:
+                fn(*args)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 class TestStability:
@@ -488,6 +514,19 @@ class TestWilcoxon:
         for name, diffs in tie_patterns(n, np.random.default_rng(n)).items():
             result = wilcoxon_signed_rank(diffs)
             assert (result.statistic, result.p_exact) == wilcoxon_oracle(diffs), (name, list(diffs))
+
+    @pytest.mark.parametrize("n", range(4, 26))
+    def test_matches_parent_counting_loop(self, n):
+        """The int64 subset-sum counts give the parent's statistic and exact
+        p-value, with ties among few distinct magnitudes and without them."""
+        rng = np.random.default_rng(100 + n)
+        samples = [rng.choice([-1.0, 1.0], size=n) * rng.integers(1, levels, size=n) for levels in (2, 3, 5, 9)]
+        samples += [rng.normal(size=n), np.r_[np.zeros(3), rng.integers(-4, 5, size=n)]]
+        for diffs in samples:
+            if not 4 <= np.count_nonzero(diffs) <= 25:
+                continue
+            got, want = wilcoxon_signed_rank(diffs), parent_rules.wilcoxon_signed_rank(diffs)
+            assert (got.statistic, got.p_exact, got.p_value, got.n) == (want.statistic, want.p_exact, want.p_value, want.n)
 
     def test_zeros_dropped_before_ranking(self):
         with_zeros = wilcoxon_signed_rank([0.0, 1.0, -2.0, 3.0, 4.0, 0.0])

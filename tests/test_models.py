@@ -466,6 +466,27 @@ class TestExternal:
                 model.predict(np.zeros((1, 2)))
             assert model._proc.poll() == 3
 
+    def test_non_utf8_reply_closes_child(self, tmp_path):
+        """A reply holding a Latin-1 byte is a ModelError that quotes it, not a
+        UnicodeDecodeError, and the child is stopped."""
+        line = b'{"error": "caf\xe9"}\n'
+        (tmp_path / "reply").write_bytes(line[:-1])
+        with ExternalModel([sys.executable, STUB, "raw-reply", "3", str(tmp_path / "reply")]) as model:
+            with pytest.raises(ModelError, match=re.escape(f"non-UTF-8 reply (invalid continuation byte): {line!r}")) as caught:
+                model.predict_proba(np.zeros((1, 3)))
+            assert str(caught.value).startswith(f"external model {model.argv} ")
+            assert model._proc.poll() is not None
+
+    def test_deeply_nested_reply_closes_child(self, tmp_path):
+        """A reply nesting 200,000 lists is a ModelError quoting its first 100
+        characters, not a RecursionError, and the child is stopped."""
+        (tmp_path / "reply").write_text("[" * 200_000 + "]" * 200_000)
+        with ExternalModel([sys.executable, STUB, "raw-reply", "3", str(tmp_path / "reply")]) as model:
+            with pytest.raises(ModelError, match=re.escape(f"sent a reply nested too deeply: '{'[' * 100}'")) as caught:
+                model.predict_proba(np.zeros((1, 3)))
+            assert str(caught.value).startswith(f"external model {model.argv} ")
+            assert model._proc.poll() is not None
+
     def test_kind_mismatch_rejected(self):
         with ExternalModel([sys.executable, STUB, "sum", "2"]) as model:
             with pytest.raises(ModelError, match="predict_proba"):
