@@ -88,6 +88,8 @@ def _replace_dir(out: Path, files) -> None:
 def _check_out_dir(out: Path, owns) -> None:
     """Refuse an ``--out`` that cannot be a directory, or that holds anything
     ``owns`` does not match: a run replaces it whole. Runs before any load."""
+    if "\0" in str(out):  # a manifest's string can hold one; no file name can
+        raise ConfigError(f"cannot write output directory {str(out)!r}: a path cannot hold a NUL character")
     existing = next(p for p in (out, *out.absolute().parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"cannot write output directory {out}: {existing} is not a directory")
@@ -316,8 +318,8 @@ def _check_dataset_names(mpaths: list[str], manifests: list[dict]) -> None:
     for mpath, manifest in zip(mpaths, manifests):
         with dataio.naming(Path(mpath)):
             name = _dataset_name(manifest)
-            if name in ("", ".", "..") or "/" in name or "\\" in name:
-                raise ConfigError(f"dataset name {name!r} cannot name curve files (empty, '.', '..', '/' or '\\')")
+            if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+                raise ConfigError(f"dataset name {name!r} cannot name curve files (empty, '.', '..', '/', '\\' or NUL)")
             if name in seen:
                 raise ConfigError(f"dataset name {name!r} is used by more than one manifest")
         seen.add(name)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import SpectralDataset, json_value, naming, read_json
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, FormatError, ModelError
 
 CONTINUOUS = "continuous"
 PROBABILISTIC = "probabilistic"
@@ -30,7 +30,7 @@ PROBABILISTIC = "probabilistic"
 _MAX_REQUEST_BYTES = 32 * 1024 * 1024
 # bytes.translate table marking the characters of numbers in a JSON matrix: all but "[], "
 _NUMBER_CHARS = bytes(c not in b"[], " for c in range(256))
-# an error about an unreadable reply quotes at most this much of its start
+# an error about a reply quotes at most this many of its first bytes
 _QUOTED_REPLY = 100
 
 
@@ -265,12 +265,13 @@ class ExternalModel:
     mostly the same matrix, so a matrix of the last full one's shape that
     differs from it in at most half its cells is written as a patch of it.
     The child writes to smx's own stderr, so a server's traceback is shown.
+    Every refusal of the child or of what it sent is built by ``_refused``.
     """
 
     def __init__(self, argv: list[str]):
         self.argv = list(argv)
         try:
-            self._proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            self._proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise ModelError(f"failed to start external model {self.argv}: {exc}") from exc
         self._lock = threading.Lock()
@@ -283,53 +284,54 @@ class ExternalModel:
             self.close()
             raise
 
+    def _refused(self, what: str, reply: bytes = b"") -> ModelError:
+        """``external model <argv> <what>``, quoting the first ``_QUOTED_REPLY`` bytes of ``reply``."""
+        quoted = f": {reply[:_QUOTED_REPLY]!r}" if reply else ""
+        return ModelError(f"external model {self.argv} {what}{quoted}")
+
     def _handshake(self) -> tuple[str, int]:
-        info = self._request(json.dumps({"op": "info"}))
+        info, reply = self._request(json.dumps({"op": "info"}))
+
+        def integer(key: str) -> int:
+            try:
+                return json_value(info.get(key, MISSING), int, "info reply", key)
+            except FormatError:
+                raise self._refused(f"info reply: '{key}' must be an integer", reply) from None
+
         kind = info.get("kind")
         if kind not in (CONTINUOUS, PROBABILISTIC):
-            raise ModelError(f"external model reported unknown kind {kind!r}")
-        where = f"external model {self.argv} info reply"
-        n_features = json_value(info.get("n_features", MISSING), int, where, "n_features", ModelError)
-        if kind == PROBABILISTIC:
-            if json_value(info.get("n_classes", MISSING), int, where, "n_classes", ModelError) != 2:
-                raise ModelError("probabilistic external models must report n_classes = 2")
+            raise self._refused(f"info reply: 'kind' must be '{CONTINUOUS}' or '{PROBABILISTIC}'", reply)
+        n_features = integer("n_features")
+        if kind == PROBABILISTIC and integer("n_classes") != 2:
+            raise self._refused("info reply: a probabilistic model must report 'n_classes' 2", reply)
         return kind, n_features
 
-    def _request(self, line: str) -> dict:
-        """Send one JSON request line and return the reply object."""
+    def _request(self, line: str) -> tuple[dict, bytes]:
+        """Send one JSON request line; return the reply object and the reply line.
+        A reply that is no JSON object stops the child; an error reply does not."""
         with self._lock:
             if self._proc.poll() is not None:
-                raise ModelError(f"external model {self.argv} exited with code {self._proc.returncode}")
+                raise self._refused(f"exited with code {self._proc.returncode}")
             try:
-                self._proc.stdin.write(line)
-                self._proc.stdin.write("\n")
+                self._proc.stdin.writelines((line.encode(), b"\n"))
                 self._proc.stdin.flush()
                 reply = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise ModelError(f"external model {self.argv} pipe failure: {exc}") from exc
-            except UnicodeDecodeError as exc:
-                self.close()
-                quoted = exc.object[:_QUOTED_REPLY]
-                raise ModelError(f"external model {self.argv} sent a non-UTF-8 reply ({exc.reason}): {quoted!r}") from exc
+            except OSError as exc:
+                raise self._refused(f"pipe failure: {exc}") from exc
         if not reply:
             with contextlib.suppress(subprocess.TimeoutExpired):  # the child is most likely exiting
                 self._proc.wait(timeout=2)
-            raise ModelError(f"external model {self.argv} closed its stream (exit code {self._proc.returncode})")
-        try:
-            parsed = json.loads(reply)
-        except json.JSONDecodeError as exc:
+            raise self._refused(f"closed its stream (exit code {self._proc.returncode})")
+        try:  # not UTF-8, not JSON and too deep for the parser raise here, as does a non-object
+            parsed = json.loads(reply.decode())
+            if not isinstance(parsed, dict):
+                raise ValueError("not a JSON object")
+        except (ValueError, RecursionError) as exc:
             self.close()
-            raise ModelError(f"external model sent a malformed reply: {reply!r}") from exc
-        except RecursionError as exc:
-            self.close()
-            quoted = reply[:_QUOTED_REPLY]
-            raise ModelError(f"external model {self.argv} sent a reply nested too deeply: {quoted!r}") from exc
-        if isinstance(parsed, dict) and "error" in parsed:
-            raise ModelError(f"external model error: {parsed['error']}")
-        if not isinstance(parsed, dict):
-            self.close()
-            raise ModelError(f"external model sent a non-object reply: {reply!r}")
-        return parsed
+            raise self._refused(f"sent an unusable reply ({exc})", reply) from exc
+        if "error" in parsed:
+            raise self._refused("replied with an error", reply)
+        return parsed, reply
 
     def _encode(self, X: np.ndarray) -> str:
         """``json.dumps(X.tolist())``: a patch of the reference's text, or a new reference."""
@@ -365,45 +367,41 @@ class ExternalModel:
             size += len(", ") + len(row)
         yield len(rows), f"{head}[{', '.join(rows)}]}}"
 
-    def _query(self, op: str, key: str, kind: str, X: np.ndarray, row_shape: tuple[int, ...]):
-        """Send ``X`` under ``op`` in row chunks, yielding each reply's ``key``
-        field as a finite float array, one ``row_shape`` entry per chunk row."""
+    def _query(self, op: str, key: str, kind: str, X: np.ndarray, row_shape: tuple[int, ...]) -> np.ndarray:
+        """Send ``X`` under ``op`` in row chunks and return the replies' ``key``
+        fields as one finite float array, one ``row_shape`` entry per row. A
+        probabilistic model's rows must be probabilities summing to 1."""
         if self.kind != kind:
             raise ModelError(f"{op} is only available on {kind} models")
         X = _check_width(X, self.n_features)
-        if X.shape[0] == 0:
-            return
-        for rows, line in self._lines(op, X):
-            values = self._request(line).get(key)
+        parts = [np.zeros((0, *row_shape))]
+        for rows, line in self._lines(op, X) if len(X) else ():  # no rows, no request
+            parsed, reply = self._request(line)
+            values = parsed.get(key)
             if not isinstance(values, list) or len(values) != rows:
-                raise ModelError(f"external model '{op}' reply has a wrong-sized '{key}'")
+                raise self._refused(f"'{op}' reply has a wrong-sized '{key}'", reply)
             try:
                 arr = np.array(values)  # strings, booleans and nulls give a non-number dtype
             except ValueError as exc:
-                raise ModelError(f"external model '{op}' reply has a ragged '{key}'") from exc
+                raise self._refused(f"'{op}' reply has a ragged '{key}'", reply) from exc
             if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-                raise ModelError(f"external model '{op}' reply has non-numeric or non-finite values in '{key}'")
+                raise self._refused(f"'{op}' reply has non-numeric or non-finite values in '{key}'", reply)
             if arr.shape[1:] != row_shape:
-                raise ModelError(f"external model '{op}' '{key}' entries have shape {arr.shape[1:]}, not {row_shape}")
+                raise self._refused(f"'{op}' '{key}' entries have shape {arr.shape[1:]}, not {row_shape}", reply)
             # numpy reads booleans mixed with numbers as 1 and 0
             flat = itertools.chain.from_iterable(values) if row_shape else values
             if any(isinstance(v, bool) for v in flat):
-                raise ModelError(f"external model '{op}' reply has non-numeric (boolean) values in '{key}'")
-            yield arr.astype(float, copy=False)
+                raise self._refused(f"'{op}' reply has non-numeric (boolean) values in '{key}'", reply)
+            if kind == PROBABILISTIC and (arr.min() < 0 or arr.max() > 1 or np.abs(arr.sum(1) - 1).max() > 1e-9):
+                raise self._refused(f"'{op}' rows must be probabilities in [0, 1] that sum to 1", reply)
+            parts.append(arr.astype(float, copy=False))
+        return np.concatenate(parts)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        parts = list(self._query("predict", "y", CONTINUOUS, X, ()))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return self._query("predict", "y", CONTINUOUS, X, ())
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        parts = []
-        for arr in self._query("predict_proba", "p", PROBABILISTIC, X, (2,)):
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise ModelError("external model probabilities must lie in [0, 1]")
-            if np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
-                raise ModelError("external model probability rows must sum to 1")
-            parts.append(arr)
-        return np.concatenate(parts) if parts else np.zeros((0, 2))
+        return self._query("predict_proba", "p", PROBABILISTIC, X, (2,))
 
     def close(self) -> None:
         if self._proc.poll() is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dataio import SpectralDataset, ZoneConfig
-from .engine import BagResult, EngineConfig, Responses, responses, run_bags
+from .engine import BagResult, EngineConfig, Responses, bag_size, min_support, responses, run_bags
 from .errors import ConfigError
 from .graphx import (
     ExplanationGraph,
@@ -60,11 +60,19 @@ class Prepared:
 
 
 def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> Prepared:
-    """The seed-free stage: zone models, predicates and model responses."""
+    """The seed-free stage: zone models, predicates and model responses.
+    Settings that allow too many predicates, or under which no bag can
+    retain one, are refused before the model is asked anything."""
     n_zones, n_levels = len(zones.zones), len(cfg.quantiles)
     if (most := 2 * n_zones * n_levels) > MAX_PREDICATES:
         raise ConfigError(
             f"{n_zones} zones x {n_levels} quantile levels allow {most} predicates; at most {MAX_PREDICATES} are allowed"
+        )
+    n = train.n_samples
+    if (need := min_support(n, cfg.min_support_fraction)) > (size := bag_size(n, cfg.bag_fraction)):
+        raise ConfigError(
+            f"min support {need} (min_support_fraction {cfg.min_support_fraction} of {n} samples) exceeds "
+            f"the bag size {size} (bag_fraction {cfg.bag_fraction}): no predicate could be retained"
         )
     zone_models, scores = fit_zone_models(train, zones)
     return Prepared(

@@ -451,11 +451,13 @@ class TestExplain:
 
     @pytest.mark.parametrize("min_support, retained", [("0.2", True), ("0.99", False)])
     def test_every_bag_trace_line_parses(self, explain_case, tmp_path, min_support, retained):
-        """At 0.99 no bag of 28 samples reaches the 35-sample support floor,
-        so no predicate is retained and the trace is an empty file."""
+        """Every bag holds all 36 samples. At 0.99 no predicate covers all 36,
+        the support floor, so none is retained and the trace is an empty file
+        (a floor above the bag size is refused before the run)."""
         out = tmp_path / "out"
         manifest = write_manifest(explain_case, "small")
-        assert main(["explain", "--manifest", str(manifest), "--min-support", min_support, "--out", str(out)]) == 0
+        argv = ["--min-support", min_support, "--bag-fraction", "1", "--out", str(out)]
+        assert main(["explain", "--manifest", str(manifest), *argv]) == 0
         text = (out / "bag_trace.jsonl").read_text()
         records = [json.loads(line) for line in text.splitlines()]
         assert bool(records) == retained
@@ -1347,8 +1349,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "names",
-        [[""], ["."], [".."], ["../../escaped"], ["sub/name"], ["a\\b"], ["small", "small"]],
-        ids=["empty", "dot", "dotdot", "escaping", "slash", "backslash", "repeated"],
+        [[""], ["."], [".."], ["../../escaped"], ["sub/name"], ["a\\b"], ["a\x00b"], ["small", "small"]],
+        ids=["empty", "dot", "dotdot", "escaping", "slash", "backslash", "nul", "repeated"],
     )
     def test_unusable_dataset_name_exit_2_before_loading(self, eval_case, tmp_path, capsys, monkeypatch, names):
         """Curve files are named after datasets: a name that is no plain file
@@ -1588,6 +1590,23 @@ class TestOutputDirectories:
         err = capsys.readouterr().err
         assert str(out) in err
         assert _changed_files(_tree(out), before) == []
+
+    def test_manifest_out_holding_nul_exit_2_before_loading(self, eval_case, tmp_path, capsys, monkeypatch):
+        """A manifest's string can hold a NUL, which no path can: such an out
+        is refused before any load, and nothing is written."""
+        manifest = json.loads((eval_case / "manifest.json").read_text())
+        manifest.update({key: str(eval_case / manifest[key]) for key in ("train", "test", "zones", "model")})
+        (tmp_path / "m.json").write_text(json.dumps({**manifest, "out": "o\x00ut"}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data or a model was loaded before out was checked")
+
+        monkeypatch.setattr(dataio, "load_csv", refuse)
+        monkeypatch.setattr(models, "load_model", refuse)
+        assert main(["explain", "--manifest", str(tmp_path / "m.json")]) == 2
+        out = repr(str(tmp_path / "o\x00ut"))
+        assert capsys.readouterr().err == f"error: cannot write output directory {out}: a path cannot hold a NUL character\n"
+        assert os.listdir(tmp_path) == ["m.json"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1859,6 +1878,11 @@ PINNED_REFUSALS = {
         {"zones.json": _zones(*((f"z{m}", 2 * m + 1, 2 * m + 2) for m in range(23)))},
         None, f"23 zones x 99 quantile levels allow 4554 predicates; at most {pipeline.MAX_PREDICATES} are allowed",
     ),
+    "support no bag can reach": (
+        [*_IN_EXPLAIN, "--bag-fraction", "0.1", "--min-support", "0.5"], {}, None,
+        "min support 18 (min_support_fraction 0.5 of 36 samples) exceeds the bag size 4 (bag_fraction 0.1): "
+        "no predicate could be retained",
+    ),
     "train flag": (
         ["train", "--model", "ridge", "--train", "train.csv", "--lam", "-1", "--out", "m.out.json"], {},
         None, "ridge lambda must be finite and >= 0, got -1.0",
@@ -1940,7 +1964,10 @@ def test_external_model_stderr_reaches_smx_stderr(explain_case, tmp_path, monkey
 
 @pytest.mark.parametrize(
     "reply, message",
-    [(b'{"error": "caf\xe9"}', "sent a non-UTF-8 reply"), (b"[" * 200_000 + b"]" * 200_000, "sent a reply nested too deeply")],
+    [
+        (b'{"error": "caf\xe9"}', "sent an unusable reply ('utf-8' codec can't decode byte 0xe9"),
+        (b"[" * 200_000 + b"]" * 200_000, "sent an unusable reply (maximum recursion depth exceeded"),
+    ],
     ids=["not-utf8", "nested-too-deep"],
 )
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
@@ -1981,7 +2008,8 @@ def test_untyped_info_reply_exit_1_no_outputs(explain_case, tmp_path, capsys):
     code = main(["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
                  "--model", str(tmp_path / "external.json"), "--out", str(out)])
     assert code == 1
-    assert "info reply: 'n_features' must be an integer, got '60'" in capsys.readouterr().err
+    sent = (reply + "\n").encode()
+    assert capsys.readouterr().err.endswith(f"info reply: 'n_features' must be an integer: {sent!r}\n")
     assert not out.exists()
 
 

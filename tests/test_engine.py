@@ -110,6 +110,26 @@ class TestPredicateBound:
             pipeline.prepare(ds, zones, model, replace(cfg, quantiles=(0.1, 0.3, 0.5, 0.7, 0.9)))
 
 
+class TestSupportBound:
+    """``prepare`` refuses a support floor above the bag size, under which no
+    predicate could be retained, before it fits a zone or asks the model."""
+
+    def test_refused_above_the_bag_size(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("zones fitted before the support floor was checked")
+
+        monkeypatch.setattr(pipeline, "fit_zone_models", untouched)
+        ds, zones, cfg = TestPredicateBound._case(3, 4)
+        message = "min support 7 (min_support_fraction 0.51 of 12 samples) exceeds the bag size 6 (bag_fraction 0.5)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.prepare(ds, zones, None, replace(cfg, bag_fraction=0.5, min_support_fraction=0.51))
+
+    def test_floor_equal_to_the_bag_size_runs(self):
+        ds, zones, cfg = TestPredicateBound._case(3, 4)
+        prepared = pipeline.prepare(ds, zones, fit_ridge(ds), replace(cfg, bag_fraction=0.5, min_support_fraction=0.5))
+        assert len(prepared.predicate_set) > 0
+
+
 class TestDrawBag:
     def test_full_draw_is_permutation(self):
         subset = draw_bag(3, 0, 7, 7)

@@ -471,21 +471,67 @@ class TestExternal:
         UnicodeDecodeError, and the child is stopped."""
         line = b'{"error": "caf\xe9"}\n'
         (tmp_path / "reply").write_bytes(line[:-1])
+        reason = "'utf-8' codec can't decode byte 0xe9 in position 14: invalid continuation byte"
         with ExternalModel([sys.executable, STUB, "raw-reply", "3", str(tmp_path / "reply")]) as model:
-            with pytest.raises(ModelError, match=re.escape(f"non-UTF-8 reply (invalid continuation byte): {line!r}")) as caught:
+            with pytest.raises(ModelError, match=re.escape(f"sent an unusable reply ({reason}): {line!r}")) as caught:
                 model.predict_proba(np.zeros((1, 3)))
             assert str(caught.value).startswith(f"external model {model.argv} ")
             assert model._proc.poll() is not None
 
     def test_deeply_nested_reply_closes_child(self, tmp_path):
         """A reply nesting 200,000 lists is a ModelError quoting its first 100
-        characters, not a RecursionError, and the child is stopped."""
+        bytes, not a RecursionError, and the child is stopped."""
         (tmp_path / "reply").write_text("[" * 200_000 + "]" * 200_000)
         with ExternalModel([sys.executable, STUB, "raw-reply", "3", str(tmp_path / "reply")]) as model:
-            with pytest.raises(ModelError, match=re.escape(f"sent a reply nested too deeply: '{'[' * 100}'")) as caught:
+            with pytest.raises(ModelError, match=re.escape("sent an unusable reply (maximum recursion depth exceeded")) as caught:
                 model.predict_proba(np.zeros((1, 3)))
             assert str(caught.value).startswith(f"external model {model.argv} ")
+            assert str(caught.value).endswith(f"): {b'[' * 100!r}")
             assert model._proc.poll() is not None
+
+    @pytest.mark.parametrize(
+        "args, reply, stops",
+        [
+            (["raw-reply", "3"], b"x" * 1_000_000, True),
+            (["raw-reply", "3"], b'{"error": "' + b"e" * 500_000 + b'"}', False),
+            (["raw-reply", "3"], b"[" + b"0, " * 333_333 + b"0]", True),
+            (["raw-reply", "3"], b'{"error": "caf\xe9"}', True),
+            (["raw-reply", "3"], b"[" * 200_000 + b"]" * 200_000, True),
+            (["proba-reply", "3", "[[0.5, 0.5], [0.5, 0.5]]"], None, False),
+            (["proba-reply", "3", "[[-0.5, 1.5]]"], None, False),
+            (["error", "3"], None, False),
+        ],
+        ids=["malformed-1M", "error-500k", "list-1M", "not-utf8", "too-deep", "wrong-size", "not-probabilities",
+             "error-reply"],
+    )
+    def test_refusal_names_the_model_and_bounds_its_quote(self, tmp_path, args, reply, stops):
+        """Every refusal of a reply starts with ``external model <argv>`` and
+        quotes at most 100 bytes of what the model sent, however long that
+        was. A reply that is no JSON object stops the child; an error reply
+        or a bad value leaves it running."""
+        if reply is not None:
+            (tmp_path / "reply").write_bytes(reply)
+            args = [*args, str(tmp_path / "reply")]
+        with ExternalModel([sys.executable, STUB, *args]) as model:
+            query = model.predict_proba if model.kind == "probabilistic" else model.predict
+            with pytest.raises(ModelError) as caught:
+                query(np.zeros((1, 3)))
+            prefix = f"external model {model.argv} "
+            assert str(caught.value).startswith(prefix)
+            assert len(str(caught.value)) - len(prefix) < 300
+            if reply is not None:
+                sent = reply + b"\n"
+                assert str(caught.value).endswith(f": {sent[:100]!r}")
+            assert (model._proc.poll() is not None) == stops
+
+    def test_unknown_kind_names_the_model(self):
+        argv = [sys.executable, STUB, "info-reply", "3", '{"kind": "ordinal", "n_features": 3}']
+        with pytest.raises(ModelError) as caught:
+            ExternalModel(argv)
+        quoted = b'{"kind": "ordinal", "n_features": 3}\n'
+        assert str(caught.value) == (
+            f"external model {argv} info reply: 'kind' must be 'continuous' or 'probabilistic': {quoted!r}"
+        )
 
     def test_kind_mismatch_rejected(self):
         with ExternalModel([sys.executable, STUB, "sum", "2"]) as model:
@@ -653,27 +699,29 @@ class TestExternal:
         assert len(started) == 1 and started[0].poll() is not None
 
     @pytest.mark.parametrize(
-        "info, key, got",
+        "info, key",
         [
-            ({"kind": "continuous", "n_features": "3"}, "n_features", "'3'"),
-            ({"kind": "continuous", "n_features": True}, "n_features", "True"),
-            ({"kind": "continuous", "n_features": 3.9}, "n_features", "3.9"),
-            ({"kind": "continuous", "n_features": None}, "n_features", "None"),
-            ({"kind": "continuous"}, "n_features", None),
-            ({"kind": "probabilistic", "n_features": 3, "n_classes": "2"}, "n_classes", "'2'"),
-            ({"kind": "probabilistic", "n_features": 3, "n_classes": True}, "n_classes", "True"),
-            ({"kind": "probabilistic", "n_features": 3, "n_classes": 2.5}, "n_classes", "2.5"),
-            ({"kind": "probabilistic", "n_features": 3}, "n_classes", None),
+            ({"kind": "continuous", "n_features": "3"}, "n_features"),
+            ({"kind": "continuous", "n_features": True}, "n_features"),
+            ({"kind": "continuous", "n_features": 3.9}, "n_features"),
+            ({"kind": "continuous", "n_features": None}, "n_features"),
+            ({"kind": "continuous"}, "n_features"),
+            ({"kind": "probabilistic", "n_features": 3, "n_classes": "2"}, "n_classes"),
+            ({"kind": "probabilistic", "n_features": 3, "n_classes": True}, "n_classes"),
+            ({"kind": "probabilistic", "n_features": 3, "n_classes": 2.5}, "n_classes"),
+            ({"kind": "probabilistic", "n_features": 3}, "n_classes"),
         ],
         ids=["n_features-text", "n_features-true", "n_features-fraction", "n_features-null", "n_features-missing",
              "n_classes-text", "n_classes-true", "n_classes-fraction", "n_classes-missing"],
     )
-    def test_untyped_info_reply_rejected(self, info, key, got):
+    def test_untyped_info_reply_rejected(self, info, key):
         """n_features and n_classes are integers: "300", true and 300.9 are
-        not read as 300, 1 and 300."""
-        rest = f"got {got}" if got else "missing"
-        with pytest.raises(ModelError, match=re.escape(f"info reply: '{key}' must be an integer, {rest}")):
-            ExternalModel([sys.executable, STUB, "info-reply", "3", json.dumps(info)])
+        not read as 300, 1 and 300. The error quotes the reply."""
+        argv = [sys.executable, STUB, "info-reply", "3", json.dumps(info)]
+        quoted = (json.dumps(info) + "\n").encode()
+        with pytest.raises(ModelError) as caught:
+            ExternalModel(argv)
+        assert str(caught.value) == f"external model {argv} info reply: '{key}' must be an integer: {quoted!r}"
 
     def test_integral_info_reply_accepted(self):
         info = {"kind": "probabilistic", "n_features": 3.0, "n_classes": 2.0}

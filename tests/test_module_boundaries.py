@@ -1,7 +1,8 @@
 """No smx module imports an underscore-prefixed name from another smx module:
 a module's private names are its own to change, and a helper two modules
 share is public in the one that owns it. No smx module imports a name it
-never reads, so a deletion cannot leave an import behind."""
+never reads, so a deletion cannot leave an import behind. Every refusal
+of an external model or of what it sent is built by one helper."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,52 @@ def unused_imports() -> list[str]:
 def test_no_module_has_an_unused_import():
     found = unused_imports()
     assert not found, "\n".join(found)
+
+
+# The ModelErrors about smx's caller or the OS, not about an external model or
+# what it sent, which keep their own text: each by the function that raises it.
+# _check_width is module-level; ExternalModel._query calls it.
+OWN_TEXT_REFUSALS = ("ExternalModel.__init__", "ExternalModel._query", "_check_width")
+
+
+def _raised_model_errors(function: ast.FunctionDef) -> list[ast.Name]:
+    """The ``ModelError`` names ``function`` calls in ``raise ModelError(...)``."""
+    return [
+        node.exc.func
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ModelError"
+    ]
+
+
+def refusals_not_built_by_the_helper() -> list[str]:
+    """``ExternalModel.<method> line <n>`` for each ``ModelError`` an
+    ``ExternalModel`` method names outside ``_refused``, but for the one
+    ``raise ModelError(...)`` of each method in ``OWN_TEXT_REFUSALS``."""
+    tree = ast.parse((SRC / "models.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExternalModel")
+    found = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "_refused":
+            continue
+        where = f"ExternalModel.{method.name}"
+        named = [node for node in ast.walk(method) if isinstance(node, ast.Name) and node.id == "ModelError"]
+        if where in OWN_TEXT_REFUSALS:
+            named = [node for node in named if node not in _raised_model_errors(method)[:1]]
+        found += [f"{where} line {line}" for line in sorted(node.lineno for node in named)]
+    return found
+
+
+def test_external_model_refusals_are_built_by_one_helper():
+    found = refusals_not_built_by_the_helper()
+    assert not found, "ModelError not built by ExternalModel._refused:\n" + "\n".join(found)
+
+
+def test_own_text_refusals_are_listed_by_name():
+    """Each function ``OWN_TEXT_REFUSALS`` names exists and raises one
+    ``ModelError`` of its own text, so the list cannot go stale."""
+    tree = ast.parse((SRC / "models.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions.update({f"{cls.name}.{node.name}": node for node in cls.body if isinstance(node, ast.FunctionDef)})
+    assert [len(_raised_model_errors(functions[name])) for name in OWN_TEXT_REFUSALS] == [1, 1, 1]
