@@ -5,13 +5,16 @@ Usage: python tests/make_reference.py
 
 The reference is made from the README walkthrough's seed-42 inputs
 (``smx synth``, a 0.7 Kennard-Stone split, mean-centring and the logistic
-model at its defaults) and four runs on them:
+model at its defaults) and five runs on them:
 
 - ``paper``: explain of the centred train file on the benchmark zones;
 - ``many_zones``: explain on 30 equal-width zones, quantiles 0.1..0.9;
 - ``walkthrough``: explain of the raw train file with ``--preprocess
   mean_center``;
-- ``report``: ``evaluate --pfi-repeats 1 --stability-runs 0``.
+- ``report``: ``evaluate --pfi-repeats 1 --stability-runs 0``;
+- ``report_default``: ``evaluate`` at its default flags (10 PFI repeats,
+  10 stability runs), the path every permutation and stability rerun
+  takes.
 
 It records the SHA-256 of every file the commands write, each explain's
 zone order and predicate order, and the numpy and scipy versions. The
@@ -88,6 +91,7 @@ def generate(work: Path) -> dict:
             "--model", "model.json", "--out", "walkthrough")
         smx("evaluate", "--manifest", "manifest.json", "--pfi-repeats", "1", "--stability-runs", "0",
             "--out", "report")
+        smx("evaluate", "--manifest", "manifest.json", "--out", "report_default")
     finally:
         os.chdir(cwd)
     files = sorted(p for p in work.rglob("*") if p.is_file())
