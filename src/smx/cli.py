@@ -297,6 +297,7 @@ def cmd_explain(args) -> int:
         raise ConfigError("an output directory is required (--out or the manifest's out)")
     _check_out_dir(out, artifacts.EXPLAIN_OWNS)
     train, _test, zones, state = _load_data(manifest, need_test=False)
+    pipeline.explain_setting(train, zones, manifest["engine"])  # before an external model starts
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, manifest["engine"])
     _replace_dir(out, artifacts.explain_files(result, train.axis, state))
@@ -340,6 +341,8 @@ def cmd_evaluate(args) -> int:
     datasets = []
     for manifest in manifests:
         train, test, zones, _state = _load_data(manifest, need_test=True)
+        if "smx" in cfg.methods:  # only smx ranks under the engine settings
+            pipeline.explain_setting(train, zones, manifest["engine"])
         with _loaded_model(manifest) as model:
             entry = evalkit.evaluate_dataset(train, test, zones, model, manifest["engine"], cfg)
         datasets.append({"name": _dataset_name(manifest), **entry})

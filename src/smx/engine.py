@@ -120,13 +120,24 @@ def output_shifts(model, X: np.ndarray, edits: Iterable) -> tuple[np.ndarray, It
     absolute difference of continuous outputs, or the class-averaged
     absolute probability shift. ``X`` is edited in place; each edit is
     undone before its shift is yielded or the model's error propagates.
-    The intact outputs are copied: they may be views of ``X``."""
+    The intact outputs are copied: they may be views of ``X``. Every
+    answer must hold one output per row, ``(rows,)`` from ``predict`` or
+    ``(rows, 2)`` from ``predict_proba``, or ``ModelError`` is raised."""
     if model.kind not in (CONTINUOUS, PROBABILISTIC):
         raise ModelError(f"unknown model kind {model.kind!r}")
     continuous = model.kind == CONTINUOUS
-    ask = model.predict if continuous else model.predict_proba
+    method = "predict" if continuous else "predict_proba"
+    query = getattr(model, method)
     X = np.asarray(X, dtype=float)
-    outputs = np.array(ask(X))
+    shape = (X.shape[0],) if continuous else (X.shape[0], 2)
+
+    def ask():
+        answer = np.asarray(query(X))
+        if answer.shape != shape:
+            raise ModelError(f"model {method} answered {X.shape[0]} rows with shape {answer.shape}, expected {shape}")
+        return answer
+
+    outputs = np.array(ask())
 
     def shifts():
         for columns, values in edits:
@@ -136,10 +147,10 @@ def output_shifts(model, X: np.ndarray, edits: Iterable) -> tuple[np.ndarray, It
             saved = X[:, cols].copy()
             X[:, cols] = values
             try:
-                diff = np.abs(outputs - ask(X))
+                diff = np.abs(outputs - ask())
             finally:
                 X[:, cols] = saved
-            yield diff if continuous else diff.sum(axis=1) / diff.shape[1]
+            yield diff if continuous else (diff[:, 0] + diff[:, 1]) / 2
 
     return outputs, shifts()
 

@@ -192,15 +192,83 @@ def stability_study(
     return StabilityResult(instabilities=values, median=float(np.median(values)))
 
 
+# numpy.random.SeedSequence's hash constants and pool size, and PCG64's
+# 128-bit LCG multiplier, as numpy's bit_generator.pyx and pcg64.h define them.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` that ``np.random.PCG64(np.random.SeedSequence(
+    entropy=(seed, j)))`` holds, for each j in ``range(count)``.
+
+    SeedSequence hashes its entropy words, the seed's little-endian uint32
+    words and then j, into a pool of four words, and PCG64 takes its
+    128-bit seed and stream from eight words drawn from that pool. All of
+    it is uint32 arithmetic, done here for every j at once. PCG64's two
+    seeding steps of its 128-bit LCG follow in Python ints.
+    """
+    entropy = []
+    while True:
+        entropy.append(np.full(count, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.arange(count, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    # a pool wider than the entropy hashes zeros into its last words
+    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    drawn = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        drawn.append((value ^ (value >> 16)).astype(np.uint64))
+    # four uint64 words, low half first: the seed's high and low, the stream's high and low
+    words = [(drawn[2 * k] | drawn[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for seed_hi, seed_lo, stream_hi, stream_lo in zip(*words):
+        inc = (stream_hi << 65 | stream_lo << 1 | 1) & _MASK128
+        states.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
+    return states
+
+
 def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarray:
     """Permutation feature importance from prediction shift.
 
     Per variable, the impact between intact predictions and predictions
-    with that column permuted, averaged over seeded repeats. Each
-    (seed, variable) pair keys its own generator, which draws all
-    ``repeats`` permutations of that column in one call (row r of
-    ``rng.permuted`` over a ``repeats x m`` index array), so results
-    are independent of evaluation order.
+    with that column permuted, averaged over seeded repeats. Variable j
+    draws all ``repeats`` permutations of its column in one call (row r
+    of ``permuted`` over a ``repeats x m`` index array) from the PCG64
+    generator that ``np.random.default_rng(np.random.SeedSequence(
+    entropy=(seed, j)))`` would build, so results are independent of
+    evaluation order. Those generators are not built: ``_pcg64_states``
+    derives every variable's PCG64 state in one vectorised pass, and one
+    reused generator is set to each in turn.
 
     The repeats are stacked: a work buffer holds ``repeats`` copies of
     the test matrix, and per variable block r gets the r-th permutation
@@ -209,7 +277,8 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
     buffer costs ``repeats`` times the test matrix's memory. Intact and
     permuted outputs of a row come from calls of one shape, so a row the
     permutation leaves unchanged shifts by exactly zero, and a variable
-    the model ignores scores exactly zero.
+    the model ignores scores exactly zero. A test matrix with no rows is
+    refused.
     """
     if repeats < 1:
         raise ConfigError(f"pfi repeats must be >= 1, got {repeats}")
@@ -217,17 +286,28 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
         raise ConfigError(f"pfi seed must be >= 0, got {seed}")
     X = np.asarray(X_test, dtype=float)
     m, p = X.shape
+    if m == 0:
+        raise ConfigError("pfi needs at least one test row, got 0")
     rows = np.broadcast_to(np.arange(m), (repeats, m))
-    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j))) for j in range(p))
-    edits = ((j, X[:, j][rng.permuted(rows, axis=1)].ravel()) for j, rng in enumerate(rngs))
-    _, shifts = output_shifts(model, np.tile(X, (repeats, 1)), edits)  # the stacked work buffer
-    out = np.zeros(p)
+    bit_generator = np.random.PCG64(0)  # any seed: every variable sets its own state
+    rng = np.random.Generator(bit_generator)
+
+    def edits():
+        for j, (state, inc) in enumerate(_pcg64_states(int(seed), p)):
+            bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+            }
+            yield j, X[:, j][rng.permuted(rows, axis=1)].ravel()
+
+    _, shifts = output_shifts(model, np.tile(X, (repeats, 1)), edits())  # the stacked work buffer
+    sums = np.empty((p, repeats))
     for j, shift in enumerate(shifts):
-        acc = 0.0
-        for mean in shift.reshape(repeats, m).mean(axis=1).tolist():
-            acc += mean  # sequential, in repeat order: a pairwise sum rounds differently
-        out[j] = acc / repeats
-    return out
+        sums[j] = shift.reshape(repeats, m).sum(axis=1)
+    means = sums / m  # as np.mean computes each repeat's mean: its sum, then one division
+    total = np.zeros(p)
+    for r in range(repeats):
+        total += means[:, r]  # sequential, in repeat order: a pairwise sum rounds differently
+    return total / repeats
 
 
 @dataclass

@@ -59,10 +59,10 @@ class Prepared:
     responses: Responses
 
 
-def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> Prepared:
-    """The seed-free stage: zone models, predicates and model responses.
-    Settings that allow too many predicates, or under which no bag can
-    retain one, are refused before the model is asked anything."""
+def explain_setting(train: SpectralDataset, zones: ZoneConfig, cfg: EngineConfig) -> None:
+    """Refuse settings that allow too many predicates, or under which no bag
+    can retain one. ``prepare`` checks them before it fits a zone or asks
+    the model, and the CLI before it loads the model."""
     n_zones, n_levels = len(zones.zones), len(cfg.quantiles)
     if (most := 2 * n_zones * n_levels) > MAX_PREDICATES:
         raise ConfigError(
@@ -74,6 +74,12 @@ def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig)
             f"min support {need} (min_support_fraction {cfg.min_support_fraction} of {n} samples) exceeds "
             f"the bag size {size} (bag_fraction {cfg.bag_fraction}): no predicate could be retained"
         )
+
+
+def prepare(train: SpectralDataset, zones: ZoneConfig, model, cfg: EngineConfig) -> Prepared:
+    """The seed-free stage: zone models, predicates and model responses,
+    under settings ``explain_setting`` accepts."""
+    explain_setting(train, zones, cfg)
     zone_models, scores = fit_zone_models(train, zones)
     return Prepared(
         cfg=cfg,

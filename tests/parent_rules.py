@@ -1,12 +1,15 @@
-"""The rules that ``evalkit`` and ``dataio`` now compute as plain
-expressions, their code kept verbatim as references: ``rbo``'s
+"""The rules that ``evalkit``, ``engine`` and ``dataio`` now compute
+another way, their code kept verbatim as references: ``rbo``'s
 incremental overlap, ``wilcoxon_signed_rank``'s pure-Python counting
-loop, and ``fit_preprocess`` / ``apply_preprocess`` with one branch per
-preprocessing method and the ``_savgol_rows`` helper they called. Tests
-compare the library with them bit for bit on seeded random inputs."""
+loop, ``fit_preprocess`` / ``apply_preprocess`` with one branch per
+preprocessing method and the ``_savgol_rows`` helper they called, and
+``pfi`` with one ``SeedSequence`` generator per variable, a Python loop
+over each variable's repeat means, and the ``output_shifts`` it called,
+which summed the class shifts with ``diff.sum(axis=1)``. Tests compare
+the library with them bit for bit on seeded random inputs."""
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,8 +20,9 @@ from smx.dataio import (
     SpectralDataset,
     preprocess_setting,
 )
-from smx.errors import ConfigError, PipelineError
+from smx.errors import ConfigError, ModelError, PipelineError
 from smx.evalkit import WilcoxonResult
+from smx.models import CONTINUOUS, PROBABILISTIC
 
 
 def rbo(list_a: Sequence, list_b: Sequence, rho: float = 0.7, depth: int = 20) -> float:
@@ -160,3 +164,72 @@ def apply_preprocess(state: PreprocessState, ds: SpectralDataset) -> SpectralDat
     return SpectralDataset(
         axis=ds.axis, intensities=out, labels=ds.labels, sample_ids=list(ds.sample_ids)
     )
+
+
+def output_shifts(model, X: np.ndarray, edits: Iterable) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The model's outputs on ``X``, and an iterator that makes one model
+    call per edit ``(columns, values)``, on ``X`` with ``X[:, columns] =
+    values``, and yields each row's shift from the intact outputs: the
+    absolute difference of continuous outputs, or the class-averaged
+    absolute probability shift. ``X`` is edited in place; each edit is
+    undone before its shift is yielded or the model's error propagates.
+    The intact outputs are copied: they may be views of ``X``."""
+    if model.kind not in (CONTINUOUS, PROBABILISTIC):
+        raise ModelError(f"unknown model kind {model.kind!r}")
+    continuous = model.kind == CONTINUOUS
+    ask = model.predict if continuous else model.predict_proba
+    X = np.asarray(X, dtype=float)
+    outputs = np.array(ask(X))
+
+    def shifts():
+        for columns, values in edits:
+            cols = np.asarray(columns, dtype=int)
+            if cols.size and (cols.min() < 0 or cols.max() >= X.shape[1]):
+                raise ConfigError("zone index out of range")
+            saved = X[:, cols].copy()
+            X[:, cols] = values
+            try:
+                diff = np.abs(outputs - ask(X))
+            finally:
+                X[:, cols] = saved
+            yield diff if continuous else diff.sum(axis=1) / diff.shape[1]
+
+    return outputs, shifts()
+
+
+def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarray:
+    """Permutation feature importance from prediction shift.
+
+    Per variable, the impact between intact predictions and predictions
+    with that column permuted, averaged over seeded repeats. Each
+    (seed, variable) pair keys its own generator, which draws all
+    ``repeats`` permutations of that column in one call (row r of
+    ``rng.permuted`` over a ``repeats x m`` index array), so results
+    are independent of evaluation order.
+
+    The repeats are stacked: a work buffer holds ``repeats`` copies of
+    the test matrix, and per variable block r gets the r-th permutation
+    of that column. The model is called once on the intact buffer and
+    then once per variable: 1 + p calls of ``repeats * m`` rows, and the
+    buffer costs ``repeats`` times the test matrix's memory. Intact and
+    permuted outputs of a row come from calls of one shape, so a row the
+    permutation leaves unchanged shifts by exactly zero, and a variable
+    the model ignores scores exactly zero.
+    """
+    if repeats < 1:
+        raise ConfigError(f"pfi repeats must be >= 1, got {repeats}")
+    if seed < 0:
+        raise ConfigError(f"pfi seed must be >= 0, got {seed}")
+    X = np.asarray(X_test, dtype=float)
+    m, p = X.shape
+    rows = np.broadcast_to(np.arange(m), (repeats, m))
+    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j))) for j in range(p))
+    edits = ((j, X[:, j][rng.permuted(rows, axis=1)].ravel()) for j, rng in enumerate(rngs))
+    _, shifts = output_shifts(model, np.tile(X, (repeats, 1)), edits)  # the stacked work buffer
+    out = np.zeros(p)
+    for j, shift in enumerate(shifts):
+        acc = 0.0
+        for mean in shift.reshape(repeats, m).mean(axis=1).tolist():
+            acc += mean  # sequential, in repeat order: a pairwise sum rounds differently
+        out[j] = acc / repeats
+    return out

@@ -1962,6 +1962,46 @@ def test_external_model_stderr_reaches_smx_stderr(explain_case, tmp_path, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["explain", "evaluate", "evaluate pfi"])
+def test_unreachable_support_refused_before_the_model_starts(explain_case, tmp_path, monkeypatch, capsys, command):
+    """A support floor above the bag size is refused (exit 2) once the train
+    rows are known and before an external model is started. An evaluate
+    that ranks no smx does not read the engine settings, and runs."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(models.subprocess, "Popen", recording)
+    helper = str(Path(__file__).parent / "helpers" / "external_model.py")
+    spec = {"kind": "external", "argv": [sys.executable, helper, "sum", "60"]}
+    (tmp_path / "ext.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    if command == "explain":
+        argv = ["explain", "--train", str(explain_case / "train.csv"), "--zones", str(explain_case / "zones.json"),
+                "--model", str(tmp_path / "ext.json"), "--bag-fraction", "0.1", "--min-support", "0.5"]
+    else:
+        mpath = _manifest_naming(tmp_path, explain_case)
+        manifest = json.loads(Path(mpath).read_text())
+        manifest["engine"].update(bag_fraction=0.1, min_support_fraction=0.5)
+        Path(mpath).write_text(json.dumps({**manifest, "model": spec}))
+        methods = ["--methods", "pfi"] if command == "evaluate pfi" else []
+        argv = ["evaluate", "--manifest", mpath, *methods, "--stability-runs", "0"]
+    code = main([*argv, "--out", str(out)])
+    if command == "evaluate pfi":
+        assert code == 0 and len(started) == 1
+        return
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: min support 18 (min_support_fraction 0.5 of 36 samples) exceeds the bag size 4 (bag_fraction 0.1): "
+        "no predicate could be retained\n"
+    )
+    assert started == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "reply, message",
     [

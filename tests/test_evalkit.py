@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -308,6 +309,25 @@ class TestPfi:
         X = np.random.default_rng(10).normal(size=(12, 3))
         model = RidgeModel(weights=np.array([0.5, -1.0, 2.0]), intercept=0.0)
         assert np.all(pfi(model, X, repeats=2, seed=0) >= 0.0)
+
+    def test_no_rows_refused_before_the_model(self):
+        """At the parent a (0, 5) matrix scored NaN with two RuntimeWarnings per column."""
+
+        class Unasked:
+            kind = "continuous"
+
+            def predict(self, X):
+                raise AssertionError("the model was asked")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="pfi needs at least one test row, got 0"):
+                pfi(Unasked(), np.zeros((0, 5)), repeats=2, seed=0)
+
+    def test_no_columns_score_nothing(self):
+        model = RidgeModel(weights=np.zeros(0), intercept=0.5)
+        imps = pfi(model, np.zeros((4, 0)), repeats=3, seed=1)
+        assert imps.shape == (0,)
 
 
 def pfi_permutations(seed, j, repeats, m):

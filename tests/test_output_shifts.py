@@ -1,7 +1,7 @@
 """``engine.output_shifts`` against the three loops it replaced
 (``parent_loops``): the same results bit for bit, the same model calls
-and the same external request lines; and a model whose outputs are
-views of its input."""
+and the same external request lines; a model whose outputs are views of
+its input; and answers of the wrong shape, refused on every call."""
 
 import sys
 from contextlib import contextmanager
@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import parent_loops
-from smx import engine, evalkit
-from smx.models import CONTINUOUS, ExternalModel, LogisticModel, RidgeModel
+from smx import engine, evalkit, pipeline
+from smx.dataio import resolve_zones
+from smx.engine import EngineConfig
+from smx.errors import ModelError
+from smx.models import CONTINUOUS, PROBABILISTIC, ExternalModel, LogisticModel, RidgeModel, fit_logistic, fit_ridge
 
 STUB = str(Path(__file__).parent / "helpers" / "external_model.py")
 
@@ -121,3 +124,48 @@ def test_outputs_that_view_the_input(caller):
         assert view[0] == 0.0 and view[1] > 0.0 and view[2] == view[1]
     else:
         assert view[0] > 0.0 and view[1] == 0.0 and view[2] == 0.0
+
+
+# (kind, the wrong answer made from a right one)
+WRONG_ANSWERS = {
+    "probabilities in one column": (PROBABILISTIC, lambda right: right[:, :1]),
+    "continuous outputs in two columns": (CONTINUOUS, lambda right: np.column_stack([right, right])),
+    "a probability row short": (PROBABILISTIC, lambda right: right[:-1]),
+    "a continuous output short": (CONTINUOUS, lambda right: right[:-1]),
+}
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["intact call", "edited call"])
+@pytest.mark.parametrize("caller", ["explain", "faithfulness_curve", "pfi"])
+@pytest.mark.parametrize("wrong", WRONG_ANSWERS)
+def test_wrong_shaped_answer_is_a_model_error(small_dataset, small_zones, wrong, caller, call):
+    """An answer without one output per row, ``(rows,)`` from ``predict`` or
+    ``(rows, 2)`` from ``predict_proba``, is a ``ModelError`` naming the
+    method and both shapes, on the intact call or a later one; the matrix
+    the model was sent is restored."""
+    kind, corrupt = WRONG_ANSWERS[wrong]
+    fitted = fit_ridge(small_dataset) if kind == CONTINUOUS else fit_logistic(small_dataset)
+    method = "predict" if kind == CONTINUOUS else "predict_proba"
+    sent = []
+
+    def answer(X):
+        sent.append(len(X))
+        right = getattr(fitted, method)(X)
+        return corrupt(right) if len(sent) == call + 1 else right
+
+    model = SimpleNamespace(kind=kind, **{method: answer})
+    X = small_dataset.intensities.copy()
+    zone_sets = dict(zip(small_zones.names(), resolve_zones(small_zones, small_dataset)))
+    runs = {
+        "explain": lambda: pipeline.explain(small_dataset, small_zones, model, EngineConfig(bags=2, seeds=(1,))),
+        "faithfulness_curve": lambda: evalkit.faithfulness_curve(model, X, list(zone_sets), zone_sets),
+        "pfi": lambda: evalkit.pfi(model, X, repeats=2, seed=0),
+    }
+    rows = 2 * len(X) if caller == "pfi" else len(X)
+    got = corrupt(getattr(fitted, method)(np.zeros((rows, X.shape[1])))).shape
+    want = (rows,) if kind == CONTINUOUS else (rows, 2)
+    with pytest.raises(ModelError) as refused:
+        runs[caller]()
+    assert str(refused.value) == f"model {method} answered {rows} rows with shape {got}, expected {want}"
+    assert len(sent) == call + 1
+    np.testing.assert_array_equal(X, small_dataset.intensities)
