@@ -13,7 +13,6 @@ preprocessed. ``evaluate_files`` yields ``report.json`` and
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Iterator, Sequence
 
@@ -42,9 +41,11 @@ def explain_files(result: ExplainResult, axis: np.ndarray, state: PreprocessStat
     yield "predicate_ranking.csv", ranking_csv(result.ranking, pset)
     yield "zone_ranking.csv", zone_ranking_csv(result.zone_order)
     yield "zone_models.json", zone_models_to_json(result.zone_models)
+    dot_labels, json_nodes = _node_texts(pset, len(pset) + 2)
     for graph in result.graphs:
-        yield f"graph_seed_{graph.seed}.dot", to_dot(graph, pset)
-        yield f"graph_seed_{graph.seed}.json", to_json(graph, pset)
+        edges = sorted(graph.edges.items())
+        yield f"graph_seed_{graph.seed}.dot", _dot_text(edges, dot_labels)
+        yield f"graph_seed_{graph.seed}.json", _json_text(graph.seed, edges, json_nodes)
     trace = [line for graph in result.graphs for line in trace_lines(graph.seed, result.bag_results[graph.seed], pset)]
     yield "bag_trace.jsonl", "\n".join(trace + [""])
     yield "threshold_spectra.csv", threshold_table_csv(pset.predicates, result.zone_models, axis, state)
@@ -65,11 +66,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_float(x: float) -> str:
-    """``json.dumps`` text of one float: its repr, or NaN / Infinity / -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``json.dumps`` text of each float: its repr, or NaN / Infinity / -Infinity."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = "NaN" if np.isnan(values[i]) else ("Infinity" if values[i] > 0 else "-Infinity")
+    return texts
 
 
 def trace_lines(seed: int, results: Sequence[BagResult], pset: PredicateSet) -> list[str]:
@@ -77,14 +79,16 @@ def trace_lines(seed: int, results: Sequence[BagResult], pset: PredicateSet) -> 
 
     Each line is the text of ``json.dumps(record, sort_keys=True)``,
     written directly: labels go through ``json.dumps`` once each and
-    floats through ``_json_float``."""
+    floats through ``_json_floats``, a column at a time."""
     labels = [json.dumps(p.key) for p in pset.predicates]
     return [
-        f'{{"bag": {bag.bag_index}, "impact_norm": {_json_float(impact)}, '
-        f'"impact_raw": {_json_float(raw)}, "label": {labels[j]}, '
+        f'{{"bag": {bag.bag_index}, "impact_norm": {impact}, "impact_raw": {raw}, "label": {labels[j]}, '
         f'"predicate": {j}, "seed": {seed}, "support": {support}}}'
         for bag in results
-        for j, impact, raw, support in bag.entries.tolist()
+        for j, impact, raw, support in zip(
+            bag.entries["predicate"].tolist(), _json_floats(bag.entries["impact"]),
+            _json_floats(bag.entries["raw_impact"]), bag.entries["support"].tolist(),
+        )
     ]
 
 
@@ -99,15 +103,24 @@ def _dot_string(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _node_texts(pset: PredicateSet, count: int) -> tuple[list[str], str]:
+    """Nodes 0..count-1 as ``to_dot`` quotes their labels, and as ``to_json`` lists them."""
+    labels = [node_label(i, pset) for i in range(count)]
+    nodes = [f'    {{\n      "id": {i},\n      "label": {json.dumps(text)}\n    }}' for i, text in enumerate(labels)]
+    return [_dot_string(text) for text in labels], _json_list(nodes)
+
+
 def to_dot(graph: ExplanationGraph, pset: PredicateSet) -> str:
     """DOT text with predicate labels at 2 decimals and weights at 4."""
+    return _dot_text(sorted(graph.edges.items()), _node_texts(pset, graph.node_count)[0])
+
+
+def _dot_text(edges: list[tuple[tuple[int, int], float]], labels: list[str]) -> str:
+    """``to_dot``'s text from the sorted edges and each node's quoted label."""
     lines = ["digraph explanation {"]
-    for node in sorted({n for e in graph.edges for n in e}):
-        lines.append(f"  n{node} [label={_dot_string(node_label(node, pset))}];")
-    for (u, v), w in sorted(graph.edges.items()):
-        lines.append(f'  n{u} -> n{v} [label="{w:.4f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  n{node} [label={labels[node]}];" for node in sorted({n for e, _ in edges for n in e})]
+    lines += [f'  n{u} -> n{v} [label="{w:.4f}"];' for (u, v), w in edges]
+    return "\n".join(lines) + "\n}\n"
 
 
 def to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
@@ -116,16 +129,18 @@ def to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
     The text is that of ``json.dumps(payload, indent=2, sort_keys=True)``
     with payload ``{"seed", "nodes": [{"id", "label"}], "edges":
     [{"source", "target", "weight"}]}``, written directly: labels go
-    through ``json.dumps`` once each and weights through ``_json_float``."""
-    edges = [
-        f'    {{\n      "source": {u},\n      "target": {v},\n      "weight": {_json_float(w)}\n    }}'
-        for (u, v), w in sorted(graph.edges.items())
+    through ``json.dumps`` once each and weights through ``_json_floats``."""
+    return _json_text(graph.seed, sorted(graph.edges.items()), _node_texts(pset, graph.node_count)[1])
+
+
+def _json_text(seed: int, edges: list[tuple[tuple[int, int], float]], nodes: str) -> str:
+    """``to_json``'s text from the sorted edges and the listed nodes."""
+    weights = _json_floats(np.array([w for _, w in edges], dtype=float))
+    items = [
+        f'    {{\n      "source": {u},\n      "target": {v},\n      "weight": {w}\n    }}'
+        for ((u, v), _), w in zip(edges, weights)
     ]
-    nodes = [
-        f'    {{\n      "id": {i},\n      "label": {json.dumps(node_label(i, pset))}\n    }}'
-        for i in range(graph.node_count)
-    ]
-    return f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n  "seed": {graph.seed}\n}}\n'
+    return f'{{\n  "edges": {_json_list(items)},\n  "nodes": {nodes},\n  "seed": {seed}\n}}\n'
 
 
 def _json_list(items: list[str]) -> str:

@@ -338,11 +338,16 @@ def cmd_evaluate(args) -> int:
     _check_out_dir(Path(args.out), artifacts.EVALUATE_OWNS)
     manifests = [_load_manifest(mpath) for mpath in args.manifest]
     _check_dataset_names(args.manifest, manifests)
-    datasets = []
-    for manifest in manifests:
+    # read and check every dataset first, so that a later manifest's refusal comes before any evaluation
+    loaded = []
+    for mpath, manifest in zip(args.manifest, manifests):
         train, test, zones, _state = _load_data(manifest, need_test=True)
         if "smx" in cfg.methods:  # only smx ranks under the engine settings
-            pipeline.explain_setting(train, zones, manifest["engine"])
+            with dataio.naming(Path(mpath)):  # evaluate takes its engine settings from the manifest only
+                pipeline.explain_setting(train, zones, manifest["engine"])
+        loaded.append((manifest, train, test, zones))
+    datasets = []
+    for manifest, train, test, zones in loaded:
         with _loaded_model(manifest) as model:
             entry = evalkit.evaluate_dataset(train, test, zones, model, manifest["engine"], cfg)
         datasets.append({"name": _dataset_name(manifest), **entry})

@@ -221,7 +221,9 @@ def run_bags(
         I = pset.indicator[subset]
         supports = I.sum(axis=0)
         kept = np.flatnonzero(supports >= n_min)
-        raw = np.where(I[:, kept], D[np.ix_(subset, zone_of[kept])], 0.0).sum(axis=0) / supports[kept]
+        # C-ordered, as np.ix_ gave it: the column sums then run in the same order
+        block = np.ascontiguousarray(D[subset][:, zone_of[kept]])
+        raw = np.where(I[:, kept], block, 0.0).sum(axis=0) / supports[kept]
         impact = raw / zone_width[kept]
         order = np.lexsort((kept, -impact))
         entries = np.empty(kept.size, ENTRY_DTYPE)

@@ -84,16 +84,16 @@ class LogisticModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p1 = _sigmoid(self.decision(X))
-        return np.column_stack([1.0 - p1, p1])
+        out = np.empty((p1.shape[0], 2))
+        out[:, 0], out[:, 1] = 1.0 - p1, p1
+        return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) from exp(-|z|), which never overflows; ``minimum`` keeps a NaN's sign."""
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def require_both_classes(train: SpectralDataset) -> None:

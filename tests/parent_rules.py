@@ -1,17 +1,30 @@
-"""The rules that ``evalkit``, ``engine`` and ``dataio`` now compute
-another way, their code kept verbatim as references: ``rbo``'s
-incremental overlap, ``wilcoxon_signed_rank``'s pure-Python counting
-loop, ``fit_preprocess`` / ``apply_preprocess`` with one branch per
-preprocessing method and the ``_savgol_rows`` helper they called, and
-``pfi`` with one ``SeedSequence`` generator per variable, a Python loop
-over each variable's repeat means, and the ``output_shifts`` it called,
-which summed the class shifts with ``diff.sum(axis=1)``. Tests compare
-the library with them bit for bit on seeded random inputs."""
+"""The rules that ``evalkit``, ``engine``, ``dataio``, ``models``, ``graphx``
+and ``artifacts`` now compute another way, their code kept verbatim as
+references: ``rbo``'s incremental overlap, ``wilcoxon_signed_rank``'s
+pure-Python counting loop, ``fit_preprocess`` / ``apply_preprocess`` with
+one branch per preprocessing method and the ``_savgol_rows`` helper they
+called, and ``pfi`` with one ``SeedSequence`` generator per variable, a
+Python loop over each variable's repeat means, and the ``output_shifts`` it
+called, which summed the class shifts with ``diff.sum(axis=1)``. Then the
+graph stage and its writers before their per-edge costs were cut:
+``run_bags``, which gathered each bag's shift block with ``np.ix_``;
+``_sigmoid`` with a boolean-mask scatter and the logistic ``predict_proba``
+that stacked its columns; ``_break_cycles`` with a finished set, a depth
+dict and a key lambda; ``lrc_scores`` with a second ``argsort``;
+``trace_lines`` with one call per float of the ``_json_float`` it used; and
+``to_dot`` / ``to_json``, which labelled and sorted each graph on their
+own. Tests compare the library with them bit for bit on seeded random
+inputs."""
 
+import json
+import logging
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from smx.artifacts import _dot_string, _json_list, node_label
 
 from smx.dataio import (
     MEAN_CENTER,
@@ -20,9 +33,17 @@ from smx.dataio import (
     SpectralDataset,
     preprocess_setting,
 )
+from smx.engine import ENTRY_DTYPE, BagResult, EngineConfig, bag_size, draw_bag, min_support
 from smx.errors import ConfigError, ModelError, PipelineError
 from smx.evalkit import WilcoxonResult
+from smx.graphx import ExplanationGraph
 from smx.models import CONTINUOUS, PROBABILISTIC
+from smx.parallel import run_ordered
+from smx.predicates import PredicateSet
+from smx.zonecore import ZoneModel
+
+# the parent ``_break_cycles`` logs here; tests compare its records with ``smx.graphx``'s
+logger = logging.getLogger("parent_rules.graphx")
 
 
 def rbo(list_a: Sequence, list_b: Sequence, rho: float = 0.7, depth: int = 20) -> float:
@@ -233,3 +254,228 @@ def pfi(model, X_test: np.ndarray, repeats: int = 10, seed: int = 0) -> np.ndarr
             acc += mean  # sequential, in repeat order: a pairwise sum rounds differently
         out[j] = acc / repeats
     return out
+
+
+def run_bags(
+    shifts: np.ndarray,
+    classes: np.ndarray,
+    zone_models: Sequence[ZoneModel],
+    pset: PredicateSet,
+    cfg: EngineConfig,
+    seed: int,
+    workers: int = 1,
+) -> list[BagResult]:
+    """Run all bags for one seed from a training set's ``Responses`` and
+    return results in bag order.
+
+    The terminal class of a bag is the majority predicted class (from
+    the original, unperturbed predictions) among the samples satisfying
+    the last-ranked predicate; ties go to class 0.
+    """
+    D = np.asarray(shifts, dtype=float)
+    classes = np.asarray(classes)
+    n = D.shape[0]
+    if pset.indicator.shape[0] != n or classes.shape[0] != n:
+        raise ConfigError("predicate indicator and class rows must match the response rows")
+    n_b = bag_size(n, cfg.bag_fraction)
+    n_min = min_support(n, cfg.min_support_fraction)
+    zone_of = np.array([p.zone_index for p in pset.predicates], dtype=int)
+    zone_width = np.array([zone_models[m].width for m in zone_of], dtype=float)
+
+    def one_bag(b: int) -> BagResult:
+        subset = draw_bag(seed, b, n, n_b)
+        I = pset.indicator[subset]
+        supports = I.sum(axis=0)
+        kept = np.flatnonzero(supports >= n_min)
+        raw = np.where(I[:, kept], D[np.ix_(subset, zone_of[kept])], 0.0).sum(axis=0) / supports[kept]
+        impact = raw / zone_width[kept]
+        order = np.lexsort((kept, -impact))
+        entries = np.empty(kept.size, ENTRY_DTYPE)
+        entries["predicate"] = kept[order]
+        entries["impact"] = impact[order]
+        entries["raw_impact"] = raw[order]
+        entries["support"] = supports[entries["predicate"]]
+        terminal = None
+        if kept.size:
+            last = entries["predicate"][-1]
+            ones = int(np.count_nonzero(classes[subset][I[:, last]] == 1))
+            terminal = 1 if ones > supports[last] - ones else 0
+        return BagResult(b, entries, terminal)
+
+    return run_ordered(one_bag, list(range(cfg.bags)), workers)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_predict_proba(self, X: np.ndarray) -> np.ndarray:
+    """``LogisticModel.predict_proba``; ``self`` is the model."""
+    p1 = _sigmoid(self.decision(X))
+    return np.column_stack([1.0 - p1, p1])
+
+
+def _break_cycles(edges: dict[tuple[int, int], float], seed: int) -> None:
+    successors: dict[int, list[int]] = {}
+    for u, v in sorted(edges):
+        successors.setdefault(u, []).append(v)
+    finished: set[int] = set()
+    total_weight = sum(edges.values())
+    dropped, dropped_weight = 0, 0.0
+    for root in sorted(successors):
+        if root in finished:
+            continue
+        # path[k] is on the current DFS path at depth k; iters[k] walks its successors
+        path, iters, depth = [root], [iter(successors[root])], {root: 0}
+        while path:
+            node = path[-1]
+            for nxt in iters[-1]:
+                if nxt in finished or (node, nxt) not in edges:
+                    continue
+                if nxt not in depth:
+                    depth[nxt] = len(path)
+                    path.append(nxt)
+                    iters.append(iter(successors.get(nxt, ())))
+                    break
+                cycle = list(zip(path[depth[nxt] :], path[depth[nxt] + 1 :] + [nxt]))
+                victim = min(cycle, key=lambda e: (edges[e], e))
+                logger.debug("seed %s: dropping edge %s (weight %g)", seed, victim, edges[victim])
+                dropped += 1
+                dropped_weight += edges.pop(victim)
+                # resume at the victim's source: the nodes above it are unvisited
+                # again, while finished nodes reach only finished nodes and stay acyclic
+                keep = depth[victim[0]] + 1
+                for gone in path[keep:]:
+                    del depth[gone]
+                del path[keep:], iters[keep:]
+                break
+            else:
+                finished.add(node)
+                del depth[node]
+                path.pop()
+                iters.pop()
+    if dropped:
+        logger.info(
+            "seed %s: %d lightest edge(s), %.2g%% of the edge weight, removed to "
+            "break directed cycles that survived pair resolution",
+            seed,
+            dropped,
+            100.0 * dropped_weight / total_weight,
+        )
+
+
+def lrc_scores(node_count: int, edges: dict[tuple[int, int], float]) -> np.ndarray:
+    """Local Reaching Centrality for every node of a resolved graph.
+
+    For each reachable node the contribution is the total weight of the
+    hop-count-shortest path (ties broken by maximum total weight)
+    divided by its edge count; the sum is normalized by node_count - 1.
+
+    One breadth-first search runs for all sources at once. The frontier
+    holds (source, node, best weight) triples, grouped by source and, per
+    source, in discovery order. A level expands every triple through the
+    edges in CSR layout (per source node, in the order ``edges`` yields
+    them), drops pairs already reached, and keeps one triple per new
+    (source, node) pair: one stable sort of ``source * node_count +
+    node`` puts each pair's first candidate at the head of its group,
+    which fixes the pair's discovery order, and ``np.maximum.reduceat``
+    gives its heaviest candidate. Each source's contributions are added
+    to its total in discovery order, level by level (``np.add.at`` adds
+    in index order), which is the left-to-right sum of a per-source
+    search, so scores are bit-identical to one. Memory: an N x N bool
+    array of reached pairs (N² bytes) plus arrays the size of one level.
+    """
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
+        raise ConfigError(f"edge endpoint outside the {node_count} graph nodes")
+    out = np.zeros(node_count)
+    if node_count < 2 or not pairs.size:
+        return out
+    by_source = np.argsort(pairs[:, 0], kind="stable")
+    heads = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=node_count), out=heads[1:])
+    tails = pairs[by_source, 1]
+    weights = np.fromiter(edges.values(), dtype=float, count=len(pairs))[by_source]
+    reached = np.eye(node_count, dtype=bool).ravel()
+    src = np.arange(node_count)
+    node, best = src, np.zeros(node_count)
+    depth = 0
+    while src.size:
+        depth += 1
+        degree = heads[node + 1] - heads[node]
+        ends = np.cumsum(degree)
+        # candidates in frontier order, each node's edges in CSR order
+        parent = np.repeat(np.arange(src.size), degree)
+        edge = np.arange(ends[-1]) + np.repeat(heads[node] - (ends - degree), degree)
+        keys = src[parent] * node_count + tails[edge]
+        fresh = ~reached[keys]
+        keys, cand = keys[fresh], best[parent[fresh]] + weights[edge[fresh]]
+        if not keys.size:
+            break
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        first = order[starts]
+        found = np.argsort(first)
+        keys, best = keys[first[found]], np.maximum.reduceat(cand[order], starts)[found]
+        reached[keys] = True
+        src, node = np.divmod(keys, node_count)
+        np.add.at(out, src, best / depth)
+    return out / (node_count - 1)
+
+
+def _json_float(x: float) -> str:
+    """``json.dumps`` text of one float: its repr, or NaN / Infinity / -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def trace_lines(seed: int, results: Sequence[BagResult], pset: PredicateSet) -> list[str]:
+    """Bag-level audit trace, one JSON object per retained predicate.
+
+    Each line is the text of ``json.dumps(record, sort_keys=True)``,
+    written directly: labels go through ``json.dumps`` once each and
+    floats through ``_json_float``."""
+    labels = [json.dumps(p.key) for p in pset.predicates]
+    return [
+        f'{{"bag": {bag.bag_index}, "impact_norm": {_json_float(impact)}, '
+        f'"impact_raw": {_json_float(raw)}, "label": {labels[j]}, '
+        f'"predicate": {j}, "seed": {seed}, "support": {support}}}'
+        for bag in results
+        for j, impact, raw, support in bag.entries.tolist()
+    ]
+
+
+def to_dot(graph: ExplanationGraph, pset: PredicateSet) -> str:
+    """DOT text with predicate labels at 2 decimals and weights at 4."""
+    lines = ["digraph explanation {"]
+    for node in sorted({n for e in graph.edges for n in e}):
+        lines.append(f"  n{node} [label={_dot_string(node_label(node, pset))}];")
+    for (u, v), w in sorted(graph.edges.items()):
+        lines.append(f'  n{u} -> n{v} [label="{w:.4f}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def to_json(graph: ExplanationGraph, pset: PredicateSet) -> str:
+    """Lossless JSON twin of the DOT export.
+
+    The text is that of ``json.dumps(payload, indent=2, sort_keys=True)``
+    with payload ``{"seed", "nodes": [{"id", "label"}], "edges":
+    [{"source", "target", "weight"}]}``, written directly: labels go
+    through ``json.dumps`` once each and weights through ``_json_float``."""
+    edges = [
+        f'    {{\n      "source": {u},\n      "target": {v},\n      "weight": {_json_float(w)}\n    }}'
+        for (u, v), w in sorted(graph.edges.items())
+    ]
+    nodes = [
+        f'    {{\n      "id": {i},\n      "label": {json.dumps(node_label(i, pset))}\n    }}'
+        for i in range(graph.node_count)
+    ]
+    return f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n  "seed": {graph.seed}\n}}\n'

@@ -4,12 +4,13 @@ PFI and a faithfulness curve so a change to those names or fields fails
 here, not only in a traced benchmark run."""
 
 import importlib.util
+import logging
 from pathlib import Path
 
 import pytest
 
 from smx import evalkit, pipeline, synthgen
-from smx.dataio import apply_preprocess, fit_preprocess, kennard_stone_split, resolve_zones
+from smx.dataio import Zone, ZoneConfig, apply_preprocess, fit_preprocess, kennard_stone_split, resolve_zones
 from smx.engine import EngineConfig
 from smx.models import fit_logistic
 
@@ -55,3 +56,23 @@ def test_layer_spans_cover_an_explain_and_a_pfi(spans, monkeypatch):
     assert metrics["models.rows"] > 0
     assert metrics["evalkit.pfi_calls"] > 0
     assert metrics["evalkit.faithfulness_s"] > 0
+
+
+def test_pruning_counters_read_every_dropped_edge(spans, monkeypatch, caplog):
+    """An explain that prunes cycles (30 equal-width zones x 9 quantiles): the
+    benchmark counts one dropped edge per DEBUG "dropping edge" record and
+    reads each dropped weight from it."""
+    monkeypatch.setenv("SMX_THREADS", "1")
+    train = synthgen.generate(synthgen.benchmark_config(3))
+    width = len(train.axis) // 30
+    zones = ZoneConfig(
+        [Zone(f"Z{k}", float(train.axis[k * width]), float(train.axis[(k + 1) * width - 1]), False) for k in range(30)]
+    )
+    tracer = spans.Tracer()
+    with caplog.at_level(logging.DEBUG, logger="smx.graphx"), spans.layer_spans(tracer):
+        pipeline.explain(train, zones, fit_logistic(train), EngineConfig(quantiles=tuple(k / 10 for k in range(1, 10))))
+    dropped = [r for r in caplog.records if r.levelno == logging.DEBUG and r.msg.startswith("seed %s: dropping edge")]
+    server = {"request_bytes": 0, "reply_bytes": 0, "busy_s": 0.0, "requests": 0}
+    metrics = spans.layer_metrics(tracer.spans, train.intensities.shape[1], server)
+    assert len(dropped) > 0 and metrics["graphx.edges_dropped"] == len(dropped)
+    assert 0.0 < metrics["graphx.dropped_weight_fraction"] < 1.0

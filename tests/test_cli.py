@@ -1994,11 +1994,35 @@ def test_unreachable_support_refused_before_the_model_starts(explain_case, tmp_p
         assert code == 0 and len(started) == 1
         return
     assert code == 2
+    named = "" if command == "explain" else f"{mpath}: "  # evaluate reads the engine settings from the manifest only
     assert capsys.readouterr().err == (
-        "error: min support 18 (min_support_fraction 0.5 of 36 samples) exceeds the bag size 4 (bag_fraction 0.1): "
-        "no predicate could be retained\n"
+        f"error: {named}min support 18 (min_support_fraction 0.5 of 36 samples) exceeds the bag size 4 "
+        "(bag_fraction 0.1): no predicate could be retained\n"
     )
     assert started == []
+    assert not out.exists()
+
+
+def test_unreachable_support_of_a_later_manifest_refused_before_any_evaluation(
+    explain_case, tmp_path, monkeypatch, capsys
+):
+    """With several manifests, each one's engine settings are checked before
+    the first dataset is evaluated, and the refusal names its manifest."""
+    evaluated = []
+    monkeypatch.setattr(evalkit, "evaluate_dataset", lambda *args: evaluated.append(args) or {})
+    paths = []
+    for name, engine in (("good", {"bags": 3, "seeds": [1]}), ("bad", {"bag_fraction": 0.1, "min_support_fraction": 0.5})):
+        manifest = {key: str(explain_case / f"{key}.{ext}") for key, ext in
+                    (("train", "csv"), ("test", "csv"), ("zones", "json"), ("model", "json"))}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({**manifest, "name": name, "engine": engine}))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", *map(str, paths), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths[1]}: min support 18 (min_support_fraction 0.5 of 36 samples) exceeds the bag size 4 "
+        "(bag_fraction 0.1): no predicate could be retained\n"
+    )
+    assert evaluated == []
     assert not out.exists()
 
 
