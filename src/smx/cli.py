@@ -136,16 +136,17 @@ _OVERRIDES = {
 _SECTIONS = {"preprocess": {"method": str, "window": int, "order": int}, "engine": get_type_hints(EngineConfig)}
 
 
-def _load_manifest(mpath, args=None) -> dict:
+def _load_manifest(mpath, required, args=None) -> dict:
     """The manifest file ``mpath`` (none: an empty manifest), then each
     ``_OVERRIDES`` flag given in ``args`` replaces its one entry. In the
     file, file entries and ``name`` must be strings (``model`` may be a
     spec object), the preprocess and engine objects hold only their
     ``_SECTIONS`` keys, each of its type, and any other key starts with
     ``_``. The preprocess entry comes out as an object, empty if unset, and
-    the engine entry as an ``EngineConfig``: both settings and a model spec
-    object are checked here, before any file is read. A refusal names the
-    manifest, unless a flag set that section."""
+    the engine entry as an ``EngineConfig``. Both settings, a model spec
+    object and the ``required`` entries are checked before any file is
+    read. ``_named`` maps each section to the file a refusal in it names,
+    here and in ``_load_data``: the manifest, or none if a flag set it."""
     mpath, where = Path(mpath) if mpath else None, "bad manifest entry"
     manifest = dataio.read_json(mpath, "manifest file") if mpath else {}
     with dataio.naming(mpath):
@@ -170,33 +171,30 @@ def _load_manifest(mpath, args=None) -> dict:
             }
         if isinstance(manifest.get("model"), dict) and not (args and args.model):  # a spec no flag replaces
             models.model_spec(manifest["model"])
-    flagged = set()  # the sections a flag gave a value: a refusal there does not blame the manifest
+    named = manifest["_named"] = dict.fromkeys(_SECTIONS, mpath)
     for entry, _ in _OVERRIDES.values() if args else ():
         section, _, key = entry.rpartition(".")
         if (value := getattr(args, entry)) is not None:
             (manifest[section] if section else manifest)[key] = value
-            flagged.add(section)
-    with dataio.naming(None if "preprocess" in flagged else mpath):
+            named[section] = None
+    with dataio.naming(named["preprocess"]):
         if manifest["preprocess"]:
             if "method" not in manifest["preprocess"]:
                 raise ConfigError("preprocess lacks its 'method' (the manifest's preprocess method or --preprocess)")
             dataio.preprocess_setting(**manifest["preprocess"])
-    with dataio.naming(None if "engine" in flagged else mpath):
+    with dataio.naming(named["engine"]):
         manifest["engine"] = EngineConfig(**manifest["engine"])
+    with dataio.naming(mpath):
+        for key in required:
+            if key not in manifest:
+                raise ConfigError(f"manifest is missing required entry '{key}'")
     return manifest
-
-
-def _manifest_path(manifest: dict, key: str) -> Path:
-    path = manifest.get(key)
-    if path is None:
-        raise ConfigError(f"manifest is missing required entry '{key}'")
-    return path
 
 
 @contextlib.contextmanager
 def _loaded_model(manifest: dict):
     """The manifest's model, closed on exit if it is an external one."""
-    model = models.load_model(_manifest_path(manifest, "model"))  # a file path or a spec object
+    model = models.load_model(manifest["model"])  # a file path or a spec object
     try:
         yield model
     finally:
@@ -214,21 +212,30 @@ def _load_test(train: dataio.SpectralDataset, path) -> dataio.SpectralDataset:
     return test
 
 
-def _load_data(manifest: dict, need_test: bool):
+def _load_data(manifest: dict, need_test: bool, ranks: bool):
     """(train, test, zones, state): the data preprocessed by ``state``, the
     preprocessing fitted on train, or as read with no preprocess entry
-    (state None). Each zone must cover enough train channels."""
-    train = dataio.load_csv(_manifest_path(manifest, "train"))
-    test = _load_test(train, _manifest_path(manifest, "test")) if need_test else None
-    zones = dataio.load_zone_config(_manifest_path(manifest, "zones"))
+    (state None). Checked before any model starts: each zone must cover
+    enough train channels, and a run that ``ranks`` with smx needs two
+    train samples and settings ``pipeline.explain_setting`` accepts."""
+    train = dataio.load_csv(manifest["train"])
+    if ranks and train.n_samples < 2:
+        with dataio.naming(manifest["train"]):
+            raise ConfigError(f"ranking needs at least 2 train samples, got {train.n_samples}")
+    test = _load_test(train, manifest["test"]) if need_test else None
+    zones = dataio.load_zone_config(manifest["zones"])
     with dataio.naming(manifest["zones"]):  # a zone covering too few train channels is the zone config's fault
         dataio.resolve_zones(zones, train)
-    pre, state = manifest["preprocess"], None
+    named, pre, state = manifest["_named"], manifest["preprocess"], None
     if pre:
-        state = dataio.fit_preprocess(train, **pre)
+        with dataio.naming(named["preprocess"]):
+            state = dataio.fit_preprocess(train, **pre)
         train = dataio.apply_preprocess(state, train)
         if test is not None:
             test = dataio.apply_preprocess(state, test)
+    if ranks:
+        with dataio.naming(named["engine"]):
+            pipeline.explain_setting(train, zones, manifest["engine"])
     return train, test, zones, state
 
 
@@ -291,16 +298,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    manifest = _load_manifest(args.manifest, args)
-    out = manifest.get("out")
-    if out is None:
-        raise ConfigError("an output directory is required (--out or the manifest's out)")
-    _check_out_dir(out, artifacts.EXPLAIN_OWNS)
-    train, _test, zones, state = _load_data(manifest, need_test=False)
-    pipeline.explain_setting(train, zones, manifest["engine"])  # before an external model starts
+    manifest = _load_manifest(args.manifest, ("out", "train", "zones", "model"), args)
+    _check_out_dir(manifest["out"], artifacts.EXPLAIN_OWNS)
+    train, _test, zones, state = _load_data(manifest, need_test=False, ranks=True)
     with _loaded_model(manifest) as model:
         result = pipeline.explain(train, zones, model, manifest["engine"])
-    _replace_dir(out, artifacts.explain_files(result, train.axis, state))
+    _replace_dir(manifest["out"], artifacts.explain_files(result, train.axis, state))
     return 0
 
 
@@ -309,7 +312,7 @@ def cmd_explain(args) -> int:
 
 def _dataset_name(manifest: dict) -> str:
     """The manifest's ``name``, or its train file's stem when it has none."""
-    return manifest["name"] if "name" in manifest else _manifest_path(manifest, "train").stem
+    return manifest["name"] if "name" in manifest else manifest["train"].stem
 
 
 def _check_dataset_names(mpaths: list[str], manifests: list[dict]) -> None:
@@ -336,18 +339,12 @@ def cmd_evaluate(args) -> int:
         if key in given and not read:  # a flag the run would not read
             raise ConfigError(f"--{key.replace('_', '-')} is only read when {when}")
     _check_out_dir(Path(args.out), artifacts.EVALUATE_OWNS)
-    manifests = [_load_manifest(mpath) for mpath in args.manifest]
+    manifests = [_load_manifest(mpath, ("train", "test", "zones", "model")) for mpath in args.manifest]
     _check_dataset_names(args.manifest, manifests)
     # read and check every dataset first, so that a later manifest's refusal comes before any evaluation
-    loaded = []
-    for mpath, manifest in zip(args.manifest, manifests):
-        train, test, zones, _state = _load_data(manifest, need_test=True)
-        if "smx" in cfg.methods:  # only smx ranks under the engine settings
-            with dataio.naming(Path(mpath)):  # evaluate takes its engine settings from the manifest only
-                pipeline.explain_setting(train, zones, manifest["engine"])
-        loaded.append((manifest, train, test, zones))
+    loaded = [_load_data(manifest, need_test=True, ranks="smx" in cfg.methods) for manifest in manifests]
     datasets = []
-    for manifest, train, test, zones in loaded:
+    for manifest, (train, test, zones, _state) in zip(manifests, loaded):
         with _loaded_model(manifest) as model:
             entry = evalkit.evaluate_dataset(train, test, zones, model, manifest["engine"], cfg)
         datasets.append({"name": _dataset_name(manifest), **entry})

@@ -2025,6 +2025,133 @@ def test_unreachable_support_of_a_later_manifest_refused_before_any_evaluation(
     assert evaluated == []
     assert not out.exists()
 
+def _column_set(case: Path, name: str, text: str) -> str:
+    """The case's CSV ``name`` with the first intensity of every row written as ``text``."""
+    lines = (case / name).read_text().rstrip("\n").split("\n")
+    rows = [",".join([*cells[:2], text, *cells[3:]]) for cells in (line.split(",") for line in lines[1:])]
+    return "\n".join([lines[0], *rows, ""])
+
+
+def _rows(case: Path, name: str, count: int) -> str:
+    """The header and the first ``count`` rows of the case's CSV ``name``."""
+    return "\n".join((case / name).read_text().split("\n")[: 1 + count]) + "\n"
+
+
+_QUANTILES_99 = [k / 100 for k in range(1, 100)]
+_ZONES_23 = _zones(*((f"z{m}", 2 * m + 1, 2 * m + 2) for m in range(23)))
+_ONE_ROW_FILE = {"one.csv": lambda case: _rows(case, "train.csv", 1)}
+_SUPPORT = (
+    "min support 18 (min_support_fraction 0.5 of 36 samples) exceeds the bag size 4 (bag_fraction 0.1): "
+    "no predicate could be retained"
+)
+_BOUND = f"23 zones x 99 quantile levels allow 4554 predicates; at most {pipeline.MAX_PREDICATES} are allowed"
+_WIDE_WINDOW = "savgol window exceeds the number of variables"
+_POISSON = "poisson scaling requires positive column means; column 0 has mean -1.0"
+_ONE_ROW = "ranking needs at least 2 train samples, got 1"
+
+# name -> (command, entries over m.json's (None removes one), flags, files
+# written over the case's, the file the refusal names, the rest of its
+# message); see test_refused_before_the_model_starts.
+REFUSED_BEFORE_THE_MODEL = {
+    **{
+        f"{command} without {key}": (
+            command, {key: None}, [], {}, "m.json", f"manifest is missing required entry '{key}'"
+        )
+        for command, keys in (
+            ("explain", ("out", "train", "zones", "model")), ("evaluate", ("train", "test", "zones", "model"))
+        )
+        for key in keys
+    },
+    **{
+        f"{command} {what} in the manifest": (command, entries, [], files, "m.json", message)
+        for command in ("explain", "evaluate")
+        for what, entries, files, message in (
+            ("support floor", {"engine": {"bag_fraction": 0.1, "min_support_fraction": 0.5}}, {}, _SUPPORT),
+            ("predicate bound", {"engine": {"quantiles": _QUANTILES_99}}, {"zones.json": _ZONES_23}, _BOUND),
+            ("savgol window", {"preprocess": {"method": _SAVGOL, "window": 61}}, {}, _WIDE_WINDOW),
+            (
+                "poisson mean", {"preprocess": {"method": "poisson_then_center"}},
+                {"train.csv": lambda case: _column_set(case, "train.csv", "-1")}, _POISSON,
+            ),
+        )
+    },
+    "support floor by flag": ("explain", {}, ["--bag-fraction", "0.1", "--min-support", "0.5"], {}, None, _SUPPORT),
+    "support floor in the manifest, another engine flag": (
+        "explain", {"engine": {"bag_fraction": 0.1, "min_support_fraction": 0.5}}, ["--bags", "3"], {}, None, _SUPPORT
+    ),
+    "predicate bound by flag": (
+        "explain", {}, ["--quantiles", ",".join(map(str, _QUANTILES_99))], {"zones.json": _ZONES_23}, None, _BOUND
+    ),
+    "savgol window by flag": ("explain", {}, ["--preprocess", _SAVGOL, "--window", "61"], {}, None, _WIDE_WINDOW),
+    "savgol window in the manifest, method by flag": (
+        "explain", {"preprocess": {"method": _SAVGOL, "window": 61}}, ["--preprocess", _SAVGOL], {}, None, _WIDE_WINDOW
+    ),
+    "poisson mean by flag": (
+        "explain", {}, ["--preprocess", "poisson_then_center"],
+        {"train.csv": lambda case: _column_set(case, "train.csv", "-1")}, None, _POISSON,
+    ),
+    **{
+        f"{command} one-row train": (command, {"train": "one.csv"}, [], _ONE_ROW_FILE, "one.csv", _ONE_ROW)
+        for command in ("explain", "evaluate")
+    },
+    "one-row train by flag": ("explain", {}, ["--train", "one.csv"], _ONE_ROW_FILE, "one.csv", _ONE_ROW),
+}
+
+
+@pytest.mark.parametrize(
+    "command, entries, flags, files, named, message", REFUSED_BEFORE_THE_MODEL.values(), ids=REFUSED_BEFORE_THE_MODEL
+)
+def test_refused_before_the_model_starts(
+    explain_case, tmp_path, monkeypatch, capsys, command, entries, flags, files, named, message
+):
+    """A refusal of a manifest's entry or setting names the manifest, whether
+    it is found alone or against the data, and one of a value a flag gave
+    names no file. Each comes before an external model starts, and before
+    evaluate scores its first dataset: ``evaluate`` runs good.json, a valid
+    manifest, before m.json. A missing entry is refused before any CSV is
+    read."""
+    started, read, evaluated = [], [], []
+    monkeypatch.setattr(models.subprocess, "Popen", lambda *args, **kwargs: started.append(args))
+    load_csv = dataio.load_csv
+    monkeypatch.setattr(dataio, "load_csv", lambda path: read.append(path) or load_csv(path))
+    monkeypatch.setattr(evalkit, "evaluate_dataset", lambda *args: evaluated.append(args) or {})
+    monkeypatch.chdir(tmp_path)
+    for name in ("train.csv", "test.csv", "zones.json"):
+        (tmp_path / name).write_bytes((explain_case / name).read_bytes())
+    for name, content in files.items():
+        content = content(explain_case) if callable(content) else content
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    helper = str(Path(__file__).parent / "helpers" / "external_model.py")
+    manifest = {
+        "train": "train.csv", "test": "test.csv", "zones": "zones.json", **_engine(),
+        "model": {"kind": "external", "argv": [sys.executable, helper, "sum", "60"]},
+    }
+    if command == "explain":
+        manifest["out"] = "out"
+    (tmp_path / "good.json").write_text(json.dumps({**manifest, "name": "good"}))
+    manifest = {**manifest, "name": "m", **entries}
+    (tmp_path / "m.json").write_text(json.dumps({key: value for key, value in manifest.items() if value is not None}))
+    if command == "explain":
+        argv = ["explain", "--manifest", "m.json", *flags]
+    else:
+        argv = ["evaluate", "--manifest", "good.json", "m.json", *flags, "--out", "out"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {message}\n" if named is None else f"error: {named}: {message}\n")
+    assert started == [] and evaluated == []
+    assert not (tmp_path / "out").exists()
+    if message.startswith("manifest is missing"):
+        assert read == []
+
+
+def test_one_row_train_runs_a_pfi_only_evaluate(explain_case, tmp_path):
+    """PFI scores the test set alone, so an evaluate that ranks no smx takes
+    a one-row train set."""
+    (tmp_path / "one.csv").write_text(_rows(explain_case, "train.csv", 1))
+    mpath = _manifest_naming(tmp_path, explain_case, train=tmp_path / "one.csv")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", mpath, "--methods", "pfi", "--stability-runs", "0", "--out", str(out)]) == 0
+    assert out.is_dir()
+
 
 @pytest.mark.parametrize(
     "reply, message",

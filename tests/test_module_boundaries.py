@@ -2,7 +2,8 @@
 a module's private names are its own to change, and a helper two modules
 share is public in the one that owns it. No smx module imports a name it
 never reads, so a deletion cannot leave an import behind. Every refusal
-of an external model or of what it sent is built by one helper."""
+of an external model or of what it sent is built by one helper, and the
+CLI decides in one place which file a refusal of a run's inputs names."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,24 @@ def test_own_text_refusals_are_listed_by_name():
     for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
         functions.update({f"{cls.name}.{node.name}": node for node in cls.body if isinstance(node, ast.FunctionDef)})
     assert [len(_raised_model_errors(functions[name])) for name in OWN_TEXT_REFUSALS] == [1, 1, 1]
+
+
+def _calls(tree: ast.AST, owner: str, attr: str) -> list[ast.Call]:
+    """The calls of ``<owner>.<attr>(...)`` in ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == owner
+    ]
+
+
+def test_cli_checks_and_names_a_run_s_inputs_in_one_place():
+    """``cli.py`` checks the engine settings against the data once, in
+    ``_load_data``, and neither ``cmd_explain`` nor ``cmd_evaluate`` opens a
+    ``dataio.naming`` scope: ``_load_manifest`` and ``_load_data`` alone
+    decide which file a refusal of a manifest's entry or setting names."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callers = [name for name, function in functions.items() for _ in _calls(function, "pipeline", "explain_setting")]
+    assert callers == ["_load_data"] and len(_calls(tree, "pipeline", "explain_setting")) == 1
+    assert [name for name in ("cmd_explain", "cmd_evaluate") if _calls(functions[name], "dataio", "naming")] == []
